@@ -268,15 +268,6 @@ def main(argv=None) -> int:
                              "DIR/cells.jsonl and replay any already "
                              "recorded there; an interrupted run resumes "
                              "with an identical final report")
-    parser.add_argument("--fast", action="store_true",
-                        help="zero-overhead build: bind hook-free "
-                             "variants of the hot datapath functions at "
-                             "construction time (same results, no "
-                             "observability); incompatible with "
-                             "--telemetry/--audit/--chaos/--breakdown/"
-                             "--trace-viewer, which need those hooks "
-                             "(HALFBACK_FAST=1 in the environment is "
-                             "equivalent)")
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
     if raw_argv and raw_argv[0] == "bench":
         # The observatory has its own flag set; hand the rest through.
@@ -310,26 +301,6 @@ def main(argv=None) -> int:
         return hb_main(raw_argv[1:])
 
     args = parser.parse_args(argv)
-
-    from repro import fastpath
-
-    if args.fast or fastpath.enabled():
-        # The fast build removes the very hooks these subsystems attach
-        # to, so the combination cannot produce what the user asked for;
-        # refuse loudly rather than silently dropping observability.
-        set_flags = [flag for flag, value in (
-            ("--telemetry", args.telemetry is not None),
-            ("--audit", args.audit is not None),
-            ("--chaos", args.chaos is not None),
-            ("--breakdown", args.breakdown),
-            ("--trace-viewer", args.trace_viewer is not None),
-        ) if value]
-        bad = fastpath.incompatible_flag(set_flags)
-        if bad is not None:
-            print(f"error: {fastpath.refusal_message(bad)}",
-                  file=sys.stderr)
-            return 2
-        fastpath.enable()
 
     if args.experiment == "list":
         for name, (description, __) in EXPERIMENTS.items():

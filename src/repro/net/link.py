@@ -46,13 +46,20 @@ Two mechanisms compose:
   before it — unreachable when the mark is applied to genuinely
   sole-feeder links.
 
-The **fallback predicate** is a cached boolean (``self._fast``),
-recomputed whenever observability state changes: any of tracing
-(lineage/provenance), an attached impairment, a non-drop-tail queue
-discipline, or a sampling monitor on the link or its queue forces the
-per-packet path, which remains byte-for-byte the pre-batching code.
-Bernoulli loss *is* batchable: draws come from the link's private RNG
-stream in serialization order either way.
+**One selector.**  "Does anything need per-packet control on this
+link?" is answered by one cached boolean, ``self._fast``, recomputed by
+:meth:`Link.refresh_fast_path` whenever the answer can change;
+:meth:`Link.send` is the one place that picks a path for an offered
+packet.  Any of tracing (lineage/provenance), an attached impairment, a
+non-drop-tail queue discipline, a sampling monitor on the link or its
+queue, a tie-break salt, or the :func:`set_batching` reference switch
+(tests and probes only) forces the per-packet path, which is the
+pre-batching code and the reference the equivalence suite compares
+against.  Bernoulli loss *is* batchable: draws come from the link's
+private RNG stream in serialization order either way.  A flip while the
+other path still holds the serializer takes effect at the instant it
+frees (``_busy`` and :meth:`Link._leave_fast_path`), so the two never
+serialize at once.
 
 ``events_absorbed`` accounting keeps benchmarks honest: every event the
 plan eliminated increments :attr:`Simulator.events_absorbed` (and the
@@ -67,7 +74,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from repro import fastpath
 from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
@@ -101,13 +107,12 @@ def set_batching(on: bool) -> None:
 def batching_disabled() -> Iterator[None]:
     """Run the per-packet reference datapath inside the context (the
     fingerprint-equivalence suite's unbatched arm)."""
-    global _BATCHING
     previous = _BATCHING
-    _BATCHING = False
+    set_batching(False)
     try:
         yield
     finally:
-        _BATCHING = previous
+        set_batching(previous)
 
 
 class LinkStats:
@@ -175,24 +180,23 @@ class Link:
             raise ConfigurationError(f"link {name!r}: rate must be positive")
         if delay < 0:
             raise ConfigurationError(f"link {name!r}: delay must be non-negative")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ConfigurationError(f"link {name!r}: loss_rate must be in [0,1)")
         self.sim = sim
         self.name = name
         self.dst = dst
         self.rate = rate
         self.delay = delay
         self._queue = queue if queue is not None else DropTailQueue(1 << 30)
-        self.loss_rate = loss_rate
-        self._loss_rng = sim.streams.get(f"link-loss:{name}") if loss_rate else None
+        self.set_loss(loss_rate)
+        #: True while an event that frees the serializer is pending: the
+        #: per-packet path's ``_finish_transmission`` or the train path's
+        #: lazily scheduled ``_train_restart``.  Either admission path
+        #: only enqueues while it is set.
         self._busy = False
         self._impairments: List = []
         self.stats = LinkStats()
         # --- batched-datapath state -----------------------------------
         #: Absolute time the serializer frees under the batched plan.
         self._busy_until = 0.0
-        #: True while a train-restart event is pending at _busy_until.
-        self._restart_pending = False
         #: ``(start_time, size, dq_push)`` of train-planned packets still
         #: logically occupying the queue — mirrored into
         #: ``queue.pending_bytes``.  ``dq_push`` is the push time of the
@@ -237,12 +241,6 @@ class Link:
         self._m_chaos_drops = metrics.counter("chaos.drops")
         self._m_chaos_corrupt = metrics.counter("chaos.corrupted")
         self._m_absorbed = metrics.counter("scheduler.events_absorbed")
-        if fastpath.enabled():
-            # Zero-overhead build: bind the hook-free delivery variant
-            # (no lineage-trace guard, no telemetry instrument call) for
-            # the lifetime of this link.  The CLI refuses --fast together
-            # with every flag that would need those hooks.
-            self._deliver = self._deliver_nohook
         self.refresh_fast_path()
 
     # ------------------------------------------------------------------
@@ -252,22 +250,19 @@ class Link:
         self.refresh_fast_path()
 
     def refresh_fast_path(self) -> None:
-        """Re-evaluate the cached batched-datapath predicate.
+        """Re-evaluate the cached batched-datapath predicate (module
+        docstring, *One selector*).  Called whenever an input changes:
+        trace rebind, impairment attach/detach, monitor attachment,
+        queue swap.
 
-        Called whenever observability state changes (trace rebind,
-        impairment attach/detach, monitor attachment).  Anything needing
-        per-packet control — lineage/provenance tracing, chaos
-        impairments, an AQM queue discipline, or a sampling monitor on
-        the link or its queue — forces the per-packet reference path.
-
-        A tie-break permutation salt also forces it: the perturbation
+        Why a tie-break permutation salt is among them: the perturbation
         harness scrambles same-instant order by per-event identity
         (``seq``), and a train plan absorbs events — changing the very
         identities the salt permutes — so a salted run must execute the
         per-packet reference schedule for batched-on/off runs to stay
         byte-identical.
         """
-        self._fast = (
+        fast = (
             _BATCHING
             and self.sim.tiebreak_salt is None
             and not self._trace.enabled
@@ -276,15 +271,33 @@ class Link:
             and type(self.queue) is DropTailQueue
             and not self.queue.monitored
         )
-        # Bind the admission path directly as this link's ``send``: one
-        # call layer less per offered packet on the hottest edges.  The
-        # class-level send (restored when the predicate flips off) is
-        # the one that walks the impairment clone pipeline — impairments
-        # force the predicate off, so the binding never skips it.
-        if self._fast:
-            self.send = self._admit_fast
-        else:
-            self.__dict__.pop("send", None)
+        if self._fast and not fast:
+            self._leave_fast_path()
+        self._fast = fast
+
+    def _leave_fast_path(self) -> None:
+        """Hand a train in progress over to the per-packet path, which
+        must start at the instant the plan frees the serializer.  (The
+        other direction needs nothing: ``_busy`` makes the train path
+        enqueue behind a per-packet serialization until it drains.)"""
+        sim = self.sim
+        now = sim._now
+        # Planned packets that have not started serializing are still
+        # queued in the per-packet execution; one event each stands in
+        # for the dequeue the plan absorbed.
+        self._prune_pending(now, sim.exec_lpush)
+        for start, size, dq_push in self._pending:
+            sim.schedule_fast(start, self._release_pending, self._queue, size,
+                              lpush=dq_push)
+        sim.events_absorbed -= len(self._pending)
+        self._m_absorbed.inc(-len(self._pending))
+        self._pending.clear()
+        if now < self._busy_until and not self._busy:
+            self._schedule_restart()
+
+    @staticmethod
+    def _release_pending(queue: DropTailQueue, size: int) -> None:
+        queue.pending_bytes -= size
 
     def mark_monitored(self) -> None:
         """Record that a sampler reads this link's counters mid-run
@@ -302,7 +315,9 @@ class Link:
         # Post-construction swaps (tests / sensitivity studies replacing
         # the discipline, e.g. with CoDel) must re-evaluate the cached
         # batching predicate, or a stale fast path would bypass the new
-        # discipline's dequeue-time logic.
+        # discipline's dequeue-time logic.  Planned-packet occupancy
+        # compensation lived on the old queue and goes with it.
+        self._pending.clear()
         self._queue = queue
         queue._owner = self
         self.refresh_fast_path()
@@ -349,12 +364,8 @@ class Link:
 
     def detach_impairments(self) -> None:
         """Remove every impairment (unbinding timers where supported)."""
-        for impairment in self._impairments:
-            unbind = getattr(impairment, "unbind", None)
-            if unbind is not None:
-                unbind()
-        self._impairments.clear()
-        self.refresh_fast_path()
+        for impairment in list(self._impairments):
+            self.detach_impairment(impairment)
 
     # ------------------------------------------------------------------
 
@@ -388,15 +399,23 @@ class Link:
                     self._admit(clone)
         self._admit(packet)
 
+    def _record_queue_drop(self, packet: Packet) -> None:
+        self.sim.note_drop(packet.flow_id)
+        self._m_queue_drops.inc()
+        self._m_queue_drop_bytes.inc(packet.size)
+        self._trace.record(
+            self.sim.now, EV_QUEUE_DROP, self.name,
+            packet=packet.describe(), uid=packet.uid,
+        )
+
+    def _record_inflight_loss(self, packet: Packet) -> None:
+        self.stats.packets_lost_inflight += 1
+        self._m_inflight_loss.inc()
+        self.sim.note_drop(packet.flow_id)
+
     def _admit(self, packet: Packet) -> None:
         if not self.queue.enqueue(packet):
-            self.sim.note_drop(packet.flow_id)
-            self._m_queue_drops.inc()
-            self._m_queue_drop_bytes.inc(packet.size)
-            self._trace.record(
-                self.sim.now, EV_QUEUE_DROP, self.name,
-                packet=packet.describe(), uid=packet.uid,
-            )
+            self._record_queue_drop(packet)
             return
         trace = self._trace
         if trace.lineage:
@@ -447,25 +466,21 @@ class Link:
         if self._pending:
             self._prune_pending(now, sim.exec_lpush)
         queue = self._queue
-        if (not queue._packets and not self._restart_pending
+        if (not queue._packets and not self._busy
                 and now >= self._busy_until):
             # Idle admission — the overwhelmingly common case on edge
             # links — plans the packet as a train of one without the
             # enqueue/drain round-trip.  The queue counters below are
             # exactly what enqueue-then-drain would have recorded.
+            # Priced and kept: falling through to enqueue + _start_train
+            # costs paths_clean +8.8..11.1 % wall_s (EXPERIMENTS.md).
             size = packet.size
             occupancy = queue.pending_bytes + size
             qstats = queue.stats
             if occupancy > queue.capacity_bytes:
                 qstats.dropped += 1
                 qstats.bytes_dropped += size
-                sim.note_drop(packet.flow_id)
-                self._m_queue_drops.inc()
-                self._m_queue_drop_bytes.inc(size)
-                self._trace.record(
-                    now, EV_QUEUE_DROP, self.name,
-                    packet=packet.describe(), uid=packet.uid,
-                )
+                self._record_queue_drop(packet)
                 return
             qstats.enqueued += 1
             qstats.bytes_enqueued += size
@@ -487,9 +502,7 @@ class Link:
             absorbed = 1  # the finish_transmission event this replaces
             loss_rng = self._loss_rng
             if loss_rng is not None and loss_rng.random() < self.loss_rate:
-                stats.packets_lost_inflight += 1
-                self._m_inflight_loss.inc()
-                sim.note_drop(packet.flow_id)
+                self._record_inflight_loss(packet)
             else:
                 absorbed += self._plan_delivery(packet, size,
                                                 finish + self.delay, finish)
@@ -497,50 +510,47 @@ class Link:
             self._m_absorbed.inc(absorbed)
             return
         if not queue.enqueue(packet):
-            sim.note_drop(packet.flow_id)
-            self._m_queue_drops.inc()
-            self._m_queue_drop_bytes.inc(packet.size)
-            self._trace.record(
-                now, EV_QUEUE_DROP, self.name,
-                packet=packet.describe(), uid=packet.uid,
-            )
+            self._record_queue_drop(packet)
             return
-        if self._restart_pending:
+        if self._busy:
             return
         if now >= self._busy_until:
             self._start_train()
         else:
-            # Lazy continuation: one event at the instant the unbatched
-            # execution's finish_transmission would have started this
-            # packet.  It is an *extra* event the unbatched run does not
-            # fire, so it counts against the absorbed total.
-            self._restart_pending = True
-            sim.events_absorbed -= 1
-            self._m_absorbed.inc(-1)
-            # Back-date to the instant the unbatched finish(last) event
-            # was pushed (the last planned packet's start), so same-
-            # instant races against queued arrivals order identically.
-            sim.schedule_fast(self._busy_until, self._train_restart,
-                              lpush=self._last_start)
+            self._schedule_restart()
+
+    def _schedule_restart(self) -> None:
+        """Lazy continuation: one event at the instant the unbatched
+        execution's finish_transmission would have started the next
+        packet.  It is an *extra* event the unbatched run does not fire,
+        so it counts against the absorbed total."""
+        self._busy = True
+        sim = self.sim
+        sim.events_absorbed -= 1
+        self._m_absorbed.inc(-1)
+        # Back-date to the instant the unbatched finish(last) event was
+        # pushed (the last planned packet's start), so same-instant
+        # races against queued arrivals order identically.
+        sim.schedule_fast(self._busy_until, self._train_restart,
+                          lpush=self._last_start)
 
     def _train_restart(self) -> None:
-        self._restart_pending = False
+        self._busy = False
         sim = self.sim
         self._prune_pending(sim._now, sim.exec_lpush)
-        if self.queue._packets:
+        if not self._fast:
+            # The predicate flipped mid-train (_leave_fast_path).
+            self._start_transmission()
+        elif self.queue._packets:
             self._start_train()
 
-    def _start_train(self, packets=None) -> None:
+    def _start_train(self) -> None:
         """Plan the whole queued run analytically (serializer is idle).
 
         Timestamps reproduce the unbatched execution's float arithmetic
         exactly: ``start_0 = now``, ``finish_i = start_i + size_i/rate``,
         ``start_{i+1} = finish_i``, ``delivery_i = finish_i + delay`` —
         the same chained additions the per-packet events perform.
-
-        ``packets`` short-circuits the queue drain for the idle-admission
-        path in :meth:`_admit_fast`, which has already performed the
-        enqueue-equivalent byte accounting for its single packet.
         """
         sim = self.sim
         now = sim._now
@@ -552,8 +562,6 @@ class Link:
         stats = self.stats
         pending = self._pending
         pend_bytes = queue.pending_bytes
-        if packets is None:
-            packets = queue.drain()
         count = 0
         sent_bytes = 0
         absorbed = 0
@@ -562,7 +570,7 @@ class Link:
         # packet: the planning event itself for the train head, then
         # each packet's serialization start for its successor.
         dq_push = sim.exec_lpush
-        for p in packets:
+        for p in queue.drain():
             size = p.size
             finish = t + size / rate
             # Every planned packet (head included) logically occupies
@@ -576,12 +584,10 @@ class Link:
             # The finish_transmission event this plan replaces.
             absorbed += 1
             if loss_rng is not None and loss_rng.random() < loss_rate:
-                stats.packets_lost_inflight += 1
-                self._m_inflight_loss.inc()
-                sim.note_drop(p.flow_id)
-                t = finish
-                continue
-            absorbed += self._plan_delivery(p, size, finish + delay, finish)
+                self._record_inflight_loss(p)
+            else:
+                absorbed += self._plan_delivery(p, size, finish + delay,
+                                                finish)
             t = finish
         self._busy_until = t
         self._last_start = dq_push
@@ -604,16 +610,13 @@ class Link:
         the delivery event (this link's serialization finish, updated per
         virtual hop).
         """
-        sim = self.sim
-        schedule_fast = sim.schedule_fast
+        schedule_fast = self.sim.schedule_fast
         absorbed = 0
         cur = self
         hop_dst = self.dst
         while True:
-            if not getattr(hop_dst, "FORWARDS", False):
-                schedule_fast(arrival, cur._deliver, p, lpush=push_t)
-                break
-            nxt = hop_dst.routes.get(p.dst)
+            nxt = (hop_dst.routes.get(p.dst)
+                   if getattr(hop_dst, "FORWARDS", False) else None)
             if nxt is None:
                 schedule_fast(arrival, cur._deliver, p, lpush=push_t)
                 break
@@ -626,7 +629,7 @@ class Link:
                 break
             queue2 = nxt.queue
             if (nxt._inbound_pending or queue2._packets
-                    or nxt._restart_pending
+                    or nxt._busy
                     or arrival < nxt._busy_until
                     or size > queue2.capacity_bytes):
                 # Not provably idle at the arrival instant: deliver
@@ -665,9 +668,7 @@ class Link:
             absorbed += 2
             rng2 = nxt._loss_rng
             if rng2 is not None and rng2.random() < nxt.loss_rate:
-                nstats.packets_lost_inflight += 1
-                nxt._m_inflight_loss.inc()
-                sim.note_drop(p.flow_id)
+                nxt._record_inflight_loss(p)
                 break
             arrival = finish2 + nxt.delay
             cur = nxt
@@ -691,15 +692,8 @@ class Link:
         stats.packets_delivered += 1
         stats.bytes_delivered += size
         self._m_delivered_bytes.inc(size)
-        trace = self._trace
-        if trace.lineage:
-            if packet.corrupted:
-                trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
-                             dst=self.dst.name, corrupted=True,
-                             **packet.lineage_detail())
-            else:
-                trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
-                             dst=self.dst.name, **packet.lineage_detail())
+        if self._trace.lineage:
+            self._trace_delivery(packet)
         packet.hops += 1
         if packet.hops > 64:
             raise TopologyError(f"routing loop detected for {packet.describe()}")
@@ -736,9 +730,7 @@ class Link:
 
     def _finish_transmission(self, packet: Packet) -> None:
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-            self.stats.packets_lost_inflight += 1
-            self._m_inflight_loss.inc()
-            self.sim.note_drop(packet.flow_id)
+            self._record_inflight_loss(packet)
             self._trace.record(
                 self.sim.now, EV_LINK_LOSS, self.name,
                 packet=packet.describe(), uid=packet.uid,
@@ -789,27 +781,21 @@ class Link:
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += packet.size
         self._m_delivered_bytes.inc(packet.size)
-        trace = self._trace
-        if trace.lineage:
-            # ``corrupted`` matters to the auditor: a corrupted ACK is
-            # discarded at the endpoint, so its contents must not enter
-            # the reconstructed sender-knowledge state.
-            if packet.corrupted:
-                trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
-                             dst=self.dst.name, corrupted=True,
-                             **packet.lineage_detail())
-            else:
-                trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
-                             dst=self.dst.name, **packet.lineage_detail())
+        if self._trace.lineage:
+            self._trace_delivery(packet)
         self.dst.receive(packet)
 
-    def _deliver_nohook(self, packet: Packet) -> None:
-        """:meth:`_deliver` for the zero-overhead build (fastpath): the
-        lineage guard and the telemetry instrument — both no-ops in any
-        configuration --fast accepts — are omitted rather than tested."""
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.size
-        self.dst.receive(packet)
+    def _trace_delivery(self, packet: Packet) -> None:
+        # ``corrupted`` matters to the auditor: a corrupted ACK is
+        # discarded at the endpoint, so its contents must not enter the
+        # reconstructed sender-knowledge state.
+        if packet.corrupted:
+            self._trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
+                               dst=self.dst.name, corrupted=True,
+                               **packet.lineage_detail())
+        else:
+            self._trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
+                               dst=self.dst.name, **packet.lineage_detail())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} rate={self.rate:.0f}B/s delay={self.delay * 1e3:.1f}ms>"

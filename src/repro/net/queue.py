@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro import fastpath
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 
@@ -71,12 +70,6 @@ class DropTailQueue:
         #: predicate.
         self._owner = None
         self.stats = QueueStats()
-        if fastpath.enabled() and type(self) is DropTailQueue:
-            # Zero-overhead build: bind the variant with the drop-tail
-            # admission test inlined (no virtual admit() dispatch).
-            # Exact-type check: AQM subclasses override admit() with
-            # dequeue-time state and must keep the dispatching path.
-            self.enqueue = self._enqueue_nohook
 
     # ------------------------------------------------------------------
 
@@ -120,26 +113,6 @@ class DropTailQueue:
         occupancy = self._bytes + self.pending_bytes
         if occupancy > self.stats.peak_bytes:
             self.stats.peak_bytes = occupancy
-        return True
-
-    def _enqueue_nohook(self, packet: Packet) -> bool:
-        """:meth:`enqueue` for the zero-overhead build (fastpath): the
-        drop-tail :meth:`admit` test is inlined, eliminating the virtual
-        dispatch per offered packet.  Behavior-identical to the
-        dispatching path for exactly-``DropTailQueue`` instances."""
-        size = packet.size
-        stats = self.stats
-        occupancy = self._bytes + self.pending_bytes + size
-        if occupancy > self.capacity_bytes:
-            stats.dropped += 1
-            stats.bytes_dropped += size
-            return False
-        self._packets.append(packet)
-        self._bytes += size
-        stats.enqueued += 1
-        stats.bytes_enqueued += size
-        if occupancy > stats.peak_bytes:
-            stats.peak_bytes = occupancy
         return True
 
     def dequeue(self) -> Optional[Packet]:

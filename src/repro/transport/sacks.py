@@ -15,17 +15,13 @@ property-tested heavily (see ``tests/transport/test_sacks.py``).
 Per-segment scalar state (send times, ACK times, retransmit counts,
 SACK marks) lives in struct-of-arrays storage: flat typed arrays
 indexed by sequence number instead of per-segment Python objects or
-lists of boxed floats.  The default backend is the stdlib :mod:`array`
-module (8 bytes per slot, no per-element object header); setting
-``HALFBACK_NUMPY=1`` in the environment switches allocation to numpy
-when it is importable, which lets analysis code view the columns
-zero-copy.  Both backends store IEEE doubles / 64-bit ints, so the
-arithmetic — and therefore every fingerprinted outcome — is identical.
+lists of boxed floats.  The one backend is the stdlib :mod:`array`
+module (IEEE doubles / signed 64-bit ints, 8 bytes per slot, no
+per-element object header), which keeps the core stdlib-only.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from enum import IntEnum
 from heapq import heapify, heappop, heappush
@@ -33,34 +29,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TransportError
 
-__all__ = ["SegmentState", "SendScoreboard", "ReceiveTracker", "IntervalSet",
-           "array_backend"]
+__all__ = ["SegmentState", "SendScoreboard", "ReceiveTracker", "IntervalSet"]
 
 Range = Tuple[int, int]  # half-open [start, end)
-
-_np = None
-if os.environ.get("HALFBACK_NUMPY") == "1":
-    # Import only on opt-in: pulling numpy in costs ~100 ms of process
-    # startup, which dominates short CLI runs that never touch it.
-    try:  # pragma: no cover - availability depends on the environment
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
-
-#: Active struct-of-arrays backend: ``"numpy"`` only when numpy is both
-#: importable and opted into via ``HALFBACK_NUMPY=1``.
-_USE_NUMPY = _np is not None
-
-
-def array_backend() -> str:
-    """Name of the per-segment column storage backend in use."""
-    return "numpy" if _USE_NUMPY else "array"
 
 
 def _float_column(n: int, fill: float = 0.0) -> "Sequence[float]":
     """An n-slot column of IEEE doubles, initialized to ``fill``."""
-    if _USE_NUMPY:
-        return _np.full(n, fill, dtype=_np.float64)
     if fill == 0.0:
         return array("d", bytes(8 * n))
     return array("d", [fill]) * n
@@ -68,8 +43,6 @@ def _float_column(n: int, fill: float = 0.0) -> "Sequence[float]":
 
 def _int_column(n: int) -> "Sequence[int]":
     """A zeroed n-slot column of signed 64-bit ints."""
-    if _USE_NUMPY:
-        return _np.zeros(n, dtype=_np.int64)
     return array("q", bytes(8 * n))
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional
 
-from repro import fastpath
 from repro.errors import TransportError
 from repro.net.packet import Packet, PacketType
 from repro.telemetry.schema import (
@@ -111,14 +110,6 @@ class SenderBase:
         self._m_recovery = metrics.counter("sender.recovery_entered")
         self._m_completed = metrics.counter("sender.flows_completed")
         self._m_failed = metrics.counter("sender.flows_failed")
-        if fastpath.enabled():
-            cls = type(self)
-            if (cls.on_ack_hook is SenderBase.on_ack_hook
-                    and cls._handle_ack is SenderBase._handle_ack):
-                # Zero-overhead build: this protocol leaves the per-ACK
-                # hook as the base no-op, so bind the variant that
-                # skips its dispatch on the clean-connection hot path.
-                self._handle_ack = self._handle_ack_nohook
         host.register(flow.flow_id, self)
 
     # ==================================================================
@@ -302,32 +293,6 @@ class SenderBase:
         if self.scoreboard.all_acked:
             self._complete()
             return
-        self.send_window()
-
-    def _handle_ack_nohook(self, packet: Packet) -> None:
-        """:meth:`_handle_ack` for the zero-overhead build (fastpath):
-        the clean-connection hot path without the ``on_ack_hook``
-        dispatch, bound only for protocols that leave the hook as the
-        base no-op.  Anything off the hot path (SACK blocks, an active
-        recovery episode, holes above the frontier) falls through to the
-        full handler, whose loss machinery it needs anyway."""
-        if self.state != SenderState.ESTABLISHED:
-            return
-        scoreboard = self.scoreboard
-        if (packet.sack or self.recovery_point >= 0
-                or scoreboard.highest_sacked >= scoreboard.cum_ack):
-            SenderBase._handle_ack(self, packet)
-            return
-        if packet.echo_time >= 0:
-            self.rtt.sample(self.sim.now - packet.echo_time)
-        newly = scoreboard.on_ack(packet.ack, (), now=self.sim.now)
-        if newly:
-            self._grow_cwnd(len(newly))
-            if scoreboard.all_acked:
-                self.rto_timer.cancel()
-                self._complete()
-                return
-            self.rto_timer.restart(self.rtt.rto)
         self.send_window()
 
     def _enter_recovery_if_needed(self) -> None:

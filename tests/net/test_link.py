@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.chaos.impairments import Impairment
 from repro.errors import ConfigurationError
-from repro.net.link import Link
+from repro.net.link import Link, LinkStats, batching_disabled
 from repro.net.packet import Packet, PacketType
-from repro.net.queue import DropTailQueue
+from repro.net.queue import DropTailQueue, QueueStats, REDQueue
+from repro.sim.scheduler import tiebreak_permutation
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 
 
 class Sink:
@@ -130,3 +133,159 @@ def test_transmission_time():
     sim = Simulator()
     link = make_link(sim, Sink(sim), rate=2000.0)
     assert link.transmission_time(packet(1000)) == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# The datapath selector: one cached predicate, one dispatch site
+# ----------------------------------------------------------------------
+
+def _plain_link():
+    sim = Simulator()
+    return sim, make_link(sim, Sink(sim))
+
+
+def _tracing():
+    sim, link = _plain_link()
+    sim.trace = TraceRecorder(enabled=True)
+    return link, lambda: setattr(sim, "trace", TraceRecorder(enabled=False))
+
+
+def _impairment():
+    __, link = _plain_link()
+    impairment = Impairment()
+    link.attach_impairment(impairment)
+    return link, lambda: link.detach_impairment(impairment)
+
+
+def _link_monitored():
+    __, link = _plain_link()
+    link.mark_monitored()
+    return link, None
+
+
+def _queue_monitored():
+    __, link = _plain_link()
+    link.queue.mark_monitored()
+    return link, None
+
+
+def _red_queue():
+    __, link = _plain_link()
+    drop_tail = link.queue
+    link.queue = REDQueue(10_000)
+    return link, lambda: setattr(link, "queue", drop_tail)
+
+
+def _tiebreak_salt():
+    with tiebreak_permutation(1):
+        __, link = _plain_link()
+    return link, None
+
+
+def _batching_off():
+    with batching_disabled():
+        __, link = _plain_link()
+    # The switch is back on here; links cache it until refreshed.
+    return link, link.refresh_fast_path
+
+
+@pytest.mark.parametrize("condition", [
+    _tracing, _impairment, _link_monitored, _queue_monitored, _red_queue,
+    _tiebreak_salt, _batching_off,
+], ids=lambda condition: condition.__name__.strip("_"))
+def test_each_condition_alone_forces_the_per_packet_path(condition):
+    __, plain = _plain_link()
+    assert plain._fast
+    assert "send" not in vars(plain)
+    link, undo = condition()
+    assert not link._fast
+    assert "send" not in vars(link)
+    if undo is not None:
+        undo()
+        assert link._fast
+        assert "send" not in vars(link)
+
+
+# ----------------------------------------------------------------------
+# Mid-run predicate flips: the serializer is handed over, never shared
+# ----------------------------------------------------------------------
+
+def _monitor_mid_train(sim, link):
+    for _ in range(3):
+        link.send(packet(1000))
+
+    def flip():
+        link.mark_monitored()
+        link.send(packet(1000))
+    sim.schedule(0.5, flip)
+
+
+def _detach_mid_serialization(sim, link):
+    impairment = Impairment()  # a no-op: only forces the per-packet path
+    link.attach_impairment(impairment)
+    link.send(packet(1000))
+
+    def flip():
+        link.detach_impairment(impairment)
+        link.send(packet(1000))
+    sim.schedule(0.5, flip)
+
+
+def _monitor_with_planned_packets_queued(sim, link):
+    # 3000-byte buffer.  Packets 2 and 3 are train-planned at t=1; at
+    # the flip packet 3 has not started serializing, so it still
+    # occupies the buffer until t=2 and no longer at t=2.5.
+    for _ in range(4):
+        link.send(packet(1000))  # the fourth overflows
+    sim.schedule(1.5, link.mark_monitored)
+
+    def refill():
+        for _ in range(3):
+            link.send(packet(1000))
+    sim.schedule(2.5, refill)
+
+
+def _flip_back_before_the_serializer_frees(sim, link):
+    impairment = Impairment()
+    for _ in range(2):
+        link.send(packet(1000))  # train path; restart pending at t=1
+    sim.schedule(0.3, link.attach_impairment, impairment)
+
+    def back():
+        link.detach_impairment(impairment)
+        link.send(packet(1000))
+    sim.schedule(0.6, back)
+
+
+def _flip_run(scenario):
+    sim = Simulator()
+    sink = Sink(sim)
+    link = make_link(sim, sink, rate=1000.0, delay=0.1,
+                     queue=DropTailQueue(3000))
+    scenario(sim, link)
+    sim.run()
+    return {
+        "arrivals": [t for t, _ in sink.arrivals],
+        "link": [getattr(link.stats, s) for s in LinkStats.__slots__],
+        "queue": [getattr(link.queue.stats, s) for s in QueueStats.__slots__],
+        "events": sim.events_run + sim.events_absorbed,
+    }
+
+
+@pytest.mark.parametrize("scenario, arrivals", [
+    pytest.param(_monitor_mid_train, [1.1, 2.1, 3.1, 4.1],
+                 id="monitor-mid-train"),
+    pytest.param(_detach_mid_serialization, [1.1, 2.1],
+                 id="detach-mid-serialization"),
+    pytest.param(_monitor_with_planned_packets_queued,
+                 [1.1, 2.1, 3.1, 4.1, 5.1, 6.1],
+                 id="monitor-with-planned-packets-queued"),
+    pytest.param(_flip_back_before_the_serializer_frees, [1.1, 2.1, 3.1],
+                 id="flip-back-before-the-serializer-frees"),
+])
+def test_mid_run_flip_matches_the_per_packet_reference(scenario, arrivals):
+    flipped = _flip_run(scenario)
+    with batching_disabled():
+        reference = _flip_run(scenario)
+    assert flipped["arrivals"] == pytest.approx(arrivals)
+    assert flipped == reference
