@@ -16,27 +16,15 @@ Quickstart::
 
 """
 
-from repro.errors import (
-    ConfigurationError,
-    ExperimentError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-    TransportError,
-    WorkloadError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConfigurationError",
-    "ExperimentError",
-    "ProtocolError",
-    "ReproError",
-    "SimulationError",
-    "TopologyError",
-    "TransportError",
-    "WorkloadError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "errors": (
+        "ConfigurationError", "ExperimentError", "ProtocolError",
+        "ReproError", "SimulationError", "TopologyError", "TransportError",
+        "WorkloadError",
+    ),
+})
+__all__.append("__version__")

@@ -1,18 +1,11 @@
 """Analytical models (the conclusion's "theoretical modeling" future
 work): closed-form clean-path FCT for slow-start and pacing schemes."""
 
-from repro.analysis.model import (
-    PathModel,
-    crossover_size,
-    paced_model_fct,
-    slow_start_rounds,
-    tcp_model_fct,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PathModel",
-    "crossover_size",
-    "paced_model_fct",
-    "slow_start_rounds",
-    "tcp_model_fct",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "model": (
+        "PathModel", "crossover_size", "paced_model_fct", "slow_start_rounds",
+        "tcp_model_fct",
+    ),
+})

@@ -22,27 +22,17 @@ run_experiment()``), the ``--audit`` flag on the experiments CLI, or
 ``python -m repro audit --replay trace.jsonl`` for offline replay.
 """
 
-from repro.audit.invariants import (
-    AckKnowledge,
-    Checker,
-    Violation,
-    default_checkers,
-)
-from repro.audit.lineage import LineageTracer, PacketSpan
-from repro.audit.recorder import FlightRecorder
-from repro.audit.replay import iter_trace, replay
-from repro.audit.session import Auditor, AuditSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckKnowledge",
-    "AuditSession",
-    "Auditor",
-    "Checker",
-    "FlightRecorder",
-    "LineageTracer",
-    "PacketSpan",
-    "Violation",
-    "default_checkers",
-    "iter_trace",
-    "replay",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "invariants": ("AckKnowledge", "Checker", "Violation", "default_checkers"),
+    "lineage": ("LineageTracer", "PacketSpan"),
+    "recorder": ("FlightRecorder",),
+    "replay": ("iter_trace", "replay"),
+    "session": ("AuditSession", "Auditor"),
+})
+
+# ``replay`` names both this export and the submodule providing it; bound
+# now, a later ``import repro.audit.replay`` cannot leave the module in
+# the function's place.
+from repro.audit.replay import replay  # noqa: E402

@@ -23,7 +23,7 @@ from typing import List, Optional
 from repro.audit.invariants import Checker, Violation, default_checkers
 from repro.audit.lineage import LineageTracer
 from repro.audit.recorder import FlightRecorder
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.telemetry import context
 from repro.telemetry.hub import DEFAULT_MAX_RECORDS
 from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
@@ -62,11 +62,12 @@ class Auditor:
         self.violations: List[Violation] = []
         self.events_audited = 0
         self._finalized = False
-        # The same-timestamp event group currently executing, rendered
-        # from v5 ``sched.exec`` provenance stamps ("entity callback
-        # (seq N, parent M)").  Bounded: a post-mortem wants the local
-        # tie-break context, not an unbounded same-instant burst.
-        self._instant: List[str] = []
+        # The v5 ``sched.exec`` records of the same-timestamp event
+        # group currently executing, rendered only when a post-mortem is
+        # written.  Bounded (one record past the cap marks truncation):
+        # a post-mortem wants the local tie-break context, not an
+        # unbounded same-instant burst.
+        self._instant: List[TraceRecord] = []
         self._instant_time: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -113,24 +114,30 @@ class Auditor:
         self._dump("violation")
 
     def _track_instant(self, record) -> None:
-        """Maintain the rendered group of events at the current instant."""
+        """Maintain the group of events at the current instant."""
         if record.time != self._instant_time:
             self._instant_time = record.time
             self._instant = []
-        if len(self._instant) < MAX_INSTANT_GROUP:
-            detail = record.detail
-            self._instant.append(
-                f"t={record.time:.9f} {record.source} "
-                f"{detail.get('callback', '?')} "
-                f"(seq {detail.get('seq')}, parent {detail.get('parent')})")
-        elif len(self._instant) == MAX_INSTANT_GROUP:
-            self._instant.append("  ... group truncated")
+        if len(self._instant) <= MAX_INSTANT_GROUP:
+            self._instant.append(record)
+
+    def _render_instant(self) -> List[str]:
+        """The current group as "entity callback (seq N, parent M)"."""
+        lines = [
+            f"t={record.time:.9f} {record.source} "
+            f"{record.detail.get('callback', '?')} "
+            f"(seq {record.detail.get('seq')}, "
+            f"parent {record.detail.get('parent')})"
+            for record in self._instant[:MAX_INSTANT_GROUP]]
+        if len(self._instant) > MAX_INSTANT_GROUP:
+            lines.append("  ... group truncated")
+        return lines
 
     def _dump(self, reason: str) -> None:
         if self.out_dir is not None:
             self.recorder.dump(self.out_dir, self.violations,
                                tracer=self.tracer, reason=reason,
-                               instant_group=list(self._instant))
+                               instant_group=self._render_instant())
 
     # ------------------------------------------------------------------
     # Results

@@ -24,41 +24,17 @@ report identical event/packet counts and differ only in timings, so a
 workload drifting.
 """
 
-from repro.bench.machine import machine_metadata
-from repro.bench.micro import MICRO_BENCHMARKS, run_micro_benchmarks
-from repro.bench.report import (
-    SCHEMA_VERSION,
-    bench_filename,
-    build_report,
-    compare_reports,
-    load_report,
-    render_comparison,
-    validate_report,
-    write_report,
-)
-from repro.bench.scale import DEFAULT_SCALE, QUICK_SCALE, bench_scale
-from repro.bench.scenarios import (
-    MACRO_SCENARIOS,
-    run_macro_scenario,
-    run_macro_scenarios,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SCALE",
-    "MACRO_SCENARIOS",
-    "MICRO_BENCHMARKS",
-    "QUICK_SCALE",
-    "SCHEMA_VERSION",
-    "bench_filename",
-    "bench_scale",
-    "build_report",
-    "compare_reports",
-    "load_report",
-    "machine_metadata",
-    "render_comparison",
-    "run_macro_scenario",
-    "run_macro_scenarios",
-    "run_micro_benchmarks",
-    "validate_report",
-    "write_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "machine": ("machine_metadata",),
+    "micro": ("MICRO_BENCHMARKS", "run_micro_benchmarks"),
+    "report": (
+        "SCHEMA_VERSION", "bench_filename", "build_report", "compare_reports",
+        "load_report", "render_comparison", "validate_report", "write_report",
+    ),
+    "scale": ("DEFAULT_SCALE", "QUICK_SCALE", "bench_scale"),
+    "scenarios": (
+        "MACRO_SCENARIOS", "run_macro_scenario", "run_macro_scenarios",
+    ),
+})

@@ -26,76 +26,21 @@ profile seed, so every impairment schedule — and the sweep's result
 fingerprint — is bit-identical across same-seed invocations.
 """
 
-from repro.chaos.impairments import (
-    BandwidthModulation,
-    BlackholeWindow,
-    DelayJitter,
-    Duplication,
-    GilbertElliottLoss,
-    Impairment,
-    LinkFlap,
-    PayloadCorruption,
-    Reordering,
-    ReorderingQueue,
-    attach_duplicator,
-)
-from repro.chaos.profiles import (
-    AppliedChaos,
-    ChaosProfile,
-    available_profiles,
-    get_profile,
-    parse_profile,
-    register_profile,
-    session,
-)
-# The sweep layer is exported lazily (PEP 562): it imports the
-# experiment runner, which imports the network substrate, which imports
-# repro.chaos.context — an eager import here would close that loop while
-# repro.experiments.runner is still half-initialized.
-_SWEEP_EXPORTS = ("CellResult", "SweepReport", "run_cell", "run_sweep",
-                  "sweep_config")
+from repro._lazy import lazy_exports
 
-# The procfault layer (worker kill/hang/raise/slow injection for the
-# harness itself) stays lazy too — the shard fan-out treats "module
-# never imported" as its zero-cost fast path.
-_PROCFAULT_EXPORTS = ("ProcFaultPlan", "parse_procfault")
-
-
-def __getattr__(name):
-    if name in _SWEEP_EXPORTS:
-        from repro.chaos import sweep as _sweep
-
-        return getattr(_sweep, name)
-    if name in _PROCFAULT_EXPORTS:
-        from repro.chaos import procfault as _procfault
-
-        return getattr(_procfault, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AppliedChaos",
-    "BandwidthModulation",
-    "BlackholeWindow",
-    "CellResult",
-    "ChaosProfile",
-    "DelayJitter",
-    "Duplication",
-    "GilbertElliottLoss",
-    "Impairment",
-    "LinkFlap",
-    "PayloadCorruption",
-    "ProcFaultPlan",
-    "Reordering",
-    "ReorderingQueue",
-    "SweepReport",
-    "attach_duplicator",
-    "available_profiles",
-    "get_profile",
-    "parse_procfault",
-    "parse_profile",
-    "register_profile",
-    "run_cell",
-    "run_sweep",
-    "session",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "impairments": (
+        "BandwidthModulation", "BlackholeWindow", "DelayJitter",
+        "Duplication", "GilbertElliottLoss", "Impairment", "LinkFlap",
+        "PayloadCorruption", "Reordering", "ReorderingQueue",
+        "attach_duplicator",
+    ),
+    "procfault": ("ProcFaultPlan", "parse_procfault"),
+    "profiles": (
+        "AppliedChaos", "ChaosProfile", "available_profiles", "get_profile",
+        "parse_profile", "register_profile", "session",
+    ),
+    "sweep": (
+        "CellResult", "SweepReport", "run_cell", "run_sweep", "sweep_config",
+    ),
+})

@@ -5,28 +5,15 @@ state machine, and the fallback bandwidth estimator — wired into the
 transport framework by :mod:`repro.protocols.halfback`.
 """
 
-from repro.core.bandwidth import AckRateEstimator
-from repro.core.config import (
-    HalfbackConfig,
-    RATE_ACK_CLOCK,
-    RATE_LINE,
-    ROPR_FORWARD,
-    ROPR_REVERSE,
-)
-from repro.core.pacing_phase import PacingPlan, plan_pacing
-from repro.core.ropr import RoprScheduler
-from repro.core.threshold import ThroughputCache, ThroughputObservation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckRateEstimator",
-    "HalfbackConfig",
-    "PacingPlan",
-    "RATE_ACK_CLOCK",
-    "RATE_LINE",
-    "ROPR_FORWARD",
-    "ROPR_REVERSE",
-    "RoprScheduler",
-    "ThroughputCache",
-    "ThroughputObservation",
-    "plan_pacing",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bandwidth": ("AckRateEstimator",),
+    "config": (
+        "HalfbackConfig", "RATE_ACK_CLOCK", "RATE_LINE", "ROPR_FORWARD",
+        "ROPR_REVERSE",
+    ),
+    "pacing_phase": ("PacingPlan", "plan_pacing"),
+    "ropr": ("RoprScheduler",),
+    "threshold": ("ThroughputCache", "ThroughputObservation"),
+})

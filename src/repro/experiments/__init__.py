@@ -7,36 +7,14 @@ renders the rows/series the paper reports.  ``python -m repro
 command line.
 """
 
-from repro.experiments.runner import ScheduledFlow, TrafficRunner, launch_flow
-from repro.experiments.scenarios import (
-    EMULAB,
-    LONG_FLOW_BYTES,
-    PROTOCOLS_ALL,
-    PROTOCOLS_MAIN,
-    SHORT_FLOW_BYTES,
-    build_emulab,
-    mixed_schedule,
-    run_single_path_flow,
-    run_utilization_point,
-    run_utilization_point_stats,
-    run_workload,
-    short_flow_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EMULAB",
-    "LONG_FLOW_BYTES",
-    "PROTOCOLS_ALL",
-    "PROTOCOLS_MAIN",
-    "SHORT_FLOW_BYTES",
-    "ScheduledFlow",
-    "TrafficRunner",
-    "build_emulab",
-    "launch_flow",
-    "mixed_schedule",
-    "run_single_path_flow",
-    "run_utilization_point",
-    "run_utilization_point_stats",
-    "run_workload",
-    "short_flow_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "runner": ("ScheduledFlow", "TrafficRunner", "launch_flow"),
+    "scenarios": (
+        "EMULAB", "LONG_FLOW_BYTES", "PROTOCOLS_ALL", "PROTOCOLS_MAIN",
+        "SHORT_FLOW_BYTES", "build_emulab", "mixed_schedule",
+        "run_single_path_flow", "run_utilization_point",
+        "run_utilization_point_stats", "run_workload", "short_flow_schedule",
+    ),
+})

@@ -394,10 +394,8 @@ def main(argv=None) -> int:
 
     from repro.errors import StallError
     from repro.parallel import (
-        CellJournal,
         FanoutPolicy,
         fanout_stats,
-        journaling,
         reset_fanout_stats,
         supervision,
     )
@@ -410,6 +408,8 @@ def main(argv=None) -> int:
     )))
     resume_lineage = None
     if args.resume is not None:
+        from repro.parallel import CellJournal, journaling
+
         journal = CellJournal(args.resume)
         resume_lineage = {"journal": journal.path,
                           "journal_digest": journal.file_digest()}

@@ -14,19 +14,20 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.net.monitor import FlowThroughputMonitor
 from repro.net.topology import AccessNetwork
-from repro.obs import critical as _critical
-from repro.obs import progress as _progress
 from repro.protocols.registry import ProtocolContext, create_sender
 from repro.sim.simulator import Simulator
+from repro.telemetry.context import flow_completed, take_breakdown
 from repro.telemetry.schema import EV_FLOW_COMPLETE, EV_FLOW_START
 from repro.transport.config import TransportConfig
 from repro.transport.flow import FlowRecord, FlowSpec, next_flow_id
 from repro.transport.receiver import Receiver
+
+if TYPE_CHECKING:
+    from repro.net.monitor import FlowThroughputMonitor
 
 __all__ = ["launch_flow", "ScheduledFlow", "TrafficRunner"]
 
@@ -75,13 +76,13 @@ def launch_flow(
         # Trace observers run synchronously inside record(), so an
         # ambient breakdown session has finalized this flow's FCT
         # attribution by now; one falsy check when no session is active.
-        breakdown = _critical.take_breakdown(spec.flow_id)
+        breakdown = take_breakdown(spec.flow_id)
         if breakdown is not None:
             record.extra["breakdown"] = breakdown
         # Advisory heartbeat for the live progress plane (no-op without
         # one); logical event counts (fired + batching-absorbed) ride
         # along for throughput/ETA.
-        _progress.flow_completed(events=sim.events_run + sim.events_absorbed)
+        flow_completed(events=sim.events_run + sim.events_absorbed)
         if on_complete is not None:
             on_complete(record)
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.metrics.fct import FctCollector
 from repro.net.topology import AccessNetwork, access_network
-from repro.obs.aggregate import FlowStats
 from repro.planetlab.paths import PathSpec, build_path
 from repro.protocols.registry import ProtocolContext
 from repro.sim.randomness import derive_seed
@@ -174,6 +172,8 @@ def run_workload(
     context: Optional[ProtocolContext] = None,
 ) -> FctCollector:
     """Run one schedule on a fresh Emulab topology; returns the records."""
+    from repro.metrics.fct import FctCollector
+
     sim = Simulator(seed=seed)
     net = build_emulab(sim, n_pairs=n_pairs, buffer_bytes=buffer_bytes,
                        bottleneck_rate=bottleneck_rate, rtt=rtt)
@@ -225,6 +225,8 @@ def run_utilization_point_stats(
     the penalized mean and completion rate are bit-identical to the
     record-list path.
     """
+    from repro.obs.aggregate import FlowStats
+
     schedule = short_flow_schedule(protocol, utilization, duration, seed,
                                    sizes=sizes)
     sim = Simulator(seed=derive_seed(seed, protocol))

@@ -30,14 +30,16 @@ into a checked invariant (statically via the race check, dynamically
 via the perturbation harness).
 """
 
-from repro.hb.detect import SchedulerNondeterminismChecker
-from repro.hb.graph import HBGraph, build_graph
-from repro.hb.perturb import PerturbationResult, perturb
-from repro.hb.session import ProvenanceSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HBGraph", "build_graph",
-    "SchedulerNondeterminismChecker",
-    "PerturbationResult", "perturb",
-    "ProvenanceSession",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "detect": ("SchedulerNondeterminismChecker",),
+    "graph": ("HBGraph", "build_graph"),
+    "perturb": ("PerturbationResult", "perturb"),
+    "session": ("ProvenanceSession",),
+})
+
+# ``perturb`` names both this export and the submodule providing it;
+# bound now, a later ``import repro.hb.perturb`` cannot leave the module
+# in the function's place.
+from repro.hb.perturb import perturb  # noqa: E402

@@ -1,33 +1,12 @@
 """Measurement and analysis helpers."""
 
-from repro.metrics.collapse import (
-    SweepPoint,
-    collapse_factor_curve,
-    feasible_capacity,
-)
-from repro.metrics.fct import FctCollector
-from repro.metrics.stats import (
-    SummaryStats,
-    ccdf_points,
-    cdf_points,
-    mean,
-    median,
-    percentile,
-    stddev,
-    summarize,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FctCollector",
-    "SummaryStats",
-    "SweepPoint",
-    "ccdf_points",
-    "cdf_points",
-    "collapse_factor_curve",
-    "feasible_capacity",
-    "mean",
-    "median",
-    "percentile",
-    "stddev",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "collapse": ("SweepPoint", "collapse_factor_curve", "feasible_capacity"),
+    "fct": ("FctCollector",),
+    "stats": (
+        "SummaryStats", "ccdf_points", "cdf_points", "mean", "median",
+        "percentile", "stddev", "summarize",
+    ),
+})

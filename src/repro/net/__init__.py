@@ -1,39 +1,17 @@
 """Packet network substrate (substrate 2): packets, links, queues,
 nodes, topologies and monitors."""
 
-from repro.net.aqm import CoDelQueue
-from repro.net.link import Link, LinkStats
-from repro.net.monitor import (
-    FlowThroughputMonitor,
-    LinkUtilizationMonitor,
-    PeriodicMonitor,
-    QueueDepthMonitor,
-    UtilizationSample,
-)
-from repro.net.node import Host, Node, Router
-from repro.net.packet import Packet, PacketType
-from repro.net.queue import DropTailQueue, QueueStats, REDQueue
-from repro.net.topology import AccessNetwork, Topology, access_network, dumbbell
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessNetwork",
-    "CoDelQueue",
-    "DropTailQueue",
-    "FlowThroughputMonitor",
-    "Host",
-    "Link",
-    "LinkStats",
-    "LinkUtilizationMonitor",
-    "PeriodicMonitor",
-    "Node",
-    "Packet",
-    "PacketType",
-    "QueueDepthMonitor",
-    "QueueStats",
-    "REDQueue",
-    "Router",
-    "Topology",
-    "UtilizationSample",
-    "access_network",
-    "dumbbell",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aqm": ("CoDelQueue",),
+    "link": ("Link", "LinkStats"),
+    "monitor": (
+        "FlowThroughputMonitor", "LinkUtilizationMonitor", "PeriodicMonitor",
+        "QueueDepthMonitor", "UtilizationSample",
+    ),
+    "node": ("Host", "Node", "Router"),
+    "packet": ("Packet", "PacketType"),
+    "queue": ("DropTailQueue", "QueueStats", "REDQueue"),
+    "topology": ("AccessNetwork", "Topology", "access_network", "dumbbell"),
+})

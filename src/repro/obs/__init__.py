@@ -24,58 +24,24 @@ Four parts (see the module docstrings for detail):
   writers tracing every figure to exactly how it was produced.
 """
 
-from repro.obs import progress
-from repro.obs.critical import (
-    BreakdownAggregator,
-    BreakdownSession,
-    BreakdownStats,
-    take_breakdown,
-)
-from repro.obs.spans import COMPONENTS, FlowBreakdown, FlowSpanBuilder
-from repro.obs.traceviewer import trace_viewer_doc, write_trace_viewer
-from repro.obs.aggregate import (
-    FlowStats,
-    REPORT_QUANTILES,
-    StreamingFlowAggregator,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_ID,
-    RunManifest,
-    config_digest,
-    validate_manifest,
-)
-from repro.obs.progress import ProgressPlane, ShardReporter
-from repro.obs.sketch import (
-    CountHistogram,
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    canonical_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BreakdownAggregator",
-    "BreakdownSession",
-    "BreakdownStats",
-    "COMPONENTS",
-    "CountHistogram",
-    "DEFAULT_RELATIVE_ACCURACY",
-    "FlowBreakdown",
-    "FlowSpanBuilder",
-    "FlowStats",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_SCHEMA_ID",
-    "ProgressPlane",
-    "QuantileSketch",
-    "REPORT_QUANTILES",
-    "RunManifest",
-    "ShardReporter",
-    "StreamingFlowAggregator",
-    "canonical_json",
-    "config_digest",
-    "progress",
-    "take_breakdown",
-    "trace_viewer_doc",
-    "validate_manifest",
-    "write_trace_viewer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregate": ("FlowStats", "REPORT_QUANTILES", "StreamingFlowAggregator"),
+    "critical": (
+        "BreakdownAggregator", "BreakdownSession", "BreakdownStats",
+        "take_breakdown",
+    ),
+    "manifest": (
+        "MANIFEST_SCHEMA", "MANIFEST_SCHEMA_ID", "RunManifest",
+        "config_digest", "validate_manifest",
+    ),
+    "progress": ("ProgressPlane", "ShardReporter"),
+    "sketch": (
+        "CountHistogram", "DEFAULT_RELATIVE_ACCURACY", "QuantileSketch",
+        "canonical_json",
+    ),
+    "spans": ("COMPONENTS", "FlowBreakdown", "FlowSpanBuilder"),
+    "traceviewer": ("trace_viewer_doc", "write_trace_viewer"),
+})
+__all__.append("progress")  # the submodule itself is public surface

@@ -30,6 +30,7 @@ from repro.obs.sketch import (
 from repro.obs.spans import COMPONENTS, FlowBreakdown, FlowSpanBuilder
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import context
+from repro.telemetry.context import _sessions, active_session, take_breakdown
 from repro.telemetry.hub import DEFAULT_MAX_RECORDS
 
 __all__ = [
@@ -295,31 +296,9 @@ def _render_table(headers, rows, title: str = "") -> str:
 
 
 # ----------------------------------------------------------------------
-# Ambient session
+# Ambient session (the stack lives in repro.telemetry.context, so the
+# runner's per-flow take_breakdown check never imports this module)
 # ----------------------------------------------------------------------
-
-#: Innermost-last stack of active sessions (worker-local cell sessions
-#: nest inside a CLI-level run session; the innermost one owns flows
-#: completing while it is active).
-_sessions: List["BreakdownSession"] = []
-
-
-def active_session() -> Optional["BreakdownSession"]:
-    """The innermost active :class:`BreakdownSession` (None when off)."""
-    return _sessions[-1] if _sessions else None
-
-
-def take_breakdown(flow_id: int) -> Optional[FlowBreakdown]:
-    """Collect (and forget) the finished breakdown for ``flow_id``.
-
-    The runner calls this right after emitting ``flow.complete`` — the
-    span builder is an observer on the same recorder, so by then the
-    breakdown is final.  One falsy check when no session is active: the
-    ``--breakdown``-off hot path stays a list truthiness test.
-    """
-    if not _sessions:
-        return None
-    return _sessions[-1].pending.pop(flow_id, None)
 
 
 class BreakdownSession:

@@ -26,8 +26,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.obs.sketch import canonical_json
-
 __all__ = [
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_ID",
@@ -440,6 +438,8 @@ class RunManifest:
         """Canonical JSON of the *deterministic* manifest subset (no
         wall-clock, RSS, or timestamps) — what reproducibility checks
         may compare across runs."""
+        from repro.obs.sketch import canonical_json
+
         doc = self.to_dict()
         for key in ("started_at", "finished_at", "wall_s", "peak_rss_kb",
                     "stages", "git", "platform", "python",

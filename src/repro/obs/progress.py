@@ -40,6 +40,16 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.telemetry.context import (
+    activate_plane as activate,
+    current_plane,
+    current_reporter,
+    deactivate_plane as deactivate,
+    flow_completed,
+    heartbeat,
+    reporting,
+)
+
 __all__ = [
     "ProgressEvent",
     "ProgressPlane",
@@ -559,29 +569,9 @@ class ProgressPlane:
 
 
 # ----------------------------------------------------------------------
-# Ambient plane (parent process) and reporter (worker side)
+# Ambient plane (parent process) and reporter (worker side): the
+# registries live in repro.telemetry.context (see there for why)
 # ----------------------------------------------------------------------
-
-_active_plane: Optional[ProgressPlane] = None
-_active_reporter: Optional[ShardReporter] = None
-
-
-def current_plane() -> Optional[ProgressPlane]:
-    """The ambient progress plane, or None."""
-    return _active_plane
-
-
-def activate(plane_obj: ProgressPlane) -> None:
-    """Make ``plane_obj`` the ambient progress plane."""
-    global _active_plane
-    _active_plane = plane_obj
-
-
-def deactivate(plane_obj: Optional[ProgressPlane] = None) -> None:
-    """Clear the ambient plane (only if ``plane_obj`` still owns it)."""
-    global _active_plane
-    if plane_obj is None or _active_plane is plane_obj:
-        _active_plane = None
 
 
 @contextmanager
@@ -589,40 +579,3 @@ def plane(**kwargs) -> Iterator[ProgressPlane]:
     """Create and activate a :class:`ProgressPlane` for a block."""
     with ProgressPlane(**kwargs) as p:
         yield p
-
-
-def current_reporter() -> Optional[ShardReporter]:
-    """The shard reporter of the currently-executing shard, or None."""
-    return _active_reporter
-
-
-@contextmanager
-def reporting(reporter: Optional[ShardReporter]) -> Iterator[None]:
-    """Make ``reporter`` ambient while one shard executes."""
-    global _active_reporter
-    previous = _active_reporter
-    _active_reporter = reporter
-    try:
-        yield
-    finally:
-        _active_reporter = previous
-
-
-def heartbeat(flows_done: Optional[int] = None,
-              events: Optional[int] = None) -> None:
-    """Post a throttled heartbeat from anywhere inside a shard.
-
-    No-op (one attribute check) when no progress plane is active, so
-    runners can call it unconditionally.
-    """
-    reporter = _active_reporter
-    if reporter is not None:
-        reporter.update(flows_done=flows_done, events=events)
-
-
-def flow_completed(events: Optional[int] = None) -> None:
-    """Count one finished flow on the ambient shard reporter (no-op
-    without one); the hook experiment runners call per completion."""
-    reporter = _active_reporter
-    if reporter is not None:
-        reporter.flow_completed(events=events)

@@ -36,81 +36,57 @@ of opaque and brittle:
   :class:`CellJournal` that records each completed cell durably so an
   interrupted sweep resumes instead of restarting.  The default policy
   is the legacy behavior: one attempt, first failure propagates.
+
+Importing this package costs :mod:`~repro.parallel.policy` only (every
+run declares a policy and reads the stats); the worker plumbing, the
+journal and the supervisor — and with it ``concurrent.futures`` and
+``multiprocessing`` — load when a fan-out first needs them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
+import time
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, TypeVar)
 
-from repro.obs import progress as _progress
-from repro.parallel import pool as _pool
-from repro.parallel.journal import (
-    CellJournal,
-    cell_digest,
-    current_journal,
-    journaling,
-)
-from repro.parallel.pool import (
-    WorkerEnv,
-    current_worker_env,
-    resolve_jobs,
-    worker_env,
-)
-from repro.parallel.supervisor import (
+from repro._lazy import lazy_exports
+from repro.parallel.policy import (
     FanoutPolicy,
     ShardFailure,
-    ShardSupervisor,
     SupervisorStats,
-    run_serial,
+    current_journal,
+    current_policy,
+    journaling,
+    supervision,
 )
+from repro.telemetry.context import current_plane, reporting
 
-__all__ = [
-    "CellJournal",
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressPlane
+    from repro.parallel.journal import CellJournal
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "journal": ("CellJournal", "cell_digest"),
+    "pool": ("WorkerEnv", "current_worker_env", "resolve_jobs", "worker_env"),
+    "supervisor": ("ShardSupervisor",),
+})
+__all__ += [
     "FanoutPolicy",
     "ShardFailure",
-    "WorkerEnv",
-    "cell_digest",
+    "SupervisorStats",
     "current_journal",
     "current_policy",
-    "current_worker_env",
     "fanout_map",
     "fanout_stats",
     "journaling",
     "reset_fanout_stats",
-    "resolve_jobs",
     "supervision",
-    "worker_env",
 ]
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 _DEFAULT_POLICY = FanoutPolicy()
-
-# ----------------------------------------------------------------------
-# Ambient supervision policy
-# ----------------------------------------------------------------------
-
-_active_policy: Optional[FanoutPolicy] = None
-
-
-def current_policy() -> Optional[FanoutPolicy]:
-    """The ambient supervision policy, or None (legacy semantics)."""
-    return _active_policy
-
-
-@contextmanager
-def supervision(policy: Optional[FanoutPolicy]) -> Iterator[Optional[FanoutPolicy]]:
-    """Apply ``policy`` to every ``fanout_map`` in the block."""
-    global _active_policy
-    previous = _active_policy
-    _active_policy = policy
-    try:
-        yield policy
-    finally:
-        _active_policy = previous
-
 
 # ----------------------------------------------------------------------
 # Run-level supervision accounting
@@ -129,6 +105,74 @@ def reset_fanout_stats() -> None:
     """Zero the run-level supervision counters."""
     global _run_stats
     _run_stats = SupervisorStats()
+
+
+# ----------------------------------------------------------------------
+# Serial supervision (jobs <= 1)
+# ----------------------------------------------------------------------
+
+
+def run_serial(
+    worker: Callable[[Any], Any],
+    items: Sequence[Any],
+    policy: FanoutPolicy,
+    plane: Optional[ProgressPlane] = None,
+    on_result: Optional[Callable[[int, Any], None]] = None,
+    results: Optional[Dict[int, Any]] = None,
+    stats: Optional[SupervisorStats] = None,
+) -> List[Any]:
+    """The in-process twin of :class:`ShardSupervisor`: same retry /
+    quarantine semantics, no pool (so no reaping or hedging — a hang
+    here hangs the caller, which is what serial means)."""
+    from repro.parallel.pool import _inject_procfault, _item_label
+
+    if plane is not None:
+        from repro.obs.progress import ProgressEvent, ShardReporter
+
+    items = list(items)
+    results = dict(results or {})
+    if stats is None:
+        stats = SupervisorStats(shards=len(items))
+    for index, item in enumerate(items):
+        if index in results:
+            continue
+        label = _item_label(item)
+        failures = 0
+        while True:
+            stats.attempts += 1
+            try:
+                if plane is not None:
+                    reporter = ShardReporter(index, plane.apply)
+                    reporter.started(label=label)
+                    _inject_procfault(index, failures)
+                    with reporting(reporter):
+                        value = worker(item)
+                    reporter.done()
+                else:
+                    _inject_procfault(index, failures)
+                    value = worker(item)
+            except Exception as exc:
+                failures += 1
+                if failures >= policy.max_attempts:
+                    if not policy.quarantine:
+                        raise
+                    failure = ShardFailure(index, label, "exception",
+                                           str(exc), failures)
+                    stats.quarantined.append(failure.to_dict())
+                    results[index] = failure
+                    if plane is not None:
+                        plane.apply(ProgressEvent(index, "fail", label=label))
+                    break
+                stats.retries += 1
+                if plane is not None:
+                    plane.apply(ProgressEvent(index, "retry", label=label))
+                time.sleep(policy.backoff(failures))
+                continue
+            results[index] = value
+            if on_result is not None:
+                on_result(index, value)
+            break
+    return [results[i] for i in range(len(items))]
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +213,15 @@ def fanout_map(
     (see :func:`worker_env`), pool workers re-activate the parent's
     telemetry/chaos/procfault sessions before their first item.
     """
+    from repro.parallel import pool as _pool
+
     items = list(items)
     if policy is None:
-        policy = _active_policy or _DEFAULT_POLICY
+        policy = current_policy() or _DEFAULT_POLICY
     if journal is None:
         journal = current_journal()
-    workers = resolve_jobs(jobs, len(items))
-    plane = _progress.current_plane()
+    workers = _pool.resolve_jobs(jobs, len(items))
+    plane = current_plane()
     if plane is not None:
         plane.begin(len(items))
 
@@ -183,6 +229,8 @@ def fanout_map(
     replayed: Dict[int, _Result] = {}
     digests: List[str] = []
     if journal is not None:
+        from repro.parallel.journal import cell_digest
+
         recorded = journal.replay()
         for index, item in enumerate(items):
             digest = cell_digest(worker, item)
@@ -195,8 +243,10 @@ def fanout_map(
                     continue
                 replayed[index] = value
         if replayed and plane is not None:
+            from repro.obs.progress import ProgressEvent
+
             for index in sorted(replayed):
-                plane.apply(_progress.ProgressEvent(
+                plane.apply(ProgressEvent(
                     index, "done", label=_pool._item_label(items[index])))
 
     def on_result(index: int, value: _Result) -> None:
@@ -215,6 +265,8 @@ def fanout_map(
         if plane is not None:
             plane.tick(force=True)
         return results
+
+    from repro.parallel.supervisor import ShardSupervisor
 
     supervisor = ShardSupervisor(
         worker, items, workers, policy, env=_pool.current_worker_env(),

@@ -27,13 +27,12 @@ import hashlib
 import json
 import os
 import pickle
-from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import JournalError
 
-__all__ = ["CellJournal", "cell_digest", "current_journal", "journaling"]
+__all__ = ["CellJournal", "cell_digest"]
 
 JOURNAL_SCHEMA = "repro.parallel.journal/1"
 JOURNAL_FILENAME = "cells.jsonl"
@@ -169,30 +168,3 @@ class CellJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# Ambient journal (so CLIs enable resume without threading a journal
-# argument through every experiment module)
-# ----------------------------------------------------------------------
-
-_active_journal: Optional[CellJournal] = None
-
-
-def current_journal() -> Optional[CellJournal]:
-    """The ambient cell journal, or None."""
-    return _active_journal
-
-
-@contextmanager
-def journaling(journal: Optional[CellJournal]) -> Iterator[Optional[CellJournal]]:
-    """Route every ``fanout_map`` in the block through ``journal``."""
-    global _active_journal
-    previous = _active_journal
-    _active_journal = journal
-    try:
-        yield journal
-    finally:
-        _active_journal = previous
-        if journal is not None:
-            journal.close()

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.obs import progress as _progress
+from repro.telemetry.context import reporting
 
 __all__ = ["WorkerEnv", "current_worker_env", "resolve_jobs", "worker_env"]
 
@@ -149,10 +149,12 @@ def _pool_task(payload):
     """
     worker, index, item, attempt = payload
     if _worker_queue is not None:
-        reporter = _progress.ShardReporter(index, _worker_queue.put)
+        from repro.obs.progress import ShardReporter
+
+        reporter = ShardReporter(index, _worker_queue.put)
         reporter.started(label=_item_label(item))
         _inject_procfault(index, attempt)
-        with _progress.reporting(reporter):
+        with reporting(reporter):
             result = worker(item)
         reporter.done()
     else:

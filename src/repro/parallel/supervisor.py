@@ -30,138 +30,27 @@ attempt, no deadline, no hedging, no quarantine) reproduces the old
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ShardHungError, WorkerCrashError
 from repro.obs import progress as _progress
+from repro.parallel.policy import FanoutPolicy, ShardFailure, SupervisorStats
 from repro.parallel.pool import (
     WorkerEnv,
-    _inject_procfault,
     _item_label,
     _pid_alive,
     _pool_task,
     _worker_init,
 )
 
-__all__ = ["FanoutPolicy", "ShardFailure", "ShardSupervisor",
-           "SupervisorStats", "run_serial"]
-
-
-@dataclass(frozen=True)
-class FanoutPolicy:
-    """Supervision knobs for one fan-out.
-
-    The defaults are the legacy semantics: one attempt per shard, no
-    deadline, no hedging, failures propagate.  Every field is
-    deterministic by construction — backoff has no jitter, and retry
-    schedules never touch cell results (cells are pure functions of
-    their seeds, so *when* a cell runs cannot change *what* it
-    returns).
-    """
-
-    #: Total attempts allowed per shard (1 = no retry).
-    max_attempts: int = 1
-    #: First-retry backoff in seconds; attempt ``n`` waits
-    #: ``backoff_base * 2**(n-1)``, capped at :attr:`backoff_cap`.
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    #: Reap a started shard after this many seconds of heartbeat
-    #: silence (None = never reap).  Measured from the last heartbeat,
-    #: not the submission — a shard that keeps completing flows keeps
-    #: itself alive.
-    heartbeat_timeout: Optional[float] = None
-    #: Duplicate a still-running shard onto an idle worker after this
-    #: many seconds (None = never hedge); first finisher wins.
-    hedge_after: Optional[float] = None
-    #: Convert a shard that exhausts its budget into a
-    #: :class:`ShardFailure` result instead of raising.
-    quarantine: bool = False
-    #: Supervisor wake-up interval (scheduling granularity), seconds.
-    check_interval: float = 0.05
-
-    def backoff(self, failures: int) -> float:
-        """Deterministic backoff before retry number ``failures``."""
-        if failures <= 0:
-            return 0.0
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** (failures - 1)))
-
-
-@dataclass
-class ShardFailure:
-    """A quarantined shard: the structured tombstone left in the result
-    slot when a cell exhausted its retry budget."""
-
-    index: int
-    label: str
-    #: ``exception`` (worker raised), ``crash`` (worker process died),
-    #: or ``hang`` (heartbeat-silent past the deadline, reaped).
-    kind: str
-    error: str
-    attempts: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
-
-    def __str__(self) -> str:
-        return (f"shard {self.index} [{self.label}] {self.kind} after "
-                f"{self.attempts} attempt(s): {self.error}")
-
-
-@dataclass
-class SupervisorStats:
-    """Per-fan-out supervision accounting (merged into the run-level
-    accumulator by ``fanout_map``; recorded in run manifests)."""
-
-    shards: int = 0
-    #: Task submissions, including retries and hedges.
-    attempts: int = 0
-    retries: int = 0
-    hedges: int = 0
-    hedges_won: int = 0
-    #: Hung workers SIGKILLed by the heartbeat deadline.
-    reaped: int = 0
-    pool_respawns: int = 0
-    #: Journal-replayed shards (skipped entirely).
-    replayed: int = 0
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
-            "reaped": self.reaped,
-            "pool_respawns": self.pool_respawns,
-            "replayed": self.replayed,
-            "quarantined": [dict(q) for q in self.quarantined],
-        }
-
-    def merge(self, other: "SupervisorStats") -> None:
-        self.shards += other.shards
-        self.attempts += other.attempts
-        self.retries += other.retries
-        self.hedges += other.hedges
-        self.hedges_won += other.hedges_won
-        self.reaped += other.reaped
-        self.pool_respawns += other.pool_respawns
-        self.replayed += other.replayed
-        self.quarantined.extend(other.quarantined)
+__all__ = ["ShardSupervisor"]
 
 
 class _Task:
@@ -195,6 +84,16 @@ def _fail_event(index: int, label: str) -> "_progress.ProgressEvent":
 
 def _retry_event(index: int, label: str) -> "_progress.ProgressEvent":
     return _progress.ProgressEvent(index, "retry", label=label)
+
+
+def _crashed(process, pid: int) -> bool:
+    """Did this worker die on its own?  A broken executor SIGTERMs its
+    surviving workers, so by triage time a bystander may be dead too;
+    the exit code of its :class:`multiprocessing.Process` (None while
+    alive) tells the casualty from the cleaned-up."""
+    if process is None:
+        return not _pid_alive(pid)
+    return process.exitcode not in (None, -signal.SIGTERM)
 
 
 class ShardSupervisor:
@@ -240,6 +139,7 @@ class ShardSupervisor:
         self._pump: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
+        self._slot_freed = 0.0  # when a future last completed
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -254,22 +154,26 @@ class ShardSupervisor:
         quarantines, in which case the failed slots hold
         :class:`ShardFailure` records.
         """
-        import multiprocessing
-
         self._counter = multiprocessing.Value("i", 0)
-        self._queue = multiprocessing.Queue()
-        self._pump = threading.Thread(target=self._pump_loop,
-                                      name="shard-supervisor-pump",
-                                      daemon=True)
-        self._pump.start()
         try:
             self._spawn_pool()
+            self._pump = threading.Thread(target=self._pump_loop,
+                                          name="shard-supervisor-pump",
+                                          daemon=True)
+            self._pump.start()
             self._loop()
         finally:
             self._shutdown()
         return [self.results[i] for i in range(len(self.items))]
 
     def _spawn_pool(self) -> None:
+        # Heartbeats travel on a SimpleQueue: ``put`` returns with the
+        # event written, so a worker that dies right after its start
+        # heartbeat (a crash, a kill fault) has still named its pid.
+        # And a fresh one per pool: a worker killed mid-``put`` leaks
+        # the queue's cross-process write lock, which would silence
+        # every later writer.  (The parent only reads.)
+        self._queue = multiprocessing.SimpleQueue()
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_init,
@@ -281,11 +185,6 @@ class ShardSupervisor:
             # Hedge losers may still be mid-cell; don't wait for them.
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        if self._queue is not None:
-            try:
-                self._queue.put_nowait(None)
-            except (ValueError, OSError):  # pragma: no cover - closed
-                pass
         if self._pump is not None:
             self._pump.join(timeout=2.0)
             self._pump = None
@@ -298,16 +197,13 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def _pump_loop(self) -> None:
-        import queue as _queue_mod
-
         while not self._stop.is_set():
             try:
-                event = self._queue.get(timeout=0.05)
-            except _queue_mod.Empty:
-                continue
+                if self._queue.empty():
+                    self._stop.wait(0.01)
+                    continue
+                event = self._queue.get()
             except (EOFError, OSError):  # pragma: no cover - closed
-                return
-            if event is None:
                 return
             self._on_event(event)
 
@@ -354,6 +250,8 @@ class ShardSupervisor:
                            return_when=FIRST_COMPLETED)
             broken: List[_Task] = []
             pool_broke = False
+            if done:
+                self._slot_freed = time.perf_counter()
             for future in done:
                 task, is_hedge = self._inflight.pop(future)
                 task.inflight.discard(future)
@@ -465,6 +363,7 @@ class ShardSupervisor:
         for future, (task, _) in list(self._inflight.items()):
             affected[id(task)] = task
         self._inflight.clear()
+        workers = dict(getattr(self._pool, "_processes", None) or {})
         try:
             self._pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
@@ -482,14 +381,16 @@ class ShardSupervisor:
                 self._attempt_failed(
                     task, "hang",
                     f"heartbeat-silent for more than {timeout:g}s; "
-                    f"worker pid {task.pid} reaped", now)
-            elif (task.started and not _pid_alive(task.pid)) \
+                    + (f"worker pid {task.pid} reaped" if task.started
+                       else "never started, pool recycled"), now)
+            elif (task.started and _crashed(workers.get(task.pid),
+                                            task.pid)) \
                     or task.uncharged_breaks >= 2:
                 self._attempt_failed(
                     task, "crash",
                     "worker process died (BrokenProcessPool)", now)
             elif task.started:
-                # Its worker survived the pool break (an innocent
+                # Its worker outlived the casualty (an innocent
                 # bystander); requeue without charging the budget, but
                 # remember the free pass so a lost start event cannot
                 # requeue a crashing shard forever.
@@ -522,6 +423,35 @@ class ShardSupervisor:
                 os.kill(task.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 task.reap_pending = False  # already gone / not ours
+        self._reap_start_silent(now, timeout)
+
+    def _reap_start_silent(self, now: float, timeout: float) -> None:
+        """A worker that wedges before its start heartbeat (a fork that
+        inherited a held lock) leaves no pid to reap and its shard
+        in flight forever.  The sign: a worker slot has been free for a
+        whole deadline while submitted shards wait unstarted.  Recycle
+        the pool and charge the shard at the head of the queue."""
+        waiting = [t for t in self.tasks.values()
+                   if t.inflight and not t.started and not t.reap_pending]
+        busy = {t.pid for t in self.tasks.values()
+                if t.inflight and t.started}
+        if not waiting or len(busy) >= self.workers:
+            return
+        head = min(waiting, key=lambda t: (t.submitted_at, t.index))
+        if now - max(head.submitted_at, self._slot_freed) <= timeout:
+            return
+        head.reap_pending = True
+        self.stats.reaped += 1
+        # The executor keeps its workers in ``_processes`` (pid ->
+        # Process); the ones not running a started shard are idle or
+        # wedged, and a wedged one would also block interpreter exit.
+        for pid in list(getattr(self._pool, "_processes", None) or ()):
+            if pid not in busy:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+        self._recover_pool([])
 
     def _hedge_stragglers(self, now: float) -> None:
         threshold = self.policy.hedge_after
@@ -538,66 +468,3 @@ class ShardSupervisor:
             task.hedged = True
             self.stats.hedges += 1
             self._submit(task, hedge=True)
-
-
-# ----------------------------------------------------------------------
-# Serial supervision (jobs <= 1)
-# ----------------------------------------------------------------------
-
-
-def run_serial(
-    worker: Callable[[Any], Any],
-    items: Sequence[Any],
-    policy: FanoutPolicy,
-    plane: Optional["_progress.ProgressPlane"] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-    results: Optional[Dict[int, Any]] = None,
-    stats: Optional[SupervisorStats] = None,
-) -> List[Any]:
-    """The in-process twin of :class:`ShardSupervisor`: same retry /
-    quarantine semantics, no pool (so no reaping or hedging — a hang
-    here hangs the caller, which is what serial means)."""
-    items = list(items)
-    results = dict(results or {})
-    if stats is None:
-        stats = SupervisorStats(shards=len(items))
-    for index, item in enumerate(items):
-        if index in results:
-            continue
-        label = _item_label(item)
-        failures = 0
-        while True:
-            stats.attempts += 1
-            try:
-                if plane is not None:
-                    reporter = _progress.ShardReporter(index, plane.apply)
-                    reporter.started(label=label)
-                    _inject_procfault(index, failures)
-                    with _progress.reporting(reporter):
-                        value = worker(item)
-                    reporter.done()
-                else:
-                    _inject_procfault(index, failures)
-                    value = worker(item)
-            except Exception as exc:
-                failures += 1
-                if failures >= policy.max_attempts:
-                    if not policy.quarantine:
-                        raise
-                    failure = ShardFailure(index, label, "exception",
-                                           str(exc), failures)
-                    stats.quarantined.append(failure.to_dict())
-                    results[index] = failure
-                    if plane is not None:
-                        plane.apply(_fail_event(index, label))
-                    break
-                stats.retries += 1
-                if plane is not None:
-                    plane.apply(_retry_event(index, label))
-                time.sleep(policy.backoff(failures))
-                continue
-            results[index] = value
-            if on_result is not None:
-                on_result(index, value)
-            break
-    return [results[i] for i in range(len(items))]

@@ -1,24 +1,12 @@
 """Synthetic Internet-path and home-network populations (the PlanetLab
 substitute; see DESIGN.md for the substitution rationale)."""
 
-from repro.planetlab.homenet import (
-    HOME_PROFILES,
-    HomeNetworkProfile,
-    build_home_path,
-    home_profile,
-    server_rtts,
-    to_path_spec,
-)
-from repro.planetlab.paths import PathPopulation, PathSpec, build_path
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HOME_PROFILES",
-    "HomeNetworkProfile",
-    "PathPopulation",
-    "PathSpec",
-    "build_home_path",
-    "build_path",
-    "home_profile",
-    "server_rtts",
-    "to_path_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "homenet": (
+        "HOME_PROFILES", "HomeNetworkProfile", "build_home_path",
+        "home_profile", "server_rtts", "to_path_spec",
+    ),
+    "paths": ("PathPopulation", "PathSpec", "build_path"),
+})

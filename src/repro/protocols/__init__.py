@@ -1,40 +1,19 @@
 """The eight schemes the paper evaluates, plus the §5 ablations."""
 
-from repro.protocols.halfback import HalfbackPhase, HalfbackSender
-from repro.protocols.halfback_variants import (
-    HalfbackBurstSender,
-    HalfbackForwardSender,
-)
-from repro.protocols.jumpstart import JumpStartSender
-from repro.protocols.pcp import PcpSender
-from repro.protocols.proactive import ProactiveTcpSender
-from repro.protocols.reactive import ReactiveTcpSender
-from repro.protocols.registry import (
-    ProtocolContext,
-    available_protocols,
-    create_sender,
-    register_protocol,
-)
-from repro.protocols.tcp import TcpSender
-from repro.protocols.tcp10 import Tcp10Sender
-from repro.protocols.tcp_cache import CachedWindow, TcpCacheSender, WindowCache
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CachedWindow",
-    "HalfbackBurstSender",
-    "HalfbackForwardSender",
-    "HalfbackPhase",
-    "HalfbackSender",
-    "JumpStartSender",
-    "PcpSender",
-    "ProactiveTcpSender",
-    "ProtocolContext",
-    "ReactiveTcpSender",
-    "Tcp10Sender",
-    "TcpCacheSender",
-    "TcpSender",
-    "WindowCache",
-    "available_protocols",
-    "create_sender",
-    "register_protocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "halfback": ("HalfbackPhase", "HalfbackSender"),
+    "halfback_variants": ("HalfbackBurstSender", "HalfbackForwardSender"),
+    "jumpstart": ("JumpStartSender",),
+    "pcp": ("PcpSender",),
+    "proactive": ("ProactiveTcpSender",),
+    "reactive": ("ReactiveTcpSender",),
+    "registry": (
+        "ProtocolContext", "available_protocols", "create_sender",
+        "register_protocol",
+    ),
+    "tcp": ("TcpSender",),
+    "tcp10": ("Tcp10Sender",),
+    "tcp_cache": ("CachedWindow", "TcpCacheSender", "WindowCache"),
+})

@@ -6,20 +6,12 @@ Public surface::
 
 """
 
-from repro.sim.event import Event, EventHandle
-from repro.sim.randomness import RandomStreams, derive_seed
-from repro.sim.scheduler import EventScheduler
-from repro.sim.simulator import Simulator, Timer
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventHandle",
-    "EventScheduler",
-    "RandomStreams",
-    "Simulator",
-    "Timer",
-    "TraceRecord",
-    "TraceRecorder",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "event": ("Event", "EventHandle"),
+    "randomness": ("RandomStreams", "derive_seed"),
+    "scheduler": ("EventScheduler",),
+    "simulator": ("Simulator", "Timer"),
+    "trace": ("TraceRecord", "TraceRecorder"),
+})

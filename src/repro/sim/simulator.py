@@ -66,6 +66,16 @@ def tie_break_stats() -> Dict[str, int]:
     return dict(_TIE_BREAK_STATS)
 
 
+def _callback_label(callback: Callable[..., Any]) -> str:
+    """A callback's qualified name; its ``repr`` only when it has none
+    (``functools.partial``) — ``repr`` of a bound method renders the
+    whole owner, far too slow to build per executed event."""
+    try:
+        return callback.__qualname__
+    except AttributeError:
+        return repr(callback)
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -339,7 +349,7 @@ class Simulator:
                 name = f"flow:{flow_id}"
             else:
                 if owner is callback:
-                    base = getattr(callback, "__qualname__", repr(callback))
+                    base = _callback_label(callback)
                 else:
                     base = type(owner).__name__
                 index = self._entity_counts.get(base, 0)
@@ -433,8 +443,7 @@ class Simulator:
                         event.time, EV_SCHED_EXEC,
                         self._event_entity(callback),
                         seq=event.seq, parent=event.parent,
-                        callback=getattr(callback, "__qualname__",
-                                         repr(callback)),
+                        callback=_callback_label(callback),
                         prio=event.priority)
                 if profiler is None:
                     event.fire()

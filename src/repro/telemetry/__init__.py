@@ -24,48 +24,23 @@ emitters uphold, and :mod:`~repro.telemetry.hub` bundles everything
 behind one :class:`Telemetry` session object.
 """
 
-from repro.telemetry.context import activate, activated, current_hub, \
-    deactivate
-from repro.telemetry.export import CsvTraceSink, JsonlTraceSink, TraceSink
-from repro.telemetry.hub import Telemetry, parse_kinds, session
-from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry, \
-    NULL_METRIC, NullMetric, TimeWeightedHistogram
-from repro.telemetry.profiling import CallbackStats, FunctionProfiler, \
-    SimProfiler
-from repro.telemetry.schema import EVENT_SCHEMA, FLOW_EVENT_KINDS, \
-    missing_keys, required_keys, validate_records
-from repro.telemetry.timeline import FlowTimeline, TimelineEvent, \
-    build_timelines, render_timeline, render_timelines, timeline_to_json
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CallbackStats",
-    "Counter",
-    "CsvTraceSink",
-    "EVENT_SCHEMA",
-    "FLOW_EVENT_KINDS",
-    "FlowTimeline",
-    "FunctionProfiler",
-    "Gauge",
-    "JsonlTraceSink",
-    "MetricsRegistry",
-    "NULL_METRIC",
-    "NullMetric",
-    "SimProfiler",
-    "Telemetry",
-    "TimeWeightedHistogram",
-    "TimelineEvent",
-    "TraceSink",
-    "activate",
-    "activated",
-    "build_timelines",
-    "current_hub",
-    "deactivate",
-    "missing_keys",
-    "parse_kinds",
-    "render_timeline",
-    "render_timelines",
-    "required_keys",
-    "session",
-    "timeline_to_json",
-    "validate_records",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "context": ("activate", "activated", "current_hub", "deactivate"),
+    "export": ("CsvTraceSink", "JsonlTraceSink", "TraceSink"),
+    "hub": ("Telemetry", "parse_kinds", "session"),
+    "metrics": (
+        "Counter", "Gauge", "MetricsRegistry", "NULL_METRIC", "NullMetric",
+        "TimeWeightedHistogram",
+    ),
+    "profiling": ("CallbackStats", "FunctionProfiler", "SimProfiler"),
+    "schema": (
+        "EVENT_SCHEMA", "FLOW_EVENT_KINDS", "missing_keys", "required_keys",
+        "validate_records",
+    ),
+    "timeline": (
+        "FlowTimeline", "TimelineEvent", "build_timelines", "render_timeline",
+        "render_timelines", "timeline_to_json",
+    ),
+})

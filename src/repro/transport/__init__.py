@@ -1,34 +1,16 @@
 """Transport framework (substrate 3): the reliable-transport machinery
 all eight schemes are built on."""
 
-from repro.transport.config import TransportConfig
-from repro.transport.flow import FlowRecord, FlowSpec, next_flow_id, segments_for
-from repro.transport.pacing import Pacer, pacing_rate_for
-from repro.transport.receiver import Receiver, ReceiverState
-from repro.transport.rtt import RttEstimator
-from repro.transport.sacks import (
-    IntervalSet,
-    ReceiveTracker,
-    SegmentState,
-    SendScoreboard,
-)
-from repro.transport.sender import SenderBase, SenderState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowRecord",
-    "FlowSpec",
-    "IntervalSet",
-    "Pacer",
-    "ReceiveTracker",
-    "Receiver",
-    "ReceiverState",
-    "RttEstimator",
-    "SegmentState",
-    "SendScoreboard",
-    "SenderBase",
-    "SenderState",
-    "TransportConfig",
-    "next_flow_id",
-    "pacing_rate_for",
-    "segments_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("TransportConfig",),
+    "flow": ("FlowRecord", "FlowSpec", "next_flow_id", "segments_for"),
+    "pacing": ("Pacer", "pacing_rate_for"),
+    "receiver": ("Receiver", "ReceiverState"),
+    "rtt": ("RttEstimator",),
+    "sacks": (
+        "IntervalSet", "ReceiveTracker", "SegmentState", "SendScoreboard",
+    ),
+    "sender": ("SenderBase", "SenderState"),
+})

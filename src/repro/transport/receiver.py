@@ -12,15 +12,17 @@ application-level content length, so the receiver knows when it is done.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import TransportError
-from repro.net.monitor import FlowThroughputMonitor
 from repro.net.packet import Packet, PacketType
 from repro.telemetry.schema import EV_PKT_ACK_GEN
 from repro.transport.config import TransportConfig
 from repro.transport.flow import segments_for
 from repro.transport.sacks import ReceiveTracker
+
+if TYPE_CHECKING:
+    from repro.net.monitor import FlowThroughputMonitor
 
 __all__ = ["Receiver", "ReceiverState"]
 

@@ -1,54 +1,19 @@
 """Workload generation: flow sizes, arrival processes, web pages."""
 
-from repro.workloads.arrivals import (
-    FlowArrival,
-    PoissonArrivals,
-    generate_arrivals,
-    rate_for_utilization,
-    wire_bytes_for_payload,
-)
-from repro.workloads.distributions import (
-    BENSON,
-    ENVIRONMENTS,
-    INTERNET,
-    VL2,
-    environment,
-    fraction_of_traffic_below,
-    traffic_cdf,
-    truncated_environment,
-)
-from repro.workloads.sizes import (
-    EmpiricalSize,
-    FixedSize,
-    LogNormalSize,
-    SizeDistribution,
-    TruncatedSize,
-    UniformSize,
-)
-from repro.workloads.web import BrowserModel, WebObject, WebPage, build_catalog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BENSON",
-    "BrowserModel",
-    "ENVIRONMENTS",
-    "EmpiricalSize",
-    "FixedSize",
-    "FlowArrival",
-    "INTERNET",
-    "LogNormalSize",
-    "PoissonArrivals",
-    "SizeDistribution",
-    "TruncatedSize",
-    "UniformSize",
-    "VL2",
-    "WebObject",
-    "WebPage",
-    "build_catalog",
-    "environment",
-    "fraction_of_traffic_below",
-    "generate_arrivals",
-    "rate_for_utilization",
-    "traffic_cdf",
-    "truncated_environment",
-    "wire_bytes_for_payload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arrivals": (
+        "FlowArrival", "PoissonArrivals", "generate_arrivals",
+        "rate_for_utilization", "wire_bytes_for_payload",
+    ),
+    "distributions": (
+        "BENSON", "ENVIRONMENTS", "INTERNET", "VL2", "environment",
+        "fraction_of_traffic_below", "traffic_cdf", "truncated_environment",
+    ),
+    "sizes": (
+        "EmpiricalSize", "FixedSize", "LogNormalSize", "SizeDistribution",
+        "TruncatedSize", "UniformSize",
+    ),
+    "web": ("BrowserModel", "WebObject", "WebPage", "build_catalog"),
+})

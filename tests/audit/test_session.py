@@ -137,6 +137,26 @@ class TestFlightRecorder:
         assert "same-timestamp event group at the dump instant" in text
         assert "seq" in text
 
+    def test_instant_group_is_capped_and_rendered_at_dump(self, tmp_path):
+        from repro.audit.session import MAX_INSTANT_GROUP, Auditor
+
+        auditor = Auditor(checkers=[], out_dir=str(tmp_path / "bundle"))
+        for seq in range(MAX_INSTANT_GROUP + 5):
+            auditor.observe(TraceRecord(
+                1.5, "sched.exec", "link-a",
+                {"callback": "Link._deliver", "seq": seq, "parent": 7}))
+        # Nothing is formatted per record; the dump renders the group.
+        assert all(isinstance(r, TraceRecord) for r in auditor._instant)
+        auditor.observe(TraceRecord(1.5, "sim.crash", "simulator",
+                                    {"error": "boom"}))
+        lines = (tmp_path / "bundle" / "postmortem.txt").read_text() \
+            .splitlines()
+        group = [line for line in lines if "Link._deliver" in line]
+        assert len(group) == MAX_INSTANT_GROUP
+        assert group[0] == \
+            "  t=1.500000000 link-a Link._deliver (seq 0, parent 7)"
+        assert lines[lines.index(group[-1]) + 1] == "    ... group truncated"
+
     def test_no_out_dir_means_no_dump(self):
         run = run_audited_flow(
             segments=60,

@@ -7,17 +7,21 @@ to end: BrokenProcessPool respawn, heartbeat-deadline reaping,
 deterministic retry budgets, and structured ShardFailure quarantine.
 """
 
+import time
+
 import pytest
 
-from repro.errors import ProcFaultError, WorkerCrashError
+from repro.errors import ProcFaultError, ShardHungError, WorkerCrashError
 from repro.parallel import (
     FanoutPolicy,
     ShardFailure,
     WorkerEnv,
     fanout_map,
     fanout_stats,
+    pool,
     reset_fanout_stats,
     supervision,
+    supervisor,
     worker_env,
 )
 
@@ -26,10 +30,30 @@ def _square(x):
     return x * x
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def _boom(x):
     if x == 3:
         raise ValueError("boom")
     return x
+
+
+#: Deadline for the kill tests, whose faults never go silent: a worker
+#: that wedges before its start heartbeat (a fork inheriting a held
+#: lock) then fails the test instead of hanging it.
+KILL_DEADLINE = 20.0
+
+
+def _silent_first_attempt(payload):
+    """``_pool_task`` whose shard 1 wedges before its start heartbeat on
+    the first attempt."""
+    __, index, __, attempt = payload
+    if index == 1 and attempt == 0:
+        time.sleep(60)
+    return pool._pool_task(payload)
 
 
 def _pool_env(spec):
@@ -95,7 +119,8 @@ class TestWorkerKill:
         # kill@1 SIGKILLs the worker running shard 1 (attempt 0): the
         # executor breaks, the supervisor respawns it and requeues the
         # in-flight cells; the re-run (attempt 1) passes the fault.
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01)
+        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
+                              heartbeat_timeout=KILL_DEADLINE)
         with _pool_env("kill@1"):
             results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
                                  policy=policy)
@@ -106,7 +131,8 @@ class TestWorkerKill:
         # Shard 1's worker dies on every attempt; after the free
         # pool-break passes are used up the attempts are charged and
         # the supervisor gives up with a structured crash error.
-        policy = FanoutPolicy(max_attempts=1, backoff_base=0.01)
+        policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
+                              heartbeat_timeout=KILL_DEADLINE)
         spec = ",".join(f"kill@1.{a}" if a else "kill@1" for a in range(6))
         with _pool_env(spec):
             with pytest.raises(WorkerCrashError) as excinfo:
@@ -115,6 +141,7 @@ class TestWorkerKill:
 
     def test_kill_quarantines_instead_of_raising(self):
         policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
+                              heartbeat_timeout=KILL_DEADLINE,
                               quarantine=True)
         spec = ",".join(f"kill@1.{a}" if a else "kill@1" for a in range(6))
         with _pool_env(spec):
@@ -148,6 +175,35 @@ class TestHeartbeatReaping:
         assert isinstance(failure, ShardFailure)
         assert failure.kind == "hang"
         assert results[0] == 0 and results[2] == 4
+
+
+class TestStartSilence:
+    """A worker that never posts its start heartbeat leaves no pid to
+    reap; the deadline must still recycle the pool and charge it."""
+
+    def test_start_silent_shard_is_recycled_and_retried(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "_pool_task", _silent_first_attempt)
+        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
+                              heartbeat_timeout=1.0)
+        results = fanout_map(_square, [0, 1, 2, 3], jobs=2, policy=policy)
+        assert results == [0, 1, 4, 9]
+        stats = fanout_stats()
+        assert stats["reaped"] >= 1 and stats["pool_respawns"] >= 1
+
+    def test_start_silent_shard_exhausts_budget_as_a_hang(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "_pool_task", _silent_first_attempt)
+        policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
+        with pytest.raises(ShardHungError, match="never started") as excinfo:
+            fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
+        assert excinfo.value.shards == [1]
+
+    def test_queued_shards_are_not_start_silent(self):
+        # Six 0.7s cells on two workers: the queued ones wait well past
+        # the 1s deadline, but no worker slot is free while they do.
+        policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
+        assert fanout_map(_nap, [0.7] * 6, jobs=2, policy=policy) \
+            == [0.7] * 6
+        assert fanout_stats()["reaped"] == 0
 
 
 class TestQuarantine:

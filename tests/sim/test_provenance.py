@@ -62,6 +62,34 @@ class TestProvenanceOn:
         assert second.detail["parent"] == first.detail["seq"]
         assert second.detail["callback"].endswith("child")
 
+    def test_callback_label_reprs_only_what_has_no_qualname(self):
+        import functools
+
+        class Owner:
+            name = "owner"
+            reprs = 0
+
+            def __repr__(self):
+                Owner.reprs += 1
+                return "<owner>"
+
+            def tick(self):
+                pass
+
+        sim, trace = provenance_sim()
+        owner = Owner()
+        sim.schedule(1.0, owner.tick)
+        sim.run()
+        # A bound method's repr renders its owner; it must not be built
+        # for a callback that can name itself.
+        assert Owner.reprs == 0
+        sim.schedule(1.0, functools.partial(owner.tick))
+        sim.run()
+        method, partial = trace.records(EV_SCHED_EXEC)
+        assert method.detail["callback"].endswith("Owner.tick")
+        assert partial.detail["callback"].startswith("functools.partial(")
+        assert Owner.reprs > 0
+
     def test_setup_scheduled_events_are_roots(self):
         sim, trace = provenance_sim()
         sim.schedule(1.0, lambda: None)
