@@ -30,8 +30,9 @@ same code audits a live run and an offline trace replay identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.obs.spans import CONSERVATION_TOLERANCE, FlowSpanBuilder
 from repro.telemetry.schema import (
     EV_CHAOS_CLONE,
     EV_HALFBACK_FRONTIER,
@@ -90,9 +91,15 @@ class Violation:
 
 
 class Checker:
-    """Base class: observe records, emit violations, finalize at EOF."""
+    """Base class: observe records, emit violations, finalize at EOF.
+
+    ``kinds`` declares the exact event kinds :meth:`observe` acts on;
+    the auditor calls a checker only for those.  ``None`` (the default)
+    subscribes to every record.
+    """
 
     name = "base"
+    kinds: Optional[FrozenSet[str]] = None
 
     def observe(self, record) -> List[Violation]:
         """Process one record; return any violations it exposes."""
@@ -128,6 +135,8 @@ class AckKnowledge(Checker):
     """
 
     name = "ack-knowledge"
+    kinds = frozenset({EV_PKT_SEND, EV_CHAOS_CLONE, EV_PKT_DELIVER,
+                       EV_LINK_LOSS, EV_QUEUE_DROP, EV_SENDER_DONE})
 
     def __init__(self) -> None:
         # ACK uid -> (flow, cumulative ack, sack ranges, destination).
@@ -201,6 +210,7 @@ class AckMonotonicityChecker(Checker):
     """Cumulative ACKs never regress; new data goes out in order."""
 
     name = "seq-ack-monotonicity"
+    kinds = frozenset({EV_PKT_ACK_GEN, EV_PKT_SEND, EV_SENDER_DONE})
 
     def __init__(self) -> None:
         self._last_ack: Dict[int, int] = {}
@@ -248,6 +258,8 @@ class ConservationChecker(Checker):
     """
 
     name = "packet-conservation"
+    kinds = frozenset({EV_PKT_ENQUEUE, EV_PKT_TX, EV_PKT_DELIVER,
+                       EV_LINK_LOSS})
 
     def __init__(self) -> None:
         self._queued: Dict[str, Set[int]] = {}
@@ -311,6 +323,7 @@ class PacingChecker(Checker):
     """
 
     name = "pacing-evenness"
+    kinds = frozenset({EV_HALFBACK_PHASE, EV_PKT_SEND})
     TOLERANCE = 0.3
 
     def __init__(self) -> None:
@@ -392,6 +405,7 @@ class RoprOrderChecker(Checker):
     """
 
     name = "ropr-order"
+    kinds = frozenset({EV_PKT_SEND, EV_HALFBACK_PHASE, EV_HALFBACK_FRONTIER})
 
     def __init__(self) -> None:
         self._order: Dict[int, str] = {}
@@ -448,6 +462,7 @@ class NeverRetransmitAckedChecker(Checker):
     """No data segment is sent after the sender saw it ACKed (§3.2)."""
 
     name = "ropr-never-acked"
+    kinds = frozenset({EV_PKT_SEND})
 
     def __init__(self, knowledge: AckKnowledge) -> None:
         self._knowledge = knowledge
@@ -481,6 +496,8 @@ class FrontierMeetChecker(Checker):
     """
 
     name = "frontier-meet"
+    kinds = frozenset({EV_HALFBACK_FRONTIER, EV_SENDER_RTO,
+                       EV_HALFBACK_PHASE, EV_SENDER_DONE})
 
     def __init__(self, knowledge: AckKnowledge) -> None:
         self._knowledge = knowledge
@@ -539,6 +556,7 @@ class RtoSanityChecker(Checker):
     """Timeout counters advance by one; nothing fires after completion."""
 
     name = "rto-sanity"
+    kinds = frozenset({EV_SENDER_DONE, EV_SENDER_RTO, EV_SENDER_RECOVERY})
 
     def __init__(self) -> None:
         self._done: Set[int] = set()
@@ -595,18 +613,14 @@ class FctConservationChecker(Checker):
     """
 
     name = "fct-conservation"
+    kinds = FlowSpanBuilder.kinds
 
     def __init__(self) -> None:
-        # Deferred import: repro.audit must stay importable without
-        # pulling the whole obs package in at module-import time.
-        from repro.obs.spans import CONSERVATION_TOLERANCE, FlowSpanBuilder
-
-        self._tolerance = CONSERVATION_TOLERANCE
         self._queued: List[Violation] = []
         self._builder = FlowSpanBuilder(on_complete=self._judge)
 
     def _judge(self, breakdown) -> None:
-        tolerance = self._tolerance * max(1.0, breakdown.fct)
+        tolerance = CONSERVATION_TOLERANCE * max(1.0, breakdown.fct)
         error = breakdown.conservation_error
         if error > tolerance:
             parts = ", ".join(
@@ -633,6 +647,13 @@ class FctConservationChecker(Checker):
             return []
         queued, self._queued = self._queued, []
         return queued
+
+    def finalize(self) -> List[Violation]:
+        # Breakdowns only complete inside observe(), so nothing is left
+        # to flush; dropping the callback breaks the checker <-> builder
+        # cycle, so a finished auditor is freed by reference count.
+        self._builder.on_complete = None
+        return []
 
 
 def default_checkers() -> List[Checker]:

@@ -18,7 +18,7 @@ exit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.audit.invariants import Checker, Violation, default_checkers
 from repro.audit.lineage import LineageTracer
@@ -62,6 +62,8 @@ class Auditor:
         self.violations: List[Violation] = []
         self.events_audited = 0
         self._finalized = False
+        # kind -> the ``observe`` of each observer subscribed to it.
+        self._routes: Dict[str, Tuple[Callable, ...]] = {}
         # The v5 ``sched.exec`` records of the same-timestamp event
         # group currently executing, rendered only when a post-mortem is
         # written.  Bounded (one record past the cap marks truncation):
@@ -78,14 +80,34 @@ class Auditor:
         """Audit one trace record (the observer callback)."""
         self.events_audited += 1
         self.recorder.observe(record)
-        self.tracer.observe(record)
-        if record.kind == EV_SCHED_EXEC:
+        kind = record.kind
+        handlers = self._routes.get(kind)
+        if handlers is None:
+            handlers = self._route(kind)
+        if kind == EV_SCHED_EXEC:
             self._track_instant(record)
-        for checker in self.checkers:
-            for violation in checker.observe(record):
-                self._add(violation)
-        if record.kind == EV_SIM_CRASH:
+        for handler in handlers:
+            found = handler(record)
+            if found:
+                for violation in found:
+                    self._add(violation)
+        if kind == EV_SIM_CRASH:
             self._dump(f"crash: {record.detail.get('error', '?')}")
+
+    def _route(self, kind: str) -> Tuple[Callable, ...]:
+        """The observers subscribed to ``kind``, in calling order.
+
+        The tracer leads (a violation's chain is rendered from it), then
+        the checkers in list order, so the sender-knowledge helper still
+        sees a record before its dependents judge it.  Built on the
+        first record of each kind.  Only the observers' own bound
+        methods go in: one of the auditor's would make it, and the
+        tracer and flight ring with it, cyclic garbage.
+        """
+        handlers = self._routes[kind] = tuple(
+            observer.observe for observer in (self.tracer, *self.checkers)
+            if observer.kinds is None or kind in observer.kinds)
+        return handlers
 
     def finalize(self) -> "Auditor":
         """Flush end-of-stream checks; idempotent.  Returns self."""
@@ -175,7 +197,9 @@ class AuditSession:
     hub active, the session becomes the ambient hub itself, carrying a
     ring-bounded trace recorder (same bound as a telemetry hub's);
     metrics and profiling stay off, so ``--audit`` alone costs the
-    audit plus in-memory tracing, not full telemetry.
+    audit plus in-memory tracing, not full telemetry.  That ring is
+    readable (``sim.trace.records()``) inside the session only: it is
+    cleared on exit.
     """
 
     def __init__(self, out_dir: Optional[str] = None,
@@ -224,6 +248,10 @@ class AuditSession:
         if self._owns_context:
             context.deactivate(self)
             self._owns_context = False
+            # Our own ring: the run's topology (a link <-> node cycle)
+            # keeps ``sim.trace`` reachable until a full collection, so
+            # release the records now.  A host hub's ring is the hub's.
+            trace.clear()
         self._host_trace = None
         self.auditor.finalize()
 

@@ -420,7 +420,7 @@ class Link:
         trace = self._trace
         if trace.lineage:
             trace.record(self.sim.now, EV_PKT_ENQUEUE, self.name,
-                         **packet.lineage_detail())
+                         uid=packet.uid, flow=packet.flow_id)
         if not self._busy:
             self._start_transmission()
 
@@ -725,7 +725,8 @@ class Link:
             # ends inside the tx -> deliver window, and the rate may have
             # changed by delivery time (chaos bandwidth modulation).
             trace.record(self.sim.now, EV_PKT_TX, self.name,
-                         ser=transmission_time, **packet.lineage_detail())
+                         ser=transmission_time, uid=packet.uid,
+                         flow=packet.flow_id)
         self.sim.schedule(transmission_time, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
@@ -792,10 +793,11 @@ class Link:
         if packet.corrupted:
             self._trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
                                dst=self.dst.name, corrupted=True,
-                               **packet.lineage_detail())
+                               uid=packet.uid, flow=packet.flow_id)
         else:
             self._trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
-                               dst=self.dst.name, **packet.lineage_detail())
+                               dst=self.dst.name, uid=packet.uid,
+                               flow=packet.flow_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} rate={self.rate:.0f}B/s delay={self.delay * 1e3:.1f}ms>"

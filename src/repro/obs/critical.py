@@ -307,8 +307,9 @@ class BreakdownSession:
     Mirrors :class:`repro.audit.AuditSession`: with a telemetry hub (or
     audit session) active, the builder observes its recorder and lineage
     is switched on for the duration; with nothing ambient the session
-    installs itself as a minimal hub carrying a ring-bounded recorder,
-    so ``--breakdown`` alone works without ``--telemetry``.
+    installs itself as a minimal hub carrying a ring-bounded recorder
+    (cleared on exit), so ``--breakdown`` alone works without
+    ``--telemetry``.
 
     Completed breakdowns land in two places: folded into the session's
     :class:`BreakdownAggregator` (``session.aggregate``), and parked in
@@ -319,9 +320,12 @@ class BreakdownSession:
     def __init__(self, keep_spans: bool = False,
                  focus_flow: Optional[int] = None,
                  max_spans: int = 200_000) -> None:
+        # ``on_complete`` is bound while the session is entered only: a
+        # standing builder <-> session cycle would leave every finished
+        # session to the cycle collector.
         self.builder = FlowSpanBuilder(
             keep_spans=keep_spans, focus_flow=focus_flow,
-            max_spans=max_spans, on_complete=self._on_complete)
+            max_spans=max_spans)
         self.aggregate = BreakdownAggregator()
         self.pending: Dict[int, FlowBreakdown] = {}
         self.completed: List[FlowBreakdown] = []
@@ -353,6 +357,7 @@ class BreakdownSession:
             self._owns_context = True
         self._restore_lineage = self._host_trace.lineage
         self._host_trace.lineage = True
+        self.builder.on_complete = self._on_complete
         self._host_trace.add_observer(self.builder.observe)
         _sessions.append(self)
         return self
@@ -366,7 +371,10 @@ class BreakdownSession:
         if trace is not None:
             trace.remove_observer(self.builder.observe)
             trace.lineage = self._restore_lineage
+        self.builder.on_complete = None
         if self._owns_context:
             context.deactivate(self)
             self._owns_context = False
+            # Our own ring: release it now (see AuditSession.__exit__).
+            trace.clear()
         self._host_trace = None

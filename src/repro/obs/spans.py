@@ -177,7 +177,7 @@ class _FlowState:
     __slots__ = ("flow", "protocol", "size", "start", "established",
                  "last_t", "components", "inflight", "lost_seqs",
                  "ack_lost", "intervals", "packets", "episodes",
-                 "keep_spans")
+                 "keep_spans", "data_inflight", "retx_inflight")
 
     def __init__(self, flow: int, protocol: str, size: int, start: float,
                  keep_spans: bool) -> None:
@@ -189,6 +189,9 @@ class _FlowState:
         self.last_t = start
         self.components: Dict[str, float] = {}
         self.inflight: Dict[int, _PacketState] = {}
+        # How many of ``inflight`` are data-class / retransmissions.
+        self.data_inflight = 0
+        self.retx_inflight = 0
         self.lost_seqs: set = set()
         self.ack_lost = False
         self.keep_spans = keep_spans
@@ -197,15 +200,6 @@ class _FlowState:
         self.episodes: List[Tuple[float, str, str]] = []
 
     # -- interval attribution ------------------------------------------
-
-    def _oldest(self, classes) -> Optional[_PacketState]:
-        best = None
-        for pkt in self.inflight.values():
-            if pkt.cls not in classes:
-                continue
-            if best is None or (pkt.sent, pkt.uid) < (best.sent, best.uid):
-                best = pkt
-        return best
 
     def _charge(self, t0: float, t1: float, component: str) -> None:
         if t1 <= t0:
@@ -237,43 +231,53 @@ class _FlowState:
         self._charge(t0, t1, "propagation")
 
     def advance(self, t: float) -> None:
-        """Close the interval [last_t, t) under the current state."""
+        """Close the interval [last_t, t) under the current state.
+
+        The governing packet is the oldest in flight of its class, by
+        ``(sent, uid)``.  Packets are tracked when their ``pkt.send`` /
+        ``chaos.clone`` record arrives, stream time never goes back and
+        uids are handed out in creation order, so ``inflight`` (a dict:
+        insertion-ordered) already lists packets oldest first and the
+        first match is that minimum — no scan.  The lockstep test in
+        ``tests/obs/test_spans.py`` holds this against the scanning
+        reference.
+        """
         t0, t1 = self.last_t, t
         self.last_t = t
         if t1 <= t0:
             return
         if not self.established:
             self._charge(t0, t1, "handshake")
-            return
-        for pkt in self.inflight.values():
-            if pkt.retransmit:
-                self._charge(t0, t1, "retransmission")
-                return
-        has_data = any(p.cls == "data" for p in self.inflight.values())
-        if self.lost_seqs or self.ack_lost:
-            if has_data or self.inflight:
-                self._charge(t0, t1, "loss-detection")
-            else:
-                self._charge(t0, t1, "rto-idle")
-            return
-        if has_data:
-            self._charge_hop(t0, t1, self._oldest(("data",)))
-            return
-        if self.inflight:
-            self._charge_hop(t0, t1, self._oldest(("ack", "hs")))
-            return
-        self._charge(t0, t1, "pacing")
+        elif self.retx_inflight:
+            self._charge(t0, t1, "retransmission")
+        elif self.lost_seqs or self.ack_lost:
+            self._charge(t0, t1, "loss-detection" if self.inflight
+                         else "rto-idle")
+        elif self.data_inflight:
+            for pkt in self.inflight.values():
+                if pkt.cls == "data":
+                    self._charge_hop(t0, t1, pkt)
+                    return
+        elif self.inflight:
+            # No data in flight: everything left is an ACK or handshake.
+            self._charge_hop(t0, t1, next(iter(self.inflight.values())))
+        else:
+            self._charge(t0, t1, "pacing")
 
     # -- packet bookkeeping --------------------------------------------
 
     def track(self, pkt: _PacketState) -> None:
         self.inflight[pkt.uid] = pkt
+        self.data_inflight += pkt.cls == "data"
+        self.retx_inflight += pkt.retransmit
 
     def settle(self, uid: int, t: float, fate: str) -> Optional[_PacketState]:
         """A packet reached its final destination, or died in flight."""
         pkt = self.inflight.pop(uid, None)
         if pkt is None:
             return None
+        self.data_inflight -= pkt.cls == "data"
+        self.retx_inflight -= pkt.retransmit
         if self.keep_spans:
             self.packets.append({
                 "uid": pkt.uid, "seq": pkt.seq, "cls": pkt.cls,
@@ -307,6 +311,15 @@ class FlowSpanBuilder:
     on_complete:
         Called with each finished :class:`FlowBreakdown`.
     """
+
+    #: The kinds :meth:`observe` acts on (the audit router's
+    #: subscription; every other record falls through untouched).
+    kinds = frozenset({
+        EV_FLOW_START, EV_FLOW_COMPLETE, EV_PKT_SEND, EV_PKT_ENQUEUE,
+        EV_PKT_TX, EV_PKT_DELIVER, EV_QUEUE_DROP, EV_LINK_LOSS,
+        EV_CHAOS_CLONE, EV_SENDER_ESTABLISHED, EV_SENDER_RECOVERY,
+        EV_SENDER_RTO, EV_SENDER_FAILED, EV_HALFBACK_PHASE,
+    })
 
     def __init__(self, keep_spans: bool = False,
                  focus_flow: Optional[int] = None,
@@ -505,3 +518,4 @@ class FlowSpanBuilder:
         for uid in state.inflight:
             self._uid_flow.pop(uid, None)
         state.inflight.clear()
+        state.data_inflight = state.retx_inflight = 0

@@ -154,15 +154,11 @@ class TraceRecorder:
         """Record one event (no-op when disabled or filtered out)."""
         if not self.enabled:
             return
-        rec = None
-        if self._observers:
-            rec = TraceRecord(time, kind, source, detail)
-            for observer in self._observers:
-                observer(rec)
+        rec = TraceRecord(time, kind, source, detail)
+        for observer in self._observers:
+            observer(rec)
         if self._kinds is not None and not kind.startswith(self._kinds):
             return
-        if rec is None:
-            rec = TraceRecord(time, kind, source, detail)
         if self.sink is not None:
             self.sink.write(rec)
         if self._keep:

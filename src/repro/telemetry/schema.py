@@ -177,8 +177,10 @@ FLOW_EVENT_KINDS = frozenset(
     and kind != EV_CHAOS_CLONE
 )
 
-#: The per-packet causal-tracing family (plus the packet-keyed drop and
-#: loss events the lineage tracer also consumes).
+#: The per-packet causal-tracing family: exactly the kinds emitted only
+#: when ``trace.lineage`` is on.  The lineage tracer also consumes the
+#: always-emitted, packet-keyed ``queue.drop``/``link.loss``; its full
+#: subscription is ``repro.audit.lineage.LineageTracer.kinds``.
 LINEAGE_EVENT_KINDS = frozenset({
     EV_PKT_SEND, EV_PKT_ENQUEUE, EV_PKT_TX, EV_PKT_DELIVER, EV_PKT_ACK_GEN,
     EV_CHAOS_CLONE,

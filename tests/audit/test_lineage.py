@@ -2,6 +2,7 @@
 
 from repro.audit import LineageTracer
 from repro.sim.trace import TraceRecord
+from repro.telemetry.schema import LINEAGE_EVENT_KINDS
 from tests.audit.conftest import run_audited_flow
 
 
@@ -53,6 +54,14 @@ class TestSpanConstruction:
         span = tracer.span(99)
         assert span.kind == "orphan"
         assert span.flow == 2
+
+    def test_subscription_is_the_lineage_family_plus_drop_and_loss(self):
+        assert LineageTracer.kinds == LINEAGE_EVENT_KINDS | {"queue.drop",
+                                                             "link.loss"}
+        tracer = LineageTracer()
+        # uid-keyed, but not subscribed: no orphan span is opened.
+        tracer.observe(rec(0.5, "chaos.corrupt", "r1->r2", uid=5, flow=2))
+        assert tracer.span(5) is None and len(tracer) == 0
 
 
 class TestCausalLinks:

@@ -1,5 +1,6 @@
 """AuditSession wiring, flight recorder bundles, replay, and the CLI."""
 
+import gc
 import json
 import os
 
@@ -8,7 +9,14 @@ import pytest
 from repro.audit import AuditSession, iter_trace, replay
 from repro.audit.cli import main as audit_main
 from repro.audit.faults import seed_ropr_misorder
+from repro.audit.invariants import Checker
+from repro.audit.lineage import HopEvent, PacketSpan
+from repro.audit.session import Auditor
 from repro.experiments.cli import main as experiments_main
+from repro.experiments.scenarios import run_single_path_flow
+from repro.obs.critical import BreakdownSession
+from repro.obs.spans import FlowSpanBuilder
+from repro.planetlab.paths import PathPopulation
 from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecord
 from repro.telemetry import Telemetry
@@ -70,6 +78,59 @@ class TestSessionWiring:
         run = run_audited_flow(segments=20)
         assert run.clean
         assert "all invariants hold" in run.session.report()
+
+
+class TestDeterministicRelease:
+    """A finished bare session frees what it recorded by reference
+    count; nothing waits for a full collection behind the topology's
+    link <-> node cycle."""
+
+    #: What a session accumulates, and the observers that hold it.
+    OBSERVATION_STATE = (TraceRecord, HopEvent, PacketSpan, Auditor,
+                         Checker, FlowSpanBuilder, BreakdownSession)
+
+    @staticmethod
+    def one_flow():
+        spec = PathPopulation(n_pairs=1, seed=4).paths[0]
+        return run_single_path_flow(spec, "halfback", size=100_000, seed=4)
+
+    def test_no_records_or_spans_left_to_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        flags = gc.get_debug()
+        try:
+            with AuditSession() as session:
+                self.one_flow()
+            assert session.auditor.events_audited > 1000
+            with BreakdownSession() as session:
+                record = self.one_flow()
+            assert record.extra["breakdown"].conserved
+            del session, record
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, self.OBSERVATION_STATE)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked, f"{len(leaked)} objects, e.g. {leaked[:5]}"
+
+    def test_own_ring_is_released_on_exit(self):
+        for factory in (AuditSession, BreakdownSession):
+            with factory() as session:
+                self.one_flow()
+                assert len(session.trace) > 1000
+            assert len(session.trace) == 0
+
+    def test_a_host_hubs_ring_is_left_intact(self):
+        with Telemetry(profile=False) as hub:
+            for factory in (AuditSession, BreakdownSession):
+                with factory() as session:
+                    self.one_flow()
+                    inside = len(hub.trace)
+                assert session.trace is None
+                assert len(hub.trace.records()) == inside > 1000
 
 
 class TestFlightRecorder:

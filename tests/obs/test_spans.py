@@ -7,8 +7,13 @@ done on paper; the integration tests run real flows under a
 the runner-emitted FCT.
 """
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import chaos
+from repro.obs import spans
 from repro.obs.critical import BreakdownSession
 from repro.obs.spans import (
     COMPONENTS,
@@ -25,6 +30,7 @@ from repro.telemetry.schema import (
     EV_PKT_ENQUEUE,
     EV_PKT_SEND,
     EV_PKT_TX,
+    EV_QUEUE_DROP,
     EV_SENDER_ESTABLISHED,
     EV_SENDER_FAILED,
 )
@@ -237,3 +243,194 @@ class TestRealFlows:
         assert set(b.components) <= set(COMPONENTS)
         width = sum(t1 - t0 for t0, t1, _ in b.intervals)
         assert width == pytest.approx(b.fct)
+
+
+# ----------------------------------------------------------------------
+# O(1) attribution == the scanning reference, interval by interval
+# ----------------------------------------------------------------------
+
+
+class ChargeLogged(spans._FlowState):
+    """The production state, logging every interval it charges."""
+
+    __slots__ = ()
+    log: list = []
+
+    def _charge(self, t0, t1, component):
+        if t1 > t0:
+            self.log.append((self.flow, t0, t1, component))
+        super()._charge(t0, t1, component)
+
+
+class ScanningReference(ChargeLogged):
+    """The pre-counter ``advance``: three scans of ``inflight`` per
+    interval, the governing packet picked by ``min((sent, uid))``.
+    Kept verbatim as the specification the counters must reproduce."""
+
+    __slots__ = ()
+    log: list = []
+
+    def _oldest(self, classes):
+        best = None
+        for pkt in self.inflight.values():
+            if pkt.cls not in classes:
+                continue
+            if best is None or (pkt.sent, pkt.uid) < (best.sent, best.uid):
+                best = pkt
+        return best
+
+    def advance(self, t):
+        t0, t1 = self.last_t, t
+        self.last_t = t
+        if t1 <= t0:
+            return
+        if not self.established:
+            self._charge(t0, t1, "handshake")
+            return
+        for pkt in self.inflight.values():
+            if pkt.retransmit:
+                self._charge(t0, t1, "retransmission")
+                return
+        has_data = any(p.cls == "data" for p in self.inflight.values())
+        if self.lost_seqs or self.ack_lost:
+            if has_data or self.inflight:
+                self._charge(t0, t1, "loss-detection")
+            else:
+                self._charge(t0, t1, "rto-idle")
+            return
+        if has_data:
+            self._charge_hop(t0, t1, self._oldest(("data",)))
+            return
+        if self.inflight:
+            self._charge_hop(t0, t1, self._oldest(("ack", "hs")))
+            return
+        self._charge(t0, t1, "pacing")
+
+
+def charges(state_class, records):
+    """Every ``(flow, t0, t1, component)`` charged over ``records`` by a
+    builder whose flow states are ``state_class``, plus the breakdowns."""
+    state_class.log = []
+    with mock.patch.object(spans, "_FlowState", state_class):
+        _, done = build(records)
+    return state_class.log, [b.components for b in done]
+
+
+def assert_lockstep(records):
+    production = charges(ChargeLogged, records)
+    reference = charges(ScanningReference, records)
+    assert production == reference
+    return production
+
+
+#: One step of a synthetic flow: (operation, which in-flight packet,
+#: time since the previous step, a flag the operation interprets).
+STEP = st.tuples(
+    # Weighted so that no single component swallows the window: a lone
+    # retransmission in flight charges everything to "retransmission".
+    st.sampled_from(["data"] * 4 + ["ack"] * 2 + ["enqueue"] * 2
+                    + ["tx"] * 3 + ["deliver"] * 5 + ["establish"] * 2
+                    + ["retransmit", "hs", "hop", "drop", "clone"]),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0.0, 0.0, 0.0005, 0.001, 0.004]),
+    st.booleans(),
+)
+
+
+def synthesize(steps):
+    """A lineage stream for one flow obeying the emitters' contract:
+    time never goes back and uids are handed out in send/clone order."""
+    t, next_uid, flying = 0.0, 1, []
+    out = [rec(t, EV_FLOW_START, flow=1, protocol="halfback", size=1)]
+    for op, pick, dt, flag in steps:
+        t += dt
+        if op == "establish":
+            out.append(rec(t, EV_SENDER_ESTABLISHED, flow=1))
+        elif op in ("data", "retransmit", "ack", "hs"):
+            ptype = {"ack": "ack", "hs": "syn"}.get(op, "data")
+            out.append(rec(t, EV_PKT_SEND, flow=1, uid=next_uid, type=ptype,
+                           seq=pick % 7, dst="dst",
+                           retransmit=op == "retransmit",
+                           proactive=op == "retransmit" and flag))
+            flying.append(next_uid)
+            next_uid += 1
+        elif flying:
+            uid = flying[pick % len(flying)]
+            if op == "enqueue":
+                out.append(rec(t, EV_PKT_ENQUEUE, flow=1, uid=uid))
+            elif op == "tx":
+                out.append(rec(t, EV_PKT_TX, flow=1, uid=uid,
+                               ser=0.002 if flag else 0.0))
+            elif op == "hop":
+                out.append(rec(t, EV_PKT_DELIVER, flow=1, uid=uid,
+                               dst="router"))
+            elif op == "deliver":
+                flying.remove(uid)
+                detail = {"corrupted": True} if flag else {}
+                out.append(rec(t, EV_PKT_DELIVER, flow=1, uid=uid,
+                               dst="dst", **detail))
+            elif op == "drop":
+                flying.remove(uid)
+                out.append(rec(t, EV_QUEUE_DROP if flag else EV_LINK_LOSS,
+                               uid=uid))
+            elif op == "clone":
+                out.append(rec(t, EV_CHAOS_CLONE, flow=1, uid=next_uid,
+                               clone_of=uid))
+                flying.append(next_uid)
+                next_uid += 1
+    out.append(rec(t + 0.01, EV_FLOW_COMPLETE, flow=1, fct=t + 0.01))
+    return out
+
+
+def recorded_stream(profile, protocol, seed, loss_rate=0.0):
+    """The complete lineage stream of one real flow under ``profile``."""
+    from repro.experiments.runner import ScheduledFlow, TrafficRunner
+    from repro.net.topology import access_network
+    from repro.sim.simulator import Simulator
+
+    with chaos.session(profile), BreakdownSession() as session:
+        sim = Simulator(seed=seed)
+        net = access_network(sim, n_pairs=1)
+        if loss_rate:
+            net.bottleneck.set_loss(loss_rate)
+        runner = TrafficRunner(sim, net)
+        runner.schedule([ScheduledFlow(time=0.0, size=100_000,
+                                       protocol=protocol)])
+        runner.run()
+        # Read inside the session: its own ring is cleared on exit.
+        return session.trace.records()
+
+
+class TestAttributionLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(STEP, max_size=120))
+    def test_synthetic_sequences(self, steps):
+        assert_lockstep(synthesize(steps))
+
+    def test_first_match_is_the_oldest_data_packet(self):
+        # ACKs ahead of the data in insertion order, and two data
+        # packets sent at the same instant: the earlier uid governs.
+        log, _ = assert_lockstep([
+            rec(0.00, EV_FLOW_START, flow=1, protocol="tcp", size=1),
+            rec(0.00, EV_SENDER_ESTABLISHED, flow=1),
+            rec(0.00, EV_PKT_SEND, flow=1, uid=1, type="ack", dst="src"),
+            rec(0.00, EV_PKT_SEND, flow=1, uid=2, type="data", seq=0,
+                dst="dst"),
+            rec(0.00, EV_PKT_SEND, flow=1, uid=3, type="data", seq=1,
+                dst="dst"),
+            rec(0.00, EV_PKT_TX, flow=1, uid=3, ser=0.0),
+            rec(0.01, EV_PKT_DELIVER, flow=1, uid=2, dst="dst"),
+            rec(0.02, EV_PKT_DELIVER, flow=1, uid=3, dst="dst"),
+            rec(0.03, EV_FLOW_COMPLETE, flow=1, fct=0.03),
+        ])
+        assert [c for _, _, _, c in log] == ["queue-wait", "propagation",
+                                             "queue-wait"]
+
+    @pytest.mark.parametrize("protocol", ["tcp", "halfback"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_streams_recorded_under_middlebox_madness(self, protocol, seed):
+        records = recorded_stream(f"middlebox-madness:{seed}", protocol,
+                                  seed, loss_rate=0.02)
+        assert any(r.kind == EV_CHAOS_CLONE for r in records)
+        log, components = assert_lockstep(records)
+        assert log and len(components) == 1
