@@ -8,12 +8,11 @@ configured — triggers the post-mortem bundle.  A ``sim.crash`` record
 triggers the bundle too, violations or not, so a crashed run leaves its
 last moments on disk.
 
-:class:`AuditSession` is the wiring: as a context manager it attaches
-the auditor to whatever telemetry hub is ambient (composing with
-``--telemetry``), or — when none is — installs itself as a minimal hub
-carrying only a ring-bounded trace recorder.  Either way lineage events
-are switched on for the duration and the previous state is restored on
-exit.
+:class:`AuditSession` is the wiring: as a context manager it subscribes
+the auditor (consuming every kind, so lineage and provenance events
+flow for the duration) to the run's trace stream through
+:func:`repro.telemetry.context.attached` — the ambient hub's recorder
+(composing with ``--telemetry``), or a ring-bounded one of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.audit.lineage import LineageTracer
 from repro.audit.recorder import FlightRecorder
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.telemetry import context
-from repro.telemetry.hub import DEFAULT_MAX_RECORDS
+from repro.telemetry.hub import ring_recorder
 from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
 
 __all__ = ["Auditor", "AuditSession"]
@@ -191,15 +190,16 @@ class AuditSession:
     """Context manager wiring an :class:`Auditor` into the trace stream.
 
     With a telemetry hub already active (``--telemetry``), the auditor
-    piggybacks on its trace recorder: an observer is attached — which
-    runs *before* kind filtering, so user ``--trace-kinds`` filters
-    don't blind the audit — and lineage events are enabled.  With no
-    hub active, the session becomes the ambient hub itself, carrying a
-    ring-bounded trace recorder (same bound as a telemetry hub's);
-    metrics and profiling stay off, so ``--audit`` alone costs the
-    audit plus in-memory tracing, not full telemetry.  That ring is
-    readable (``sim.trace.records()``) inside the session only: it is
-    cleared on exit.
+    piggybacks on its trace recorder: observers run *before* kind
+    filtering, so user ``--trace-kinds`` filters don't blind the audit.
+    With no enabled recorder ambient, the session brings a ring-bounded
+    one (same bound as a telemetry hub's, so experiments that read
+    ``sim.trace.records()`` directly — fig3's walk-through — keep
+    working); metrics and profiling stay whatever they were, so
+    ``--audit`` alone costs the audit plus in-memory tracing, not full
+    telemetry.  That ring is readable inside the session only: it is
+    cleared on exit.  :attr:`trace` is the recorder observed (None until
+    entered).
     """
 
     def __init__(self, out_dir: Optional[str] = None,
@@ -207,52 +207,19 @@ class AuditSession:
                  ring_size: int = 4000, max_spans: int = 200_000) -> None:
         self.auditor = Auditor(checkers=checkers, out_dir=out_dir,
                                ring_size=ring_size, max_spans=max_spans)
-        # Hub surface for Simulator pickup when we are the ambient hub.
         self.trace: Optional[TraceRecorder] = None
-        self.metrics = None
-        self.profiler = None
-        self._host_trace: Optional[TraceRecorder] = None
-        self._restore_lineage = False
-        self._restore_provenance = False
-        self._owns_context = False
 
     def __enter__(self) -> "AuditSession":
-        hub = context.current_hub()
-        if hub is not None and hub.trace is not None:
-            self._host_trace = hub.trace
-        else:
-            # Same ring bound as a Telemetry hub's recorder: experiments
-            # that read ``sim.trace.records()`` directly (fig3's
-            # walk-through) keep working under a bare ``--audit``.
-            self.trace = TraceRecorder(enabled=True,
-                                       max_records=DEFAULT_MAX_RECORDS)
-            self._host_trace = self.trace
-            context.activate(self)
-            self._owns_context = True
-        self._restore_lineage = self._host_trace.lineage
-        self._restore_provenance = getattr(self._host_trace,
-                                           "provenance", False)
-        self._host_trace.lineage = True
-        # Provenance events feed the scheduler-nondeterminism checker
+        # kinds=None: the auditor counts and rings every record, and
+        # provenance events feed the scheduler-nondeterminism checker
         # and give post-mortems their same-instant group context.
-        self._host_trace.provenance = True
-        self._host_trace.add_observer(self.auditor.observe)
+        self._attachment = context.attached(
+            "audit", self.auditor.observe, None, ring_recorder)
+        self.trace = self._attachment.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        trace = self._host_trace
-        if trace is not None:
-            trace.remove_observer(self.auditor.observe)
-            trace.lineage = self._restore_lineage
-            trace.provenance = self._restore_provenance
-        if self._owns_context:
-            context.deactivate(self)
-            self._owns_context = False
-            # Our own ring: the run's topology (a link <-> node cycle)
-            # keeps ``sim.trace`` reachable until a full collection, so
-            # release the records now.  A host hub's ring is the hub's.
-            trace.clear()
-        self._host_trace = None
+        self._attachment.__exit__(*exc)
         self.auditor.finalize()
 
     # Convenience passthroughs -----------------------------------------

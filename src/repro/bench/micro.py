@@ -517,7 +517,7 @@ def _halfback_flow_breakdown(n: int, seed: int,
     BreakdownSession` (lineage trace on, span builder classifying every
     packet event), so ``flow_breakdown_on / flow_breakdown_off`` is the
     attribution pipeline's per-event cost multiplier — and the off
-    variant pays exactly one falsy ``_sessions`` check per completed
+    variant pays exactly one ``ambient.breakdown`` check per completed
     flow, the cost the <2% overhead gate bounds.
     """
     import contextlib

@@ -121,7 +121,6 @@ def main(argv=None) -> int:
         WorkerEnv,
         fanout_stats,
         reset_fanout_stats,
-        worker_env,
     )
 
     manifest = None
@@ -163,13 +162,13 @@ def main(argv=None) -> int:
         stack.enter_context(progress_mod.plane(
             out_dir=None if args.progress == "-" else args.progress))
     if args.procfault is not None:
-        from repro.chaos import procfault as procfault_mod
+        # The parent enters the plan for serial (jobs=1) runs; pool
+        # workers re-enter it from the same env.
+        WorkerEnv(procfault_spec=args.procfault).enter(stack)
+    if manifest is not None:
+        from repro.telemetry.context import describe
 
-        plan = procfault_mod.parse_procfault(args.procfault)
-        # Pool workers re-activate from the spec via WorkerEnv; the
-        # ambient activation covers serial (jobs=1) runs in-process.
-        stack.enter_context(procfault_mod.activated(plan))
-        stack.enter_context(worker_env(WorkerEnv(procfault_spec=plan.spec)))
+        manifest.record_observers(describe())
 
     def finish(status: int, outcome: str = "ok",
                reason: Optional[str] = None,

@@ -1,52 +1,31 @@
-"""The ambient chaos session.
+"""The ambient chaos profile.
 
-Mirrors :mod:`repro.telemetry.context`: the CLI (or a test) *activates*
-one :class:`~repro.chaos.profiles.ChaosProfile`, and every access
-network built while it is active (see
+The CLI (or a test) *activates* one
+:class:`~repro.chaos.profiles.ChaosProfile`, and every access network
+built while it is active (see
 :func:`repro.net.topology.access_network`) gets the profile's
 impairments attached automatically — the ``--chaos`` flag instruments
-experiments without changing a single experiment signature.
+experiments without changing a single experiment signature.  The
+profile is the ``chaos`` slot of the run context
+(:mod:`repro.telemetry.context`).
 
-This module is import-light on purpose (no repro imports): the topology
-builder imports it, and the chaos package imports the network substrate,
-so this file is the cycle-breaker.
+This module is import-light on purpose: the topology builder imports
+it, and the chaos package imports the network substrate, so this file
+is the cycle-breaker.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from repro.telemetry.context import ambient, scope
 
-__all__ = ["current_profile", "activate", "deactivate", "activated"]
-
-_active = None
+__all__ = ["current_profile", "activated"]
 
 
 def current_profile():
     """The active chaos profile, or None when chaos is off."""
-    return _active
+    return ambient.chaos
 
 
-def activate(profile) -> None:
-    """Make ``profile`` the ambient chaos session."""
-    global _active
-    _active = profile
-
-
-def deactivate(profile=None) -> None:
-    """Clear the ambient session (only if ``profile`` still owns it)."""
-    global _active
-    if profile is None or _active is profile:
-        _active = None
-
-
-@contextmanager
-def activated(profile) -> Iterator[Optional[object]]:
+def activated(profile):
     """Activate ``profile`` for the duration of a ``with`` block."""
-    global _active
-    previous = _active
-    _active = profile
-    try:
-        yield profile
-    finally:
-        _active = previous
+    return scope(chaos=profile)

@@ -35,11 +35,11 @@ import hashlib
 import os
 import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ChaosError, ProcFaultError
+from repro.telemetry import context
 
 __all__ = ["ProcFaultPlan", "activate", "activated", "current_plan",
            "parse_procfault"]
@@ -204,28 +204,18 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
 # Ambient plan (consulted by repro.parallel.pool inside each worker)
 # ----------------------------------------------------------------------
 
-_active_plan: Optional[ProcFaultPlan] = None
-
 
 def current_plan() -> Optional[ProcFaultPlan]:
     """The ambient process-fault plan, or None."""
-    return _active_plan
+    return context.ambient.procfault
 
 
 def activate(plan: Optional[ProcFaultPlan]) -> Optional[ProcFaultPlan]:
-    """Install ``plan`` as the ambient plan (workers call this once at
-    init and never restore).  Returns the previous plan."""
-    global _active_plan
-    previous = _active_plan
-    _active_plan = plan
-    return previous
+    """Install ``plan`` as the ambient plan and return the previous one;
+    nothing restores it (:func:`activated` is the scoped form)."""
+    return context.enter(procfault=plan)["procfault"]
 
 
-@contextmanager
-def activated(plan: Optional[ProcFaultPlan]) -> Iterator[Optional[ProcFaultPlan]]:
-    """Scoped :func:`activate` for serial (in-process) runs."""
-    previous = activate(plan)
-    try:
-        yield plan
-    finally:
-        activate(previous)
+def activated(plan: Optional[ProcFaultPlan]):
+    """Make ``plan`` ambient for a ``with`` block."""
+    return context.scope(procfault=plan)

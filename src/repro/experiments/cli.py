@@ -16,11 +16,12 @@ span, the paper's invariants are checked live, and the first violation
 compose — with ``--telemetry`` the auditor observes the telemetry hub's
 trace stream.
 
-``--telemetry`` and ``--chaos`` now compose with ``--jobs N``: pool
-workers re-create the sessions themselves (per-worker trace files are
-shard-suffixed, the chaos profile is re-parsed from its deterministic
-spec).  Only ``--audit`` still forces a serial run — its flight
-recorder is single-process by design.
+``--telemetry`` and ``--chaos`` compose with ``--jobs N``: the parent
+and every pool worker enter the same ``WorkerEnv`` (per-worker trace
+files are shard-suffixed, the chaos profile is re-parsed from its
+deterministic spec).  ``--audit`` and ``--trace-viewer`` keep the run
+in-process — their sessions live in the parent only; the rule is
+:data:`IN_PROCESS_RULES`.
 
 ``--progress [DIR]`` turns on the live progress plane (refreshing
 status line on stderr; with DIR also ``progress.prom`` + snapshot
@@ -47,6 +48,16 @@ DEFAULT_TELEMETRY_DIR = "telemetry-out"
 
 #: Default post-mortem bundle directory for a bare ``--audit``.
 DEFAULT_AUDIT_DIR = "audit-out"
+
+#: Flags whose session lives in the parent process only — the auditor's
+#: flight recorder, the span store a trace-viewer export reads.  Given
+#: with ``--jobs N`` (N > 1), the run stays in-process and says so once
+#: on stderr: ``(argparse dest, notice)``.
+IN_PROCESS_RULES = (
+    ("audit", "[--jobs ignored: --audit needs an in-process run]"),
+    ("trace_viewer", "[--jobs ignored: --trace-viewer exports spans "
+                     "retained by an in-process run]"),
+)
 
 Runner = Callable[..., object]
 Formatter = Callable[[object], str]
@@ -229,8 +240,7 @@ def main(argv=None) -> int:
                              "timelines as Perfetto/Chrome trace_event "
                              "JSON to PATH (implies --breakdown; open at "
                              "ui.perfetto.dev; spans are retained from "
-                             "the in-process run, so combine with a "
-                             "serial --jobs 1 run)")
+                             "the in-process run, so --jobs is ignored)")
     parser.add_argument("--chaos", default=None, metavar="PROFILE[:seed]",
                         help="run the experiments under a chaos profile "
                              "(see 'chaos list'): every access network "
@@ -315,12 +325,11 @@ def main(argv=None) -> int:
 
     breakdown = args.breakdown or args.trace_viewer is not None
     jobs = args.jobs
-    if jobs > 1 and args.audit is not None:
-        # The auditor's flight recorder is a single-process flight
-        # recorder; telemetry/chaos propagate to workers (WorkerEnv).
-        print("[--jobs ignored: --audit needs an in-process run]",
-              file=sys.stderr)
-        jobs = 1
+    if jobs > 1:
+        for dest, notice in IN_PROCESS_RULES:
+            if getattr(args, dest) is not None:
+                print(notice, file=sys.stderr)
+                jobs = 1
 
     manifest = None
     if not args.no_manifest:
@@ -333,59 +342,38 @@ def main(argv=None) -> int:
             "jobs": jobs, "chaos": args.chaos, "breakdown": breakdown,
         })
 
-    hub = None
-    audit = None
+    hub = audit = None
     stack = contextlib.ExitStack()
-    if args.telemetry is not None:
-        from repro import telemetry
+    if (args.telemetry is not None or args.chaos is not None
+            or args.procfault is not None):
+        from repro.parallel import WorkerEnv
 
-        # The session API accepts the raw comma-separated flag value
-        # (see telemetry.parse_kinds), so no CLI-side parsing needed.
-        hub = stack.enter_context(telemetry.session(
-            out_dir=args.telemetry, trace_format=args.telemetry_format,
-            kinds=args.telemetry_kinds))
+        # The sessions the parent enters here are the ones every pool
+        # worker re-enters from the same env (shard-suffixed there).
+        hub, profile = WorkerEnv(
+            telemetry_dir=args.telemetry,
+            telemetry_format=args.telemetry_format,
+            telemetry_kinds=args.telemetry_kinds,
+            chaos_spec=args.chaos,
+            procfault_spec=args.procfault).enter(stack)
+        if profile is not None:
+            print(f"[chaos profile {profile.spec} active: "
+                  f"{profile.description}]")
     if args.audit is not None:
         from repro.audit import AuditSession
 
         # Entered after telemetry so the auditor composes with an active
-        # hub (observing its trace stream) instead of replacing it.
+        # hub (observing its trace stream) instead of bringing its own.
         audit = stack.enter_context(AuditSession(out_dir=args.audit))
-    if args.chaos is not None:
-        from repro import chaos
-
-        profile = stack.enter_context(chaos.session(args.chaos))
-        print(f"[chaos profile {profile.spec} active: "
-              f"{profile.description}]")
     breakdown_session = None
     if breakdown:
         from repro.obs.critical import BreakdownSession
 
         # Entered after telemetry/audit so the span builder observes the
-        # already-composed trace stream; standalone --breakdown installs
-        # its own ring-bounded recorder (same pattern as --audit).
+        # already-composed trace stream; standalone --breakdown brings
+        # its own ring-bounded recorder (same as --audit).
         breakdown_session = stack.enter_context(BreakdownSession(
             keep_spans=args.trace_viewer is not None))
-    procfault_plan = None
-    if args.procfault is not None:
-        from repro.chaos import procfault as procfault_mod
-
-        procfault_plan = procfault_mod.parse_procfault(args.procfault)
-        # Ambient activation covers serial (jobs=1) fan-outs in-process;
-        # pool workers re-activate from the spec via WorkerEnv below.
-        stack.enter_context(procfault_mod.activated(procfault_plan))
-    if (args.telemetry is not None or args.chaos is not None
-            or procfault_plan is not None):
-        from repro.parallel import WorkerEnv, worker_env
-
-        # Declare the sessions pool workers must mirror; a serial run
-        # ignores this (the parent's own sessions are already active).
-        stack.enter_context(worker_env(WorkerEnv(
-            telemetry_dir=args.telemetry,
-            telemetry_format=args.telemetry_format,
-            telemetry_kinds=args.telemetry_kinds,
-            chaos_spec=args.chaos,
-            procfault_spec=(procfault_plan.spec
-                            if procfault_plan is not None else None))))
     if args.progress is not None:
         from repro.obs import progress as progress_mod
 
@@ -414,6 +402,11 @@ def main(argv=None) -> int:
         resume_lineage = {"journal": journal.path,
                           "journal_digest": journal.file_digest()}
         stack.enter_context(journaling(journal))
+
+    if manifest is not None:
+        from repro.telemetry.context import describe
+
+        manifest.record_observers(describe())
 
     from repro.sim.simulator import reset_tie_break_stats, tie_break_stats
 

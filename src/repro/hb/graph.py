@@ -105,6 +105,11 @@ class HBGraph:
     # Construction
     # ------------------------------------------------------------------
 
+    #: The kinds :meth:`observe` reads: what a recording session must
+    #: have the recorder emit (provenance stamps + packet lineage).
+    kinds = frozenset({EV_SCHED_EXEC, EV_PKT_TX, EV_PKT_DELIVER,
+                       EV_PKT_ACK_GEN})
+
     def observe(self, record) -> None:
         """Fold one trace record into the graph."""
         kind = record.kind

@@ -1,24 +1,27 @@
 """Scoped provenance recording for happens-before analysis.
 
-:class:`ProvenanceSession` mirrors the wiring pattern of
-:class:`repro.audit.session.AuditSession`: with a telemetry hub already
-active it piggybacks on the hub's trace recorder, flipping the
-``provenance`` and ``lineage`` flags on for the duration (restored on
-exit); with no hub active it installs itself as a minimal ambient hub
-carrying an unfiltered in-memory recorder, so simulators built inside
-the ``with`` block emit the full ``sched.exec`` + ``pkt.*`` stream the
-:class:`~repro.hb.graph.HBGraph` builder needs.
+:class:`ProvenanceSession` is wired like
+:class:`repro.audit.session.AuditSession`
+(:func:`repro.telemetry.context.attached`): it subscribes a collector
+declaring the kinds :class:`~repro.hb.graph.HBGraph` reads, which turns
+the recorder's ``provenance`` and ``lineage`` on for the duration — on
+the ambient hub's recorder when one is enabled, otherwise on an
+unfiltered one of its own — so simulators built inside the ``with``
+block emit the full ``sched.exec`` + ``pkt.*`` stream the graph builder
+needs.
 
-The recorder is unbounded by default — a happens-before graph needs
+The collection is unbounded by default — a happens-before graph needs
 every event of the run, not a ring suffix — so sessions are meant for
 quick, scoped runs (the ``python -m repro hb`` CLI uses quick scales).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import List, Optional
 
-from repro.sim.trace import TraceRecorder
+from repro.hb.graph import HBGraph
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.telemetry import context
 
 __all__ = ["ProvenanceSession"]
@@ -30,53 +33,26 @@ class ProvenanceSession:
     Parameters
     ----------
     max_records:
-        Optional in-memory bound for the recorder installed when no
-        telemetry hub is active; None (the default) keeps every record
-        so the graph covers the whole run.
+        Optional bound on the records kept (newest win), and on the ring
+        of the recorder brought when no hub is active; None (the
+        default) keeps every record so the graph covers the whole run.
     """
 
     def __init__(self, max_records: Optional[int] = None) -> None:
         self.max_records = max_records
-        # Hub surface for Simulator pickup when we are the ambient hub.
-        self.trace: Optional[TraceRecorder] = None
-        self.metrics = None
-        self.profiler = None
-        self._host_trace: Optional[TraceRecorder] = None
-        self._restore_lineage = False
-        self._restore_provenance = False
-        self._owns_context = False
+        self._records: deque = deque(maxlen=max_records)
 
     def __enter__(self) -> "ProvenanceSession":
-        hub = context.current_hub()
-        if hub is not None and hub.trace is not None:
-            self._host_trace = hub.trace
-        else:
-            self.trace = TraceRecorder(enabled=True,
-                                       max_records=self.max_records)
-            self._host_trace = self.trace
-            context.activate(self)
-            self._owns_context = True
-        self._restore_lineage = self._host_trace.lineage
-        self._restore_provenance = getattr(self._host_trace,
-                                           "provenance", False)
-        self._host_trace.lineage = True
-        self._host_trace.provenance = True
+        self._attachment = context.attached(
+            "provenance", self._records.append, HBGraph.kinds,
+            lambda: TraceRecorder(max_records=self.max_records))
+        self._attachment.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        trace = self._host_trace
-        if trace is not None:
-            trace.lineage = self._restore_lineage
-            trace.provenance = self._restore_provenance
-        if self._owns_context:
-            context.deactivate(self)
-            self._owns_context = False
-        self._host_trace = None
+        self._attachment.__exit__(*exc)
 
-    def records(self):
-        """The recorded stream (valid after the block when the session
-        owned the recorder; with a host hub, read the hub's recorder)."""
-        trace = self.trace if self.trace is not None else self._host_trace
-        if trace is None:
-            return []
-        return trace.records()
+    def records(self) -> List[TraceRecord]:
+        """The stream recorded so far (every kind, before any hub
+        filter; stays readable after the block)."""
+        return list(self._records)

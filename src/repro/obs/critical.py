@@ -5,7 +5,7 @@
 them into the per-protocol time-in-component tables the ``--breakdown``
 flag prints, and provides the context-manager wiring
 (:class:`BreakdownSession`) that attaches a span builder to whatever
-trace recorder is ambient — the same composition pattern as
+trace recorder is ambient — the same one call as
 :class:`repro.audit.AuditSession`.
 
 The aggregate state is per protocol, per component: a float running sum
@@ -19,6 +19,7 @@ reports are held to.
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
@@ -30,8 +31,8 @@ from repro.obs.sketch import (
 from repro.obs.spans import COMPONENTS, FlowBreakdown, FlowSpanBuilder
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import context
-from repro.telemetry.context import _sessions, active_session, take_breakdown
-from repro.telemetry.hub import DEFAULT_MAX_RECORDS
+from repro.telemetry.context import active_session, take_breakdown
+from repro.telemetry.hub import ring_recorder
 
 __all__ = [
     "BreakdownAggregator",
@@ -296,7 +297,7 @@ def _render_table(headers, rows, title: str = "") -> str:
 
 
 # ----------------------------------------------------------------------
-# Ambient session (the stack lives in repro.telemetry.context, so the
+# Ambient session (the ``breakdown`` slot of the run context, so the
 # runner's per-flow take_breakdown check never imports this module)
 # ----------------------------------------------------------------------
 
@@ -304,17 +305,19 @@ def _render_table(headers, rows, title: str = "") -> str:
 class BreakdownSession:
     """Context manager attaching a span builder to the ambient trace.
 
-    Mirrors :class:`repro.audit.AuditSession`: with a telemetry hub (or
-    audit session) active, the builder observes its recorder and lineage
-    is switched on for the duration; with nothing ambient the session
-    installs itself as a minimal hub carrying a ring-bounded recorder
-    (cleared on exit), so ``--breakdown`` alone works without
-    ``--telemetry``.
+    Wired like :class:`repro.audit.AuditSession`
+    (:func:`repro.telemetry.context.attached`): with a telemetry hub (or
+    audit session) active the builder observes its recorder, otherwise
+    the session brings a ring-bounded one (cleared on exit), so
+    ``--breakdown`` alone works without ``--telemetry``.  The builder's
+    kinds turn lineage events on for the duration.  :attr:`trace` is
+    the recorder observed (None until entered).
 
     Completed breakdowns land in two places: folded into the session's
     :class:`BreakdownAggregator` (``session.aggregate``), and parked in
     ``session.pending`` until the harness claims them per flow via
-    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`).
+    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`) — from the
+    innermost session when several nest.
     """
 
     def __init__(self, keep_spans: bool = False,
@@ -330,13 +333,7 @@ class BreakdownSession:
         self.pending: Dict[int, FlowBreakdown] = {}
         self.completed: List[FlowBreakdown] = []
         self.keep_spans = keep_spans
-        # Hub surface for Simulator pickup when we are the ambient hub.
         self.trace: Optional[TraceRecorder] = None
-        self.metrics = None
-        self.profiler = None
-        self._host_trace: Optional[TraceRecorder] = None
-        self._restore_lineage = False
-        self._owns_context = False
 
     def _on_complete(self, breakdown: FlowBreakdown) -> None:
         self.aggregate.observe(breakdown)
@@ -346,35 +343,14 @@ class BreakdownSession:
             self.completed.append(breakdown)
 
     def __enter__(self) -> "BreakdownSession":
-        hub = context.current_hub()
-        if hub is not None and hub.trace is not None:
-            self._host_trace = hub.trace
-        else:
-            self.trace = TraceRecorder(enabled=True,
-                                       max_records=DEFAULT_MAX_RECORDS)
-            self._host_trace = self.trace
-            context.activate(self)
-            self._owns_context = True
-        self._restore_lineage = self._host_trace.lineage
-        self._host_trace.lineage = True
         self.builder.on_complete = self._on_complete
-        self._host_trace.add_observer(self.builder.observe)
-        _sessions.append(self)
+        self._stack = ExitStack()
+        self.trace = self._stack.enter_context(context.attached(
+            "breakdown", self.builder.observe, self.builder.kinds,
+            ring_recorder))
+        self._stack.enter_context(context.scope(breakdown=self))
         return self
 
     def __exit__(self, *exc) -> None:
-        if _sessions and _sessions[-1] is self:
-            _sessions.pop()
-        elif self in _sessions:  # pragma: no cover - defensive
-            _sessions.remove(self)
-        trace = self._host_trace
-        if trace is not None:
-            trace.remove_observer(self.builder.observe)
-            trace.lineage = self._restore_lineage
+        self._stack.close()
         self.builder.on_complete = None
-        if self._owns_context:
-            context.deactivate(self)
-            self._owns_context = False
-            # Our own ring: release it now (see AuditSession.__exit__).
-            trace.clear()
-        self._host_trace = None

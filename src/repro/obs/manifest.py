@@ -111,6 +111,29 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
                 "max_events": {"type": "integer"},
             },
         },
+        #: What was observing / steering the run (the ambient run
+        #: context at its start); an absent key means off.
+        "observers": {
+            "type": ["object", "null"],
+            "properties": {
+                "telemetry": {
+                    "type": "object",
+                    "required": ["dir", "format", "kinds"],
+                    "properties": {
+                        "dir": {"type": "string"},
+                        "format": {"type": "string"},
+                        "kinds": {"type": ["string", "null"]},
+                    },
+                },
+                "audit": {"type": "boolean"},
+                "breakdown": {"type": "boolean"},
+                "provenance": {"type": "boolean"},
+                "chaos": {"type": "string"},
+                "procfault": {"type": "string"},
+                "progress": {"type": ["string", "boolean"]},
+                "tiebreak_salt": {"type": "integer"},
+            },
+        },
         "exit_status": {"type": "integer"},
         #: How the run ended: "ok", "error", or "interrupted" (the run
         #: was cut short — KeyboardInterrupt, stall — but the manifest
@@ -293,6 +316,7 @@ class RunManifest:
         self.scheduler: Optional[Dict[str, Any]] = None
         self.trace_viewer: Optional[Dict[str, Any]] = None
         self.supervisor: Optional[Dict[str, Any]] = None
+        self.observers: Optional[Dict[str, Any]] = None
         self.exit_status = 0
         self.outcome = "ok"
         self.interrupt_reason: Optional[str] = None
@@ -368,6 +392,12 @@ class RunManifest:
         if resume is not None:
             self.supervisor["resume"] = dict(resume)
 
+    def record_observers(self, observers: Dict[str, Any]) -> None:
+        """Record what the run context says is observing the run
+        (:func:`repro.telemetry.context.describe`); a run with nothing
+        on keeps the section null."""
+        self.observers = dict(observers) or None
+
     def set_exit_status(self, status: int) -> None:
         """Record the process exit status the run is about to return."""
         self.exit_status = int(status)
@@ -412,6 +442,7 @@ class RunManifest:
             "scheduler": self.scheduler,
             "trace_viewer": self.trace_viewer,
             "supervisor": self.supervisor,
+            "observers": self.observers,
             "exit_status": self.exit_status,
             "outcome": self.outcome,
             "interrupt_reason": self.interrupt_reason,
@@ -446,6 +477,8 @@ class RunManifest:
                     # Supervision is scheduling, not results: how many
                     # retries a run needed depends on injected faults
                     # and machine weather, never on what it computed.
-                    "supervisor", "interrupt_reason"):
+                    # Likewise who watched: observers must not change
+                    # what they observe.
+                    "supervisor", "observers", "interrupt_reason"):
             doc.pop(key, None)
         return canonical_json(doc)

@@ -37,17 +37,15 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry.context import (
-    activate_plane as activate,
     current_plane,
     current_reporter,
-    deactivate_plane as deactivate,
     flow_completed,
     heartbeat,
     reporting,
+    scope,
 )
 
 __all__ = [
@@ -560,22 +558,22 @@ class ProgressPlane:
             self.export()
 
     def __enter__(self) -> "ProgressPlane":
-        activate(self)
+        self._scope = scope(plane=self)
+        self._scope.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        deactivate(self)
+        self._scope.__exit__(*exc)
         self.close()
 
 
 # ----------------------------------------------------------------------
 # Ambient plane (parent process) and reporter (worker side): the
-# registries live in repro.telemetry.context (see there for why)
+# ``plane`` / ``reporter`` slots of the run context
 # ----------------------------------------------------------------------
 
 
-@contextmanager
-def plane(**kwargs) -> Iterator[ProgressPlane]:
-    """Create and activate a :class:`ProgressPlane` for a block."""
-    with ProgressPlane(**kwargs) as p:
-        yield p
+def plane(**kwargs) -> ProgressPlane:
+    """Create a :class:`ProgressPlane`; as a context manager it is
+    ambient inside the block and closed on exit."""
+    return ProgressPlane(**kwargs)

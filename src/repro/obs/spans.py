@@ -291,7 +291,8 @@ class FlowSpanBuilder:
     """Online trace observer building per-flow FCT breakdowns.
 
     Attach :meth:`observe` to a :class:`~repro.sim.trace.TraceRecorder`
-    (``trace.add_observer(builder.observe)``) with lineage events on;
+    (``trace.subscribe(builder.observe, builder.kinds)``, which turns
+    lineage events on);
     completed flows surface through the ``on_complete`` callback and are
     then forgotten, so the builder's memory is bounded by the number of
     simultaneously live flows (plus retained spans when requested).

@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
+from repro.telemetry.context import ambient, scope
+
 if TYPE_CHECKING:
     from repro.parallel.journal import CellJournal
 
@@ -135,51 +137,34 @@ class SupervisorStats:
 
 
 # ----------------------------------------------------------------------
-# Ambient supervision policy
+# Ambient declarations (the ``policy`` / ``journal`` slots of the run
+# context): a CLI enables retries or resume without threading arguments
+# through every experiment module
 # ----------------------------------------------------------------------
-
-_active_policy: Optional[FanoutPolicy] = None
 
 
 def current_policy() -> Optional[FanoutPolicy]:
     """The ambient supervision policy, or None (legacy semantics)."""
-    return _active_policy
+    return ambient.policy
 
 
-@contextmanager
-def supervision(policy: Optional[FanoutPolicy]) -> Iterator[Optional[FanoutPolicy]]:
+def supervision(policy: Optional[FanoutPolicy]):
     """Apply ``policy`` to every ``fanout_map`` in the block."""
-    global _active_policy
-    previous = _active_policy
-    _active_policy = policy
-    try:
-        yield policy
-    finally:
-        _active_policy = previous
-
-
-# ----------------------------------------------------------------------
-# Ambient journal (so CLIs enable resume without threading a journal
-# argument through every experiment module)
-# ----------------------------------------------------------------------
-
-_active_journal: Optional[CellJournal] = None
+    return scope(policy=policy)
 
 
 def current_journal() -> Optional[CellJournal]:
     """The ambient cell journal, or None."""
-    return _active_journal
+    return ambient.journal
 
 
 @contextmanager
 def journaling(journal: Optional[CellJournal]) -> Iterator[Optional[CellJournal]]:
-    """Route every ``fanout_map`` in the block through ``journal``."""
-    global _active_journal
-    previous = _active_journal
-    _active_journal = journal
+    """Route every ``fanout_map`` in the block through ``journal``
+    (closed on exit)."""
     try:
-        yield journal
+        with scope(journal=journal):
+            yield journal
     finally:
-        _active_journal = previous
         if journal is not None:
             journal.close()

@@ -2,7 +2,7 @@
 
 Everything in this module crosses (or prepares to cross) the process
 boundary: the picklable :class:`WorkerEnv` that pool workers mirror,
-the pool initializer that re-activates parent observability sessions
+the pool initializer that re-enters the parent's observability sessions
 inside each worker, and the per-item task wrapper that reports shard
 heartbeats and consults the ambient process-fault injector.
 
@@ -13,12 +13,11 @@ this module owns what runs *inside* a worker.
 from __future__ import annotations
 
 import os
-import sys
-from contextlib import contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.telemetry.context import reporting
+from repro.telemetry.context import ambient, reporting, scope
 
 __all__ = ["WorkerEnv", "current_worker_env", "resolve_jobs", "worker_env"]
 
@@ -35,9 +34,9 @@ def resolve_jobs(jobs: int, n_items: int) -> int:
 
 @dataclass(frozen=True)
 class WorkerEnv:
-    """Picklable description of the observability sessions every pool
-    worker must re-create (parent context variables don't cross the
-    process boundary)."""
+    """Picklable description of the observability sessions a run enters
+    in its parent process and every pool worker re-creates (run-context
+    slots don't cross the process boundary)."""
 
     #: Telemetry export directory (per-worker files are shard-suffixed).
     telemetry_dir: Optional[str] = None
@@ -55,30 +54,51 @@ class WorkerEnv:
         return (self.telemetry_dir is None and self.chaos_spec is None
                 and self.procfault_spec is None)
 
+    def enter(self, stack: ExitStack, shard: Optional[int] = None):
+        """Enter the described sessions on ``stack`` — telemetry hub
+        (files shard-suffixed when ``shard`` is given), chaos profile,
+        process-fault plan — and declare this env for the fan-outs
+        below.  Returns ``(hub, profile)``, None for what is off.  The
+        parent's stack closes with the run; a worker's never does.
+        """
+        hub = profile = None
+        if self.telemetry_dir is not None:
+            from repro.telemetry.hub import session
 
-_active_env: Optional[WorkerEnv] = None
+            # The session API accepts the raw comma-separated kinds
+            # value (see telemetry.parse_kinds).
+            hub = stack.enter_context(session(
+                out_dir=self.telemetry_dir,
+                trace_format=self.telemetry_format,
+                kinds=self.telemetry_kinds, shard=shard))
+        if self.chaos_spec is not None:
+            from repro.chaos.profiles import session as chaos_session
+
+            profile = stack.enter_context(chaos_session(self.chaos_spec))
+        if self.procfault_spec is not None:
+            from repro.chaos import procfault
+
+            stack.enter_context(procfault.activated(
+                procfault.parse_procfault(self.procfault_spec)))
+        stack.enter_context(worker_env(self))
+        return hub, profile
 
 
 def current_worker_env() -> Optional[WorkerEnv]:
     """The ambient worker environment, or None."""
-    return _active_env
+    return ambient.worker_env
 
 
-@contextmanager
-def worker_env(env: Optional[WorkerEnv]) -> Iterator[Optional[WorkerEnv]]:
+def worker_env(env: Optional[WorkerEnv]):
     """Declare the environment pool workers must mirror for a block."""
-    global _active_env
-    previous = _active_env
-    _active_env = env
-    try:
-        yield env
-    finally:
-        _active_env = previous
+    return scope(worker_env=env)
 
 
-# Worker-process globals, set once per worker by _worker_init.
+# Worker-process globals, set once per worker by _worker_init.  The
+# stack holds the worker's sessions: entered once, never left.
 _worker_queue = None
 _worker_hub = None
+_worker_sessions = ExitStack()
 
 
 def _worker_init(env: Optional[WorkerEnv], counter, queue) -> None:
@@ -90,41 +110,19 @@ def _worker_init(env: Optional[WorkerEnv], counter, queue) -> None:
     with counter.get_lock():
         shard = counter.value
         counter.value += 1
-    if env.telemetry_dir is not None:
+    _worker_hub, _ = env.enter(_worker_sessions, shard=shard)
+    if _worker_hub is not None:
         from multiprocessing.util import Finalize
 
-        from repro import telemetry
-
-        hub = telemetry.Telemetry(
-            out_dir=env.telemetry_dir, trace_format=env.telemetry_format,
-            kinds=env.telemetry_kinds, shard=shard)
-        telemetry.activate(hub)
-        _worker_hub = hub
         # Pool workers exit via multiprocessing's bootstrap (atexit
         # handlers never run there); Finalize hooks do, so the sink is
         # flushed and metrics-shard<N>.json written on clean shutdown.
-        Finalize(hub, hub.close, exitpriority=10)
-    if env.chaos_spec is not None:
-        from repro.chaos import context as _chaos_context
-        from repro.chaos.profiles import parse_profile
-
-        _chaos_context.activate(parse_profile(env.chaos_spec))
-    if env.procfault_spec is not None:
-        from repro.chaos import procfault as _procfault
-
-        _procfault.activate(_procfault.parse_procfault(env.procfault_spec))
+        Finalize(_worker_hub, _worker_hub.close, exitpriority=10)
 
 
 def _inject_procfault(shard: int, attempt: int) -> None:
-    """Fire the ambient process-fault plan for ``(shard, attempt)``.
-
-    Zero-cost when :mod:`repro.chaos.procfault` was never imported —
-    the common case is one dict lookup, no module import.
-    """
-    mod = sys.modules.get("repro.chaos.procfault")
-    if mod is None:
-        return
-    plan = mod.current_plan()
+    """Fire the ambient process-fault plan for ``(shard, attempt)``."""
+    plan = ambient.procfault
     if plan is not None:
         plan.inject(shard, attempt)
 

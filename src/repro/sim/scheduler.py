@@ -42,10 +42,10 @@ see the churn.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.event import Event
+from repro.telemetry.context import ambient, scope
 from repro.telemetry.metrics import NULL_METRIC
 
 __all__ = ["EventScheduler", "PermutedEventScheduler",
@@ -73,27 +73,19 @@ _Entry = Tuple[float, int, float, int, Event]
 # Ambient tie-break permutation (schedule-perturbation harness)
 # ----------------------------------------------------------------------
 
-#: Ambient salt consumed by ``Simulator`` at construction; None means
-#: the canonical FIFO tie-break.
-_TIEBREAK_SALT: Optional[int] = None
+# The salt is the ``tiebreak_salt`` slot of the run context; ``Simulator``
+# reads it at construction, None means the canonical FIFO tie-break.
 
 
 def current_tiebreak_salt() -> Optional[int]:
     """The ambient tie-break permutation salt (None = FIFO order)."""
-    return _TIEBREAK_SALT
+    return ambient.tiebreak_salt
 
 
-@contextmanager
-def tiebreak_permutation(salt: int) -> Iterator[int]:
+def tiebreak_permutation(salt: int):
     """Make simulators built inside the context permute same-timestamp
     tie-breaks with ``salt`` (see :class:`PermutedEventScheduler`)."""
-    global _TIEBREAK_SALT
-    previous = _TIEBREAK_SALT
-    _TIEBREAK_SALT = int(salt)
-    try:
-        yield int(salt)
-    finally:
-        _TIEBREAK_SALT = previous
+    return scope(tiebreak_salt=int(salt))
 
 
 _MASK64 = (1 << 64) - 1

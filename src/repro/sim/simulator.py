@@ -163,8 +163,7 @@ class Simulator:
         # callback is currently running (the scheduling parent stamped
         # onto children).  The entity registry pins owners alive so
         # ``id()`` reuse cannot misattribute events.
-        self._prov = self._trace.enabled and getattr(
-            self._trace, "provenance", False)
+        self._prov = self._trace.enabled and self._trace.provenance
         self._exec_seq: Optional[int] = None
         #: Logical push time of the event whose callback is currently
         #: running (see :mod:`repro.sim.event`).  The batched link
@@ -228,11 +227,10 @@ class Simulator:
         """Re-cache the provenance-on flag from the active recorder.
 
         Called when the recorder is replaced and on every :meth:`run`
-        entry, so sessions that flip ``trace.provenance`` in place (the
-        audit/hb sessions do) take effect at the next run.
+        entry, so a subscription that turns ``trace.provenance`` on (the
+        audit/hb sessions') takes effect at the next run.
         """
-        self._prov = self._trace.enabled and getattr(
-            self._trace, "provenance", False)
+        self._prov = self._trace.enabled and self._trace.provenance
         return self._prov
 
     def watch_trace(self, rebind: Callable[[TraceRecorder], None]) -> None:

@@ -16,15 +16,18 @@ Two additions keep large workloads honest:
   on-disk trace stays complete even when the ring wraps.  Pass
   ``keep_records=False`` to stream only.
 
-Two extension points serve the audit subsystem (:mod:`repro.audit`):
+Two extension points serve the observation planes (:mod:`repro.audit`,
+:mod:`repro.obs`, :mod:`repro.hb`):
 
-* ``lineage`` opts into per-packet hop events (``pkt.*``); emission
-  sites in the network/transport layers guard on this flag so the
-  default tracing cost is unchanged when auditing is off;
-* observers registered via :meth:`TraceRecorder.add_observer` see every
+* observers attached via :meth:`TraceRecorder.subscribe` see every
   record *before* kind filtering, so a runtime invariant auditor can
   watch the full event stream while the in-memory/sink view stays
-  filtered to what the user asked for.
+  filtered to what the user asked for;
+* ``lineage`` (per-packet ``pkt.*`` hop events) and ``provenance``
+  (``sched.exec`` scheduler stamps) are emitted only when the
+  recorder's owner asked for them or a live subscription consumes
+  them; emission sites guard on the two plain attributes, so the
+  default tracing cost is unchanged when nobody is watching.
 
 The documented event-kind/detail-key contract lives in
 :mod:`repro.telemetry.schema`.
@@ -33,7 +36,9 @@ The documented event-kind/detail-key contract lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+
+from repro.telemetry.schema import EV_SCHED_EXEC, LINEAGE_EVENT_KINDS
 
 __all__ = ["TraceRecord", "TraceRecorder"]
 
@@ -110,6 +115,12 @@ class TraceRecorder:
         executed event (the happens-before provenance plane consumed by
         :mod:`repro.hb`).  Off by default — the simulator hot loop pays
         nothing when this is False.
+
+    ``lineage`` and ``provenance`` are plain attributes: the owner's
+    wish (constructor argument or assignment) while nothing is
+    subscribed, that wish *or* what a subscription consumes while one
+    is — recomputed by :meth:`subscribe` / :meth:`unsubscribe`, and back
+    to the owner's wish when the last subscriber leaves.
     """
 
     def __init__(self, enabled: bool = True, kinds: Optional[List[str]] = None,
@@ -126,7 +137,10 @@ class TraceRecorder:
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         self.sink = sink
         self._keep = keep_records
-        self._observers: List[Any] = []
+        # observer -> the kinds it declared; the owner's own
+        # (lineage, provenance) wish is parked while any are live.
+        self._subscriptions: Dict[Callable, Any] = {}
+        self._asked = (lineage, provenance)
         #: Records evicted from the ring buffer (ring mode only).
         self.dropped_records = 0
 
@@ -135,27 +149,44 @@ class TraceRecorder:
         """The ring-buffer bound, or None when unbounded."""
         return self._max_records
 
-    def add_observer(self, observer) -> None:
+    def subscribe(self, observer: Callable[[TraceRecord], None],
+                  kinds) -> None:
         """Attach a callable receiving every :class:`TraceRecord`.
 
         Observers run before the kind filter so stream consumers (the
         audit subsystem) see events the user's filter would discard.
+        ``kinds`` declares the exact kinds the observer consumes (None =
+        every record): consuming a ``pkt.*`` lineage kind turns
+        :attr:`lineage` on, consuming ``sched.exec`` :attr:`provenance`.
+        It is a declaration, not a filter — the observer still sees
+        every record and routes for itself.
         """
-        self._observers.append(observer)
+        if not self._subscriptions:
+            self._asked = (self.lineage, self.provenance)
+        self._subscriptions[observer] = kinds
+        self._derive_flags()
 
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached observer (no-op if absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
+    def unsubscribe(self, observer) -> None:
+        """Detach a subscribed observer (no-op if absent)."""
+        if observer in self._subscriptions:
+            del self._subscriptions[observer]
+            self._derive_flags()
+
+    def _derive_flags(self) -> None:
+        lineage, provenance = self._asked
+        for kinds in self._subscriptions.values():
+            lineage = (lineage or kinds is None
+                       or not LINEAGE_EVENT_KINDS.isdisjoint(kinds))
+            provenance = provenance or kinds is None or EV_SCHED_EXEC in kinds
+        self.lineage = lineage
+        self.provenance = provenance
 
     def record(self, time: float, kind: str, source: str, **detail: Any) -> None:
         """Record one event (no-op when disabled or filtered out)."""
         if not self.enabled:
             return
         rec = TraceRecord(time, kind, source, detail)
-        for observer in self._observers:
+        for observer in self._subscriptions:
             observer(rec)
         if self._kinds is not None and not kind.startswith(self._kinds):
             return

@@ -27,7 +27,7 @@ behind one :class:`Telemetry` session object.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "context": ("activate", "activated", "current_hub", "deactivate"),
+    "context": ("activated", "current_hub"),
     "export": ("CsvTraceSink", "JsonlTraceSink", "TraceSink"),
     "hub": ("Telemetry", "parse_kinds", "session"),
     "metrics": (

@@ -1,81 +1,177 @@
-"""The ambient telemetry session.
+"""The ambient run context: every "what is active right now?" in one object.
 
 Experiments build many :class:`~repro.sim.simulator.Simulator` instances
-deep inside their `run()` functions; threading a telemetry object
-through every one of those signatures would couple all 17 experiment
-modules to observability.  Instead the CLI (or a test) *activates* one
-:class:`~repro.telemetry.hub.Telemetry` hub here, and every Simulator
-constructed while it is active picks up the hub's trace recorder,
-metrics registry, and profiler automatically.
+deep inside their `run()` functions; threading a telemetry hub, a chaos
+profile, a supervision policy ... through every one of those signatures
+would couple all 17 experiment modules to every plane.  Instead a CLI
+(or a test) sets a slot of :data:`ambient` for a ``with`` block through
+:func:`scope`, and the code that needs the value reads the slot.  The
+owning modules (``chaos.context``, ``chaos.procfault``,
+``parallel.policy``, ``parallel.pool``, ``sim.scheduler``,
+``obs.progress``, ``obs.critical``) expose their slot under the names
+they always had — ``current_profile()``, ``supervision(policy)`` ... —
+as one-line reads of, or ``scope(...)`` over, this object; DESIGN.md
+("Ambient state") has the slot table.
 
-The two other ambient registries the plain run path consults live here
-too — the breakdown-session stack (:mod:`repro.obs.critical`) and the
-progress plane / shard reporter (:mod:`repro.obs.progress`) — so that
-asking "is one active?" never imports the plane that would answer.  The
-owning modules re-export these names; sessions, planes and reporters
-are held duck-typed.
+:func:`attached` is the one way an observer reaches a run's trace
+stream; the audit, breakdown and provenance sessions are payload plus a
+call to it.
 
-This module is import-light on purpose (no repro imports) — the
-simulator imports it, and the telemetry package imports the simulator's
-trace module, so this file is the cycle-breaker.
+This module is import-light on purpose (no repro imports; every slot is
+held duck-typed) — the simulator imports it, and the telemetry package
+imports the simulator's trace module, so this file is the cycle-breaker.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterator, Optional
 
-__all__ = ["current_hub", "activate", "deactivate", "activated",
-           "active_session", "take_breakdown", "current_plane",
-           "activate_plane", "deactivate_plane", "current_reporter",
-           "reporting", "heartbeat", "flow_completed"]
+__all__ = ["RunContext", "ambient", "scope", "enter", "attached", "describe",
+           "current_hub", "activated", "active_session", "take_breakdown",
+           "current_plane", "current_reporter", "reporting", "heartbeat",
+           "flow_completed"]
 
-_active = None
+
+class RunContext:
+    """The ambient slots of a run (None / empty = off)."""
+
+    __slots__ = ("hub", "attached", "breakdown", "plane", "reporter",
+                 "chaos", "procfault", "worker_env", "policy", "journal",
+                 "tiebreak_salt")
+
+    def __init__(self) -> None:
+        #: Telemetry hub (``trace`` / ``metrics`` / ``profiler``) every
+        #: Simulator built now picks up.
+        self.hub = None
+        #: Names of the sessions :func:`attached` to the hub's recorder.
+        self.attached: tuple = ()
+        #: Innermost ``BreakdownSession``: it owns flows completing now.
+        self.breakdown = None
+        #: Progress plane (parent process) / shard reporter (worker side).
+        self.plane = None
+        self.reporter = None
+        #: Chaos profile applied to every access network built now.
+        self.chaos = None
+        #: Process-fault plan consulted by the fan-out's task wrapper.
+        self.procfault = None
+        #: ``WorkerEnv`` pool workers must mirror.
+        self.worker_env = None
+        #: Supervision policy and cell journal of every ``fanout_map``.
+        self.policy = None
+        self.journal = None
+        #: Tie-break permutation salt of Simulators built now.
+        self.tiebreak_salt = None
+
+
+#: The process's one run context.
+ambient = RunContext()
+
+
+def enter(**slots: Any) -> Dict[str, Any]:
+    """Set ``slots`` and return their previous values.
+
+    Unscoped: nothing restores.  :func:`scope` is this plus the restore;
+    the only caller that never leaves is a pool worker mirroring its
+    parent's sessions for its whole life.
+    """
+    previous = {name: getattr(ambient, name) for name in slots}
+    for name, value in slots.items():
+        setattr(ambient, name, value)
+    return previous
+
+
+@contextmanager
+def scope(**slots: Any) -> Iterator[Any]:
+    """Set ``slots`` for a ``with`` block and put back what was there.
+
+    Yields the value set when exactly one slot is given (what each
+    owning module's manager always yielded), else None.
+    """
+    previous = enter(**slots)
+    try:
+        yield next(iter(slots.values())) if len(slots) == 1 else None
+    finally:
+        enter(**previous)
+
+
+# ----------------------------------------------------------------------
+# Telemetry hub and the trace stream
+# ----------------------------------------------------------------------
 
 
 def current_hub():
     """The active telemetry hub, or None when telemetry is off."""
-    return _active
+    return ambient.hub
 
 
-def activate(hub) -> None:
-    """Make ``hub`` the ambient telemetry session."""
-    global _active
-    _active = hub
-
-
-def deactivate(hub=None) -> None:
-    """Clear the ambient session (only if ``hub`` still owns it)."""
-    global _active
-    if hub is None or _active is hub:
-        _active = None
+def activated(hub):
+    """Activate ``hub`` for the duration of a ``with`` block."""
+    return scope(hub=hub)
 
 
 @contextmanager
-def activated(hub) -> Iterator[Optional[object]]:
-    """Activate ``hub`` for the duration of a ``with`` block."""
-    global _active
-    previous = _active
-    _active = hub
+def attached(name: str, observer: Callable, kinds,
+             fresh_trace: Callable[[], Any]) -> Iterator[Any]:
+    """Subscribe ``observer`` to the run's trace stream for a block.
+
+    With an *enabled* recorder ambient (``--telemetry``, or an outer
+    session's) the observer joins it and the hub stays; otherwise
+    ``fresh_trace()`` makes one, carried by a stand-in hub, and its ring
+    is cleared on exit (the run's topology, a link <-> node cycle, would
+    keep it reachable until a full collection).  ``kinds`` is what the
+    observer consumes (see ``TraceRecorder.subscribe``).  Yields the
+    recorder.
+    """
+    hub = ambient.hub
+    trace = hub.trace if hub is not None else None
+    own = trace is None or not trace.enabled
+    if own:
+        # A stand-in hub: our recorder, and whatever metrics/profiler
+        # the hub it displaces was handing out.
+        trace = fresh_trace()
+        hub = SimpleNamespace(trace=trace,
+                              metrics=getattr(hub, "metrics", None),
+                              profiler=getattr(hub, "profiler", None))
+    trace.subscribe(observer, kinds)
     try:
-        yield hub
+        with scope(hub=hub, attached=ambient.attached + (name,)):
+            yield trace
     finally:
-        _active = previous
+        trace.unsubscribe(observer)
+        if own:
+            trace.clear()
+
+
+def describe() -> Dict[str, Any]:
+    """What is observing and steering the run right now (the manifest's
+    ``observers`` section; an absent key means off)."""
+    doc: Dict[str, Any] = {name: True for name in ambient.attached}
+    env = ambient.worker_env
+    if env is not None and env.telemetry_dir is not None:
+        doc["telemetry"] = {"dir": env.telemetry_dir,
+                            "format": env.telemetry_format,
+                            "kinds": env.telemetry_kinds}
+    if ambient.chaos is not None:
+        doc["chaos"] = ambient.chaos.spec
+    if ambient.procfault is not None:
+        doc["procfault"] = ambient.procfault.spec
+    if ambient.plane is not None:
+        doc["progress"] = ambient.plane.out_dir or True
+    if ambient.tiebreak_salt is not None:
+        doc["tiebreak_salt"] = ambient.tiebreak_salt
+    return doc
 
 
 # ----------------------------------------------------------------------
-# Breakdown sessions (entered and left by repro.obs.critical)
+# Breakdown session (entered and left by repro.obs.critical)
 # ----------------------------------------------------------------------
-
-#: Innermost-last stack of active sessions (worker-local cell sessions
-#: nest inside a CLI-level run session; the innermost one owns flows
-#: completing while it is active).
-_sessions: list = []
 
 
 def active_session():
     """The innermost active ``BreakdownSession`` (None when off)."""
-    return _sessions[-1] if _sessions else None
+    return ambient.breakdown
 
 
 def take_breakdown(flow_id: int):
@@ -83,55 +179,33 @@ def take_breakdown(flow_id: int):
 
     The runner calls this right after emitting ``flow.complete`` — the
     span builder is an observer on the same recorder, so by then the
-    breakdown is final.  One falsy check when no session is active: the
-    ``--breakdown``-off hot path stays a list truthiness test.
+    breakdown is final.  One ``is None`` check when no session is
+    active: the ``--breakdown``-off hot path stays that cheap.
     """
-    if not _sessions:
+    session = ambient.breakdown
+    if session is None:
         return None
-    return _sessions[-1].pending.pop(flow_id, None)
+    return session.pending.pop(flow_id, None)
 
 
 # ----------------------------------------------------------------------
 # Progress plane (parent process) and shard reporter (worker side)
 # ----------------------------------------------------------------------
 
-_active_plane = None
-_active_reporter = None
-
 
 def current_plane():
     """The ambient progress plane, or None."""
-    return _active_plane
-
-
-def activate_plane(plane_obj) -> None:
-    """Make ``plane_obj`` the ambient progress plane."""
-    global _active_plane
-    _active_plane = plane_obj
-
-
-def deactivate_plane(plane_obj=None) -> None:
-    """Clear the ambient plane (only if ``plane_obj`` still owns it)."""
-    global _active_plane
-    if plane_obj is None or _active_plane is plane_obj:
-        _active_plane = None
+    return ambient.plane
 
 
 def current_reporter():
     """The shard reporter of the currently-executing shard, or None."""
-    return _active_reporter
+    return ambient.reporter
 
 
-@contextmanager
-def reporting(reporter) -> Iterator[None]:
+def reporting(reporter):
     """Make ``reporter`` ambient while one shard executes."""
-    global _active_reporter
-    previous = _active_reporter
-    _active_reporter = reporter
-    try:
-        yield
-    finally:
-        _active_reporter = previous
+    return scope(reporter=reporter)
 
 
 def heartbeat(flows_done: Optional[int] = None,
@@ -141,7 +215,7 @@ def heartbeat(flows_done: Optional[int] = None,
     No-op (one attribute check) when no progress plane is active, so
     runners can call it unconditionally.
     """
-    reporter = _active_reporter
+    reporter = ambient.reporter
     if reporter is not None:
         reporter.update(flows_done=flows_done, events=events)
 
@@ -149,6 +223,6 @@ def heartbeat(flows_done: Optional[int] = None,
 def flow_completed(events: Optional[int] = None) -> None:
     """Count one finished flow on the ambient shard reporter (no-op
     without one); the hook experiment runners call per completion."""
-    reporter = _active_reporter
+    reporter = ambient.reporter
     if reporter is not None:
         reporter.flow_completed(events=events)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import context as _context
@@ -27,11 +26,17 @@ from repro.telemetry.profiling import SimProfiler
 from repro.telemetry.timeline import FlowTimeline, build_timelines, \
     render_timelines
 
-__all__ = ["Telemetry", "parse_kinds", "session"]
+__all__ = ["Telemetry", "parse_kinds", "ring_recorder", "session"]
 
 #: Default in-memory record bound when a hub keeps records for
 #: timelines; the streaming sink still sees every record.
 DEFAULT_MAX_RECORDS = 200_000
+
+
+def ring_recorder() -> TraceRecorder:
+    """The recorder a bare observer session brings: enabled, unfiltered,
+    ring-bounded like a hub's."""
+    return TraceRecorder(max_records=DEFAULT_MAX_RECORDS)
 
 
 def parse_kinds(kinds: Union[str, Sequence[str], None]) -> Optional[List[str]]:
@@ -213,17 +218,18 @@ class Telemetry:
                     fh.write("\n")
 
     def __enter__(self) -> "Telemetry":
-        _context.activate(self)
+        self._scope = _context.activated(self)
+        self._scope.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        _context.deactivate(self)
+        self._scope.__exit__(*exc)
         self.close()
 
 
-@contextmanager
-def session(**kwargs) -> Iterator[Telemetry]:
-    """Create a :class:`Telemetry` hub, activate it, and close on exit.
+def session(**kwargs) -> Telemetry:
+    """Create a :class:`Telemetry` hub; as a context manager it is
+    active inside the block and closed on exit.
 
     ::
 
@@ -231,9 +237,4 @@ def session(**kwargs) -> Iterator[Telemetry]:
             result = fig06_planetlab_fct.run(...)
         print(hub.summary())
     """
-    hub = Telemetry(**kwargs)
-    with _context.activated(hub):
-        try:
-            yield hub
-        finally:
-            hub.close()
+    return Telemetry(**kwargs)

@@ -29,7 +29,7 @@ class TestSessionWiring:
     def test_ambient_hub_installed_and_restored(self):
         assert current_hub() is None
         with AuditSession() as session:
-            assert current_hub() is session
+            assert current_hub().trace is session.trace
             assert session.trace.lineage
         assert current_hub() is None
 
@@ -129,7 +129,7 @@ class TestDeterministicRelease:
                 with factory() as session:
                     self.one_flow()
                     inside = len(hub.trace)
-                assert session.trace is None
+                assert session.trace is hub.trace
                 assert len(hub.trace.records()) == inside > 1000
 
 

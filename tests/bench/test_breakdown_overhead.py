@@ -3,7 +3,7 @@
 Two promises the critical-path breakdown makes:
 
 * **Off is free** — the only hot-path addition for non-``--breakdown``
-  runs is one falsy ``_sessions`` check per completed flow in the
+  runs is one ``ambient.breakdown`` check per completed flow in the
   experiment runner, so a run *without* the flag must stay within 2% of
   the committed ``BENCH_2.json`` baseline throughput.  Wall-clock gates
   are machine-fingerprinted and skipped in CI.

@@ -102,7 +102,7 @@ class TestBreakdownAggregator:
 
 class TestBreakdownSession:
     def feed(self, session, flow=1, protocol="tcp", fct=0.5):
-        trace = session._host_trace
+        trace = session.trace
         trace.record(0.0, EV_FLOW_START, "test", flow=flow,
                      protocol=protocol, size=100)
         trace.record(fct, EV_FLOW_COMPLETE, "test", flow=flow, fct=fct)
@@ -143,7 +143,7 @@ class TestBreakdownSession:
 
     def test_observer_is_detached_on_exit(self):
         with BreakdownSession() as session:
-            trace = session._host_trace
+            trace = session.trace
         trace.record(1.0, EV_FLOW_START, "test", flow=9, protocol="tcp",
                      size=1)
         trace.record(2.0, EV_FLOW_COMPLETE, "test", flow=9, fct=1.0)

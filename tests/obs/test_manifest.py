@@ -189,6 +189,29 @@ class TestRunManifest:
         doc["supervisor"] = {"shards": 1}  # missing counters
         assert validate_manifest(doc) != []
 
+    def test_observers_section_follows_the_run_context(self):
+        from repro.chaos.profiles import session as chaos_session
+        from repro.obs.critical import BreakdownSession
+        from repro.sim.scheduler import tiebreak_permutation
+        from repro.telemetry.context import describe
+
+        off = RunManifest("x", argv=["repro", "x"])
+        off.record_observers(describe())
+        assert off.to_dict()["observers"] is None
+
+        on = RunManifest("x", argv=["repro", "x"])
+        with chaos_session("wifi-bursty:3"), BreakdownSession(), \
+                tiebreak_permutation(9):
+            on.record_observers(describe())
+        doc = on.to_dict()
+        assert doc["observers"] == {"chaos": "wifi-bursty:3",
+                                    "breakdown": True, "tiebreak_salt": 9}
+        assert validate_manifest(doc) == []
+        # Who watched is not what was computed.
+        assert on.fingerprintable() == off.fingerprintable()
+        doc["observers"]["tiebreak_salt"] = "nine"
+        assert validate_manifest(doc) != []
+
     def test_write_is_atomic_no_temp_residue(self, tmp_path):
         manifest = RunManifest("x")
         path = tmp_path / "run_manifest.json"

@@ -130,3 +130,31 @@ class TestSink:
         assert len(trace) == 0
         assert trace.dropped_records == 0
         assert len(sink.seen) == 1
+
+
+class TestSubscriptions:
+    def test_observers_see_records_the_kind_filter_discards(self):
+        trace = TraceRecorder(kinds=["flow."])
+        seen = []
+        trace.subscribe(seen.append, frozenset({"pkt.tx"}))
+        trace.record(1.0, "pkt.tx", "l")
+        assert [r.kind for r in seen] == ["pkt.tx"] and len(trace) == 0
+
+    @pytest.mark.parametrize("kinds,flags", [
+        (None, (True, True)),
+        (frozenset({"pkt.tx", "flow.start"}), (True, False)),
+        (frozenset({"sched.exec"}), (False, True)),
+        (frozenset({"flow.start"}), (False, False)),
+    ])
+    def test_flags_follow_what_subscriptions_consume(self, kinds, flags):
+        trace = TraceRecorder()
+        trace.subscribe(print, kinds)
+        assert (trace.lineage, trace.provenance) == flags
+        trace.unsubscribe(print)
+        assert (trace.lineage, trace.provenance) == (False, False)
+
+    def test_unsubscribing_a_stranger_leaves_the_owners_wish(self):
+        trace = TraceRecorder()
+        trace.lineage = True
+        trace.unsubscribe(print)
+        assert trace.lineage

@@ -5,9 +5,16 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.audit import AuditSession
+from repro.experiments import fig03_example
+from repro.hb.session import ProvenanceSession
+from repro.obs.critical import BreakdownSession
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.telemetry import Telemetry
-from repro.telemetry.context import activated, current_hub
+from repro.telemetry.context import activated, current_hub, scope
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.profiling import SimProfiler
 
 
 class TestContext:
@@ -26,6 +33,90 @@ class TestContext:
             with activated(inner):
                 assert current_hub() is inner
             assert current_hub() is outer
+
+
+class HostHub:
+    """A hand-rolled hub, as the benchmark ledger (``trace=None``) and
+    the bench observatory (a disabled recorder) install."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.metrics = MetricsRegistry()
+        self.profiler = SimProfiler()
+
+
+SESSIONS = [AuditSession, BreakdownSession, ProvenanceSession]
+
+
+@pytest.mark.parametrize("session_factory", SESSIONS)
+class TestSessionsUnderAHostHub:
+    def test_traceless_host_is_restored_and_keeps_instrumenting(
+            self, session_factory):
+        host = HostHub(trace=None)
+        with activated(host):
+            with session_factory():
+                sim = Simulator()
+                assert sim.trace.enabled
+                assert sim.profiler is host.profiler
+                assert sim.metrics is host.metrics
+            assert current_hub() is host
+        assert current_hub() is None
+
+    def test_disabled_host_recorder_is_not_attached_to(self, session_factory):
+        host = HostHub(trace=TraceRecorder(enabled=False))
+        with activated(host):
+            with session_factory() as session:
+                assert Simulator().trace.enabled
+                fig03_example.run()
+                if session_factory is AuditSession:
+                    assert session.auditor.events_audited > 0
+                elif session_factory is BreakdownSession:
+                    (breakdown,) = session.pending.values()
+                    assert breakdown.conserved
+                else:
+                    assert session.records()
+            assert current_hub() is host
+        assert len(host.trace) == 0 and not host.trace.lineage
+
+    @pytest.mark.parametrize("asked", [(False, False), (True, False),
+                                       (False, True)])
+    def test_host_flags_are_what_they_were(self, session_factory, asked):
+        with Telemetry(profile=False) as hub:
+            hub.trace.lineage, hub.trace.provenance = asked
+            with session_factory():
+                assert hub.trace.lineage
+            assert (hub.trace.lineage, hub.trace.provenance) == asked
+
+    @pytest.mark.parametrize("other_factory", SESSIONS)
+    @pytest.mark.parametrize("first_out", ["inner", "outer"])
+    def test_overlapping_sessions_restore_in_either_order(
+            self, session_factory, other_factory, first_out):
+        # Out-of-order exits are about the recorder's flags; the slots
+        # themselves restore LIFO, so park them around the experiment.
+        with scope(hub=None, attached=(), breakdown=None), \
+                Telemetry(profile=False) as hub:
+            hub.trace.lineage = True
+            outer, inner = session_factory(), other_factory()
+            outer.__enter__()
+            inner.__enter__()
+            first, second = ((inner, outer) if first_out == "inner"
+                             else (outer, inner))
+            first.__exit__(None, None, None)
+            # The one still attached keeps what it consumes switched on.
+            assert hub.trace.lineage
+            assert hub.trace.provenance == (
+                type(second) is not BreakdownSession)
+            second.__exit__(None, None, None)
+            assert (hub.trace.lineage, hub.trace.provenance) == (True, False)
+
+
+class TestNestedTelemetry:
+    def test_inner_hub_restores_the_outer(self):
+        with Telemetry(profile=False) as outer:
+            with Telemetry(profile=False) as inner:
+                assert current_hub() is inner
+            assert current_hub() is outer
+        assert current_hub() is None
 
 
 class TestSimulatorPickup:
