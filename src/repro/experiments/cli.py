@@ -181,9 +181,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment",
                         help="experiment id (e.g. fig12), 'list' / 'all', "
-                             "'bench' (performance observatory), 'audit' "
-                             "(offline trace auditing), 'chaos' (impairment "
-                             "profiles and survival sweeps), 'explain' "
+                             "'audit' (offline trace auditing), 'chaos' "
+                             "(impairment profiles and survival sweeps), "
+                             "'explain' "
                              "(per-flow FCT attribution from a trace) or "
                              "'manifest' (run-manifest validation) or 'hb' "
                              "(happens-before analysis over scheduler "
@@ -279,11 +279,6 @@ def main(argv=None) -> int:
                              "recorded there; an interrupted run resumes "
                              "with an identical final report")
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if raw_argv and raw_argv[0] == "bench":
-        # The observatory has its own flag set; hand the rest through.
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(raw_argv[1:])
     if raw_argv and raw_argv[0] == "audit":
         # Offline trace replay through the invariant auditor.
         from repro.audit.cli import main as audit_main

@@ -7,6 +7,9 @@ callback mutates, the event's logical sequence number, and its
 package turns that stream, together with the v2 ``pkt.*`` lineage
 events, into a first-class causal observability plane:
 
+* :mod:`repro.hb.ties` — the causal edge rules and the per-tie-group
+  race rule, the one reading the graph, the audit checker and the
+  ``races`` CLI share;
 * :mod:`repro.hb.graph` — the :class:`~repro.hb.graph.HBGraph` builder:
   the happens-before DAG (program-order, scheduling, timer, message,
   and ACK edges) with stats, race enumeration, and DOT / Perfetto
@@ -18,9 +21,10 @@ events, into a first-class causal observability plane:
   scenario under a salted tie-break permutation
   (:func:`repro.sim.scheduler.tiebreak_permutation`) and assert the
   report fingerprint is bit-identical;
-* :mod:`repro.hb.session` — :class:`~repro.hb.session.ProvenanceSession`,
-  the context manager that switches provenance (and lineage) recording
-  on for a scoped run;
+* :mod:`repro.hb.session` — :func:`~repro.hb.session.provenance_stream`
+  and :class:`~repro.hb.session.ProvenanceSession`, which switch
+  provenance (and lineage) recording on for a scoped run and stream /
+  collect its records;
 * :mod:`repro.hb.cli` — ``python -m repro hb {stats|races|export|perturb}``.
 
 Every fingerprint guarantee the repo makes — serial vs ``--jobs N``
@@ -36,7 +40,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "detect": ("SchedulerNondeterminismChecker",),
     "graph": ("HBGraph", "build_graph"),
     "perturb": ("PerturbationResult", "perturb"),
-    "session": ("ProvenanceSession",),
+    "session": ("ProvenanceSession", "provenance_stream"),
 })
 
 # ``perturb`` names both this export and the submodule providing it;

@@ -1,9 +1,11 @@
 """``python -m repro hb`` — the happens-before observatory CLI.
 
-Four subcommands over one graph source (``--run NAME`` for an
-in-process quick run of a named experiment under a
-:class:`~repro.hb.session.ProvenanceSession`, or ``--trace FILE`` for a
-recorded JSONL trace that was captured with provenance on):
+Four subcommands over one record source (``--run NAME`` for an
+in-process quick run of a named experiment with provenance recording
+on, or ``--trace FILE`` for a recorded JSONL trace that was captured
+with provenance on).  Either way the records are folded as they arrive
+and none is kept: ``stats`` / ``export`` hold the graph, ``races`` one
+tie group at a time.
 
 * ``stats``   — node/edge/entity counts and tie-group exposure;
 * ``races``   — enumerate same-timestamp same-entity pairs with no
@@ -24,17 +26,62 @@ from typing import List, Optional
 __all__ = ["hb_main"]
 
 
-def _graph_from_args(args) -> "object":
-    from repro.hb.graph import build_graph
+def _stream(args, observe) -> None:
+    """Push every record of the chosen source through ``observe``."""
     if args.trace is not None:
         from repro.audit.replay import iter_trace
-        return build_graph(iter_trace(args.trace))
-    from repro.hb.perturb import DEFAULT_SCALE, run_scenario
-    from repro.hb.session import ProvenanceSession
-    with ProvenanceSession() as session:
-        run_scenario(args.run, scale=getattr(args, "scale", DEFAULT_SCALE),
-                     seed=args.seed)
-        return build_graph(session.records())
+        for record in iter_trace(args.trace):
+            observe(record)
+        return
+    from repro.hb.perturb import run_scenario
+    from repro.hb.session import provenance_stream
+    with provenance_stream(observe):
+        run_scenario(args.run, scale=args.scale, seed=args.seed)
+
+
+def _races(args) -> int:
+    """The ``races`` subcommand: one tie group in memory at a time."""
+    from repro.hb.ties import TieGroupScanner
+    from repro.telemetry.schema import EV_SCHED_EXEC
+    scanner = TieGroupScanner()
+    found = []
+    entities = set()
+    groups = events = 0
+
+    def judge(group) -> None:
+        nonlocal groups
+        if group is not None:
+            groups += 1
+            found.extend(group.races())
+
+    def observe(record) -> None:
+        nonlocal events
+        if record.kind == EV_SCHED_EXEC:
+            events += 1
+            entities.add(record.source)
+        judge(scanner.observe(record))
+
+    _stream(args, observe)
+    judge(scanner.close())
+    if not events:
+        return _no_provenance()
+    print(f"checked {groups} tie group(s) across "
+          f"{events} events on {len(entities)} entities")
+    if not found:
+        print("no races: every same-timestamp same-entity pair is "
+              "happens-before ordered")
+        return 0
+    print(f"{len(found)} race(s):")
+    for race in found:
+        print(f"  t={race['time']:.9f} entity={race['entity']}: "
+              f"{race['first']} vs {race['second']}")
+    return 1
+
+
+def _no_provenance() -> int:
+    print("error: no sched.exec events — was the trace recorded "
+          "with provenance on?", file=sys.stderr)
+    return 2
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +161,11 @@ def hb_main(argv: Optional[List[str]] = None) -> int:
         return 0 if result.identical else 1
 
     try:
-        graph = _graph_from_args(args)
+        if args.command == "races":
+            return _races(args)
+        from repro.hb.graph import HBGraph
+        graph = HBGraph()
+        _stream(args, graph.observe)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -122,9 +173,7 @@ def hb_main(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
     if len(graph) == 0:
-        print("error: no sched.exec events — was the trace recorded "
-              "with provenance on?", file=sys.stderr)
-        return 2
+        return _no_provenance()
 
     if args.command == "stats":
         stats = graph.stats()
@@ -136,21 +185,6 @@ def hb_main(argv: Optional[List[str]] = None) -> int:
         print(f"tie groups:    {stats['tie_groups']} "
               f"(max size {stats['max_tie_group']})")
         return 0
-
-    if args.command == "races":
-        found = graph.races()
-        stats = graph.stats()
-        print(f"checked {stats['tie_groups']} tie group(s) across "
-              f"{stats['nodes']} events on {stats['entities']} entities")
-        if not found:
-            print("no races: every same-timestamp same-entity pair is "
-                  "happens-before ordered")
-            return 0
-        print(f"{len(found)} race(s):")
-        for race in found:
-            print(f"  t={race['time']:.9f} entity={race['entity']}: "
-                  f"{race['first']} vs {race['second']}")
-        return 1
 
     # export
     if not args.dot and not args.perfetto:

@@ -18,11 +18,8 @@ lineage events — and builds the causal DAG of the run:
   from race reachability: between same-timestamp events it is exactly
   the tie-break artifact whose significance the analysis questions.
 
-Packet-level records carry no event seq of their own; they are
-attributed to the ``sched.exec`` node whose callback emitted them —
-the simulator emits the exec record immediately before firing the
-callback, so in stream order every record between two exec records
-belongs to the first.
+The causal edge rules and the per-group race rule are
+:mod:`repro.hb.ties`'s, shared with the streaming audit checker.
 
 The race check (:meth:`HBGraph.races`) asks: within each group of
 same-timestamp events, is every pair that touches the same entity
@@ -40,12 +37,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.telemetry.schema import (
-    EV_PKT_ACK_GEN,
-    EV_PKT_DELIVER,
-    EV_PKT_TX,
-    EV_SCHED_EXEC,
-)
+from repro.hb.ties import CausalEdges, TieGroup, label
+from repro.telemetry.schema import EV_SCHED_EXEC
 
 __all__ = ["HBNode", "HBGraph", "build_graph"]
 
@@ -53,10 +46,6 @@ __all__ = ["HBNode", "HBGraph", "build_graph"]
 #: is excluded: among same-timestamp events it is the tie-break
 #: artifact under audit, not evidence of an ordering constraint.
 CAUSAL_EDGE_KINDS = frozenset({"sched", "timer", "msg", "ack"})
-
-#: The timer-expiry callback qualname; parent edges into it are the
-#: timer set → fire relation.
-_TIMER_FIRE = "Timer._fire"
 
 
 class HBNode:
@@ -75,7 +64,7 @@ class HBNode:
 
     def label(self) -> str:
         """Short human-readable identity for reports and exports."""
-        return f"{self.entity}:{self.callback}@{self.seq}"
+        return label(self.entity, self.callback, self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<HBNode seq={self.seq} t={self.time:.6f} "
@@ -95,52 +84,30 @@ class HBGraph:
         #: (src seq, dst seq, kind) — deduplicated.
         self.edges: Set[Tuple[int, int, str]] = set()
         self._entity_last: Dict[str, int] = {}
-        self._current: Optional[int] = None
-        # Packet uid -> exec seq of its tx / final delivery (msg and ack
-        # edge endpoints).
-        self._tx_node: Dict[int, int] = {}
-        self._deliver_node: Dict[int, int] = {}
+        self._causal = CausalEdges()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    #: The kinds :meth:`observe` reads: what a recording session must
-    #: have the recorder emit (provenance stamps + packet lineage).
-    kinds = frozenset({EV_SCHED_EXEC, EV_PKT_TX, EV_PKT_DELIVER,
-                       EV_PKT_ACK_GEN})
-
     def observe(self, record) -> None:
         """Fold one trace record into the graph."""
-        kind = record.kind
-        detail = record.detail
-        if kind == EV_SCHED_EXEC:
-            node = HBNode(detail["seq"], record.time, record.source,
+        edge = self._causal.observe(record)
+        current = self._causal.current
+        if record.kind == EV_SCHED_EXEC:
+            detail = record.detail
+            node = HBNode(current, record.time, record.source,
                           detail["callback"], detail.get("parent"),
                           detail.get("prio", 0))
-            self.nodes[node.seq] = node
-            self._current = node.seq
-            parent = node.parent
-            if parent is not None and parent in self.nodes:
-                edge_kind = ("timer" if node.callback == _TIMER_FIRE
-                             else "sched")
-                self.edges.add((parent, node.seq, edge_kind))
+            self.nodes[current] = node
             last = self._entity_last.get(node.entity)
             if last is not None:
-                self.edges.add((last, node.seq, "po"))
-            self._entity_last[node.entity] = node.seq
-        elif self._current is not None:
-            if kind == EV_PKT_TX:
-                self._tx_node[detail["uid"]] = self._current
-            elif kind == EV_PKT_DELIVER:
-                src = self._tx_node.pop(detail["uid"], None)
-                if src is not None and src != self._current:
-                    self.edges.add((src, self._current, "msg"))
-                self._deliver_node[detail["uid"]] = self._current
-            elif kind == EV_PKT_ACK_GEN:
-                src = self._deliver_node.get(detail.get("parent"))
-                if src is not None and src != self._current:
-                    self.edges.add((src, self._current, "ack"))
+                self.edges.add((last, current, "po"))
+            self._entity_last[node.entity] = current
+        if edge is not None:
+            src, edge_kind = edge
+            if src != current and src in self.nodes:
+                self.edges.add((src, current, edge_kind))
 
     def observe_all(self, records: Iterable[Any]) -> "HBGraph":
         """Fold a record iterable into the graph; returns self."""
@@ -200,26 +167,19 @@ class HBGraph:
         Consecutive pairs suffice: if every consecutive pair on an
         entity is causally ordered, the whole per-entity sequence is.
         """
+        # Causal edges never go backward in simulated time, so the
+        # same-instant ones are exactly the in-group ones.
+        nodes = self.nodes
+        forward: Dict[int, List[int]] = {}
+        for src, dst, kind in self.edges:
+            if (kind in CAUSAL_EDGE_KINDS
+                    and nodes[src].time == nodes[dst].time):
+                forward.setdefault(src, []).append(dst)
         races: List[Dict[str, Any]] = []
         for group in self.tie_groups():
-            in_group = {node.seq for node in group}
-            forward: Dict[int, List[int]] = {}
-            for src, dst, kind in self.edges:
-                if (kind in CAUSAL_EDGE_KINDS and src in in_group
-                        and dst in in_group):
-                    forward.setdefault(src, []).append(dst)
-            buckets: Dict[str, List[HBNode]] = {}
-            for node in group:
-                buckets.setdefault(node.entity, []).append(node)
-            for entity, nodes in buckets.items():
-                for first, second in zip(nodes, nodes[1:]):
-                    if not _reaches(forward, first.seq, second.seq):
-                        races.append({
-                            "time": first.time,
-                            "entity": entity,
-                            "first": first.label(),
-                            "second": second.label(),
-                        })
+            events = [(node.seq, node.entity, node.callback)
+                      for node in group]
+            races.extend(TieGroup(group[0].time, events, forward).races())
         return races
 
     # ------------------------------------------------------------------
@@ -321,22 +281,6 @@ class HBGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def _reaches(forward: Dict[int, List[int]], src: int, dst: int) -> bool:
-    """True when ``dst`` is reachable from ``src`` over ``forward``."""
-    if src == dst:
-        return True
-    stack = [src]
-    visited = {src}
-    while stack:
-        for nxt in forward.get(stack.pop(), ()):
-            if nxt == dst:
-                return True
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 def build_graph(records: Iterable[Any]) -> HBGraph:

@@ -1,40 +1,52 @@
 """Scoped provenance recording for happens-before analysis.
 
-:class:`ProvenanceSession` is wired like
+:func:`provenance_stream` is wired like
 :class:`repro.audit.session.AuditSession`
-(:func:`repro.telemetry.context.attached`): it subscribes a collector
-declaring the kinds :class:`~repro.hb.graph.HBGraph` reads, which turns
+(:func:`repro.telemetry.context.attached`): it subscribes an observer
+declaring :data:`~repro.hb.ties.CAUSAL_KINDS`, which turns
 the recorder's ``provenance`` and ``lineage`` on for the duration — on
 the ambient hub's recorder when one is enabled, otherwise on an
-unfiltered one of its own — so simulators built inside the ``with``
-block emit the full ``sched.exec`` + ``pkt.*`` stream the graph builder
-needs.
+unfiltered, store-nothing one of its own — so simulators built inside
+the ``with`` block emit the full ``sched.exec`` + ``pkt.*`` stream to
+the observer and nothing else keeps it.
 
-The collection is unbounded by default — a happens-before graph needs
-every event of the run, not a ring suffix — so sessions are meant for
-quick, scoped runs (the ``python -m repro hb`` CLI uses quick scales).
+:class:`ProvenanceSession` is that stream collected into a list.  The
+collection is unbounded by default — a happens-before graph needs every
+event of the run, not a ring suffix — so sessions are meant for quick,
+scoped runs; analyses that can fold the stream as it arrives (the
+``python -m repro hb`` CLI) use :func:`provenance_stream` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional
 
-from repro.hb.graph import HBGraph
+from repro.hb.ties import CAUSAL_KINDS
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.telemetry import context
 
-__all__ = ["ProvenanceSession"]
+__all__ = ["ProvenanceSession", "provenance_stream"]
+
+
+@contextmanager
+def provenance_stream(
+        observer: Callable[[TraceRecord], None]) -> Iterator[None]:
+    """Hand every record of the runs inside the block to ``observer``,
+    with provenance (+ lineage) recording on; retains nothing."""
+    with context.attached("provenance", observer, CAUSAL_KINDS,
+                          lambda: TraceRecorder(keep_records=False)):
+        yield
 
 
 class ProvenanceSession:
-    """Context manager that turns on provenance (+ lineage) recording.
+    """Context manager that records the provenance (+ lineage) stream.
 
     Parameters
     ----------
     max_records:
-        Optional bound on the records kept (newest win), and on the ring
-        of the recorder brought when no hub is active; None (the
+        Optional bound on the records kept (newest win); None (the
         default) keeps every record so the graph covers the whole run.
     """
 
@@ -43,9 +55,7 @@ class ProvenanceSession:
         self._records: deque = deque(maxlen=max_records)
 
     def __enter__(self) -> "ProvenanceSession":
-        self._attachment = context.attached(
-            "provenance", self._records.append, HBGraph.kinds,
-            lambda: TraceRecorder(max_records=self.max_records))
+        self._attachment = provenance_stream(self._records.append)
         self._attachment.__enter__()
         return self
 

@@ -26,8 +26,9 @@ gets reaped and retried.
 The plane is wall-clock-driven and advisory by design: it never touches
 simulation state, so enabling it cannot change a result or fingerprint.
 :func:`repro.parallel.fanout_map` picks up the ambient plane
-automatically — serial runs report inline, process pools ship events
-over a ``multiprocessing.Queue``.
+automatically — serial runs report inline, pool workers post to the
+shard supervisor's queue, whose pump thread calls
+:meth:`ProgressPlane.apply`.
 """
 
 from __future__ import annotations
@@ -272,9 +273,6 @@ class ProgressPlane:
         self.started_at = time.time()
         self._started_mono = time.perf_counter()
         self._lock = threading.Lock()
-        self._queue = None
-        self._pump: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._last_render = 0.0
         self._last_snapshot = 0.0
         self._rendered_once = False
@@ -297,44 +295,6 @@ class ProgressPlane:
                 state = self.shards[event.shard] = ShardState(event.shard)
             state.apply(event)
         self.tick()
-
-    def queue(self):
-        """The multiprocessing queue workers post to (created lazily,
-        pump thread started on first use)."""
-        if self._queue is None:
-            import multiprocessing
-
-            self._queue = multiprocessing.Queue()
-            self._pump = threading.Thread(target=self._pump_loop,
-                                          name="obs-progress-pump",
-                                          daemon=True)
-            self._pump.start()
-        return self._queue
-
-    def _pump_loop(self) -> None:
-        import queue as _queue_mod
-
-        while not self._stop.is_set():
-            try:
-                event = self._queue.get(timeout=self.refresh / 2)
-            except _queue_mod.Empty:
-                self.tick()
-                continue
-            except (EOFError, OSError):  # queue closed under us
-                return
-            if event is None:
-                return
-            self.apply(event)
-
-    def sync(self, timeout: float = 2.0) -> None:
-        """Drain straggler events after a fan-out completes."""
-        if self._queue is None:
-            return
-        deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            if self._queue.empty():
-                break
-            time.sleep(0.01)
 
     # ------------------------------------------------------------------
     # Aggregate views
@@ -518,30 +478,7 @@ class ProgressPlane:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the pump, drain stragglers, final render + export."""
-        self.sync()
-        self._stop.set()
-        if self._queue is not None:
-            try:
-                self._queue.put_nowait(None)
-            except (ValueError, OSError):  # pragma: no cover - closed
-                pass
-        if self._pump is not None:
-            self._pump.join(timeout=2.0)
-            self._pump = None
-        if self._queue is not None:
-            # Drain anything the pump missed between sentinel and join.
-            import queue as _queue_mod
-
-            while True:
-                try:
-                    event = self._queue.get_nowait()
-                except (_queue_mod.Empty, EOFError, OSError):
-                    break
-                if event is not None:
-                    self.apply(event)
-            self._queue.close()
-            self._queue = None
+        """Final render + export."""
         if self.stream is not None and self._rendered_once:
             try:
                 if self._is_tty:

@@ -277,6 +277,5 @@ def fanout_map(
     finally:
         _run_stats.merge(supervisor.stats)
     if plane is not None:
-        plane.sync()
         plane.tick(force=True)
     return results

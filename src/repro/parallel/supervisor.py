@@ -350,9 +350,6 @@ class ShardSupervisor:
         raise WorkerCrashError(str(failure),
                                shards=[task.index])  # pragma: no cover
 
-    def _record_result_guard(self) -> None:  # pragma: no cover - debug aid
-        pass
-
     def _recover_pool(self, broken: List[_Task]) -> None:
         """A worker died and took the executor with it: respawn, then
         triage every in-flight shard — charge the attempt to shards

@@ -35,8 +35,8 @@ re-heapify, O(n)) once the cancelled backlog is both large in absolute
 terms and the majority of the heap; amortized against the cancellations
 that created the backlog this is O(1) per cancellation.  The backlog is
 published through :attr:`backlog_gauge` (``scheduler.cancelled_backlog``
-when a telemetry session is active) so the performance observatory can
-see the churn.
+when a telemetry session is active) so a ``--telemetry`` run shows the
+churn.
 """
 
 from __future__ import annotations

@@ -137,8 +137,8 @@ class Simulator:
         self._trace_watchers: list = []
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        # Publish the lazily-cancelled backlog so the observatory can see
-        # timer churn; a disabled registry hands back the no-op metric.
+        # Publish the lazily-cancelled backlog so telemetry can see timer
+        # churn; a disabled registry hands back the no-op metric.
         self._queue.backlog_gauge = self.metrics.gauge(
             "scheduler.cancelled_backlog")
         self.profiler = profiler

@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Counter", "Gauge", "MetricsRegistry", "NULL_METRIC", "NullMetric",
         "TimeWeightedHistogram",
     ),
-    "profiling": ("CallbackStats", "FunctionProfiler", "SimProfiler"),
+    "profiling": ("CallbackStats", "SimProfiler"),
     "schema": (
         "EVENT_SCHEMA", "FLOW_EVENT_KINDS", "missing_keys", "required_keys",
         "validate_records",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-__all__ = ["CallbackStats", "FunctionProfiler", "SimProfiler"]
+__all__ = ["CallbackStats", "SimProfiler"]
 
 
 class CallbackStats:
@@ -154,79 +154,3 @@ class SimProfiler:
         self.wall_in_runs = 0.0
         self.max_heap_depth = 0
         self._run_started = None
-
-
-class FunctionProfiler:
-    """Optional :mod:`cProfile`-based per-function attribution.
-
-    The :class:`SimProfiler` answers "which callback *kind* is hot"; this
-    goes one level deeper — which *functions* burn the time inside those
-    callbacks — at the cost of cProfile's tracing overhead, so it is an
-    explicit opt-in (``python -m repro.bench --profile``) and never runs
-    during timed measurement passes.
-
-    ``profile(fn, *args)`` runs ``fn`` under the profiler and returns its
-    result; successive calls accumulate into the same stats.
-    ``snapshot()`` is the JSON block written into ``profile.json``.
-    """
-
-    def __init__(self, top: int = 25) -> None:
-        self.top = top
-        self.calls = 0
-        self._entries: List[dict] = []
-
-    def profile(self, fn: Callable[..., object], *args, **kwargs) -> object:
-        """Run ``fn(*args, **kwargs)`` under cProfile; returns its result."""
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = fn(*args, **kwargs)
-        finally:
-            profiler.disable()
-        self.calls += 1
-        self._merge(profiler)
-        return result
-
-    def _merge(self, profiler) -> None:
-        profiler.create_stats()
-        by_function: Dict[tuple, dict] = {
-            (e["file"], e["line"], e["function"]): e for e in self._entries
-        }
-        for (filename, line, name), (cc, nc, tt, ct, _callers) in \
-                profiler.stats.items():
-            key = (filename, line, name)
-            entry = by_function.get(key)
-            if entry is None:
-                entry = by_function[key] = {
-                    "function": name, "file": filename, "line": line,
-                    "calls": 0, "primitive_calls": 0,
-                    "tottime_s": 0.0, "cumtime_s": 0.0,
-                }
-            entry["calls"] += nc
-            entry["primitive_calls"] += cc
-            entry["tottime_s"] += tt
-            entry["cumtime_s"] += ct
-        self._entries = list(by_function.values())
-
-    def hottest(self, top: Optional[int] = None) -> List[dict]:
-        """Accumulated entries, hottest own-time first, truncated to
-        ``top`` (default: the constructor's ``top``)."""
-        limit = top if top is not None else self.top
-        ranked = sorted(self._entries, key=lambda e: e["tottime_s"],
-                        reverse=True)
-        return [dict(e) for e in ranked[:limit]]
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-friendly summary: top functions by own time."""
-        return {
-            "top": self.top,
-            "profiled_calls": self.calls,
-            "functions": self.hottest(),
-        }
-
-    def clear(self) -> None:
-        """Drop accumulated stats."""
-        self.calls = 0
-        self._entries = []

@@ -128,7 +128,7 @@ class Receiver:
         if self.state == ReceiverState.SYN_RECEIVED:
             # The handshake ACK was lost but data proves establishment.
             self.state = ReceiverState.ESTABLISHED
-        was_new = self.tracker.add(packet.seq, now=self.sim.now)
+        was_new = self.tracker.add(packet.seq)
         if was_new and self.throughput_monitor is not None:
             self.throughput_monitor.on_delivery(self.sim.now, packet)
         # Karn's rule: only first transmissions carry a timestamp, so

@@ -12,19 +12,18 @@ Two sides:
 Both are pure data structures with no simulator dependency, so they are
 property-tested heavily (see ``tests/transport/test_sacks.py``).
 
-Per-segment scalar state (send times, ACK times, retransmit counts,
-SACK marks) lives in struct-of-arrays storage: flat typed arrays
-indexed by sequence number instead of per-segment Python objects or
-lists of boxed floats.  The one backend is the stdlib :mod:`array`
-module (IEEE doubles / signed 64-bit ints, 8 bytes per slot, no
-per-element object header), which keeps the core stdlib-only.
+Per-segment state is a ``bytearray`` of :class:`SegmentState` values
+plus two flat typed columns (last send time, SACK mark) indexed by
+sequence number — stdlib :mod:`array`, 8 bytes per slot, no per-segment
+Python objects.  Every scan (next un-ACKed, next SENT below the SACK
+frontier, first LOST) is a ``bytearray.find`` bounded by the window, so
+nothing else is kept per flow.
 """
 
 from __future__ import annotations
 
 from array import array
 from enum import IntEnum
-from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TransportError
@@ -32,18 +31,6 @@ from repro.errors import TransportError
 __all__ = ["SegmentState", "SendScoreboard", "ReceiveTracker", "IntervalSet"]
 
 Range = Tuple[int, int]  # half-open [start, end)
-
-
-def _float_column(n: int, fill: float = 0.0) -> "Sequence[float]":
-    """An n-slot column of IEEE doubles, initialized to ``fill``."""
-    if fill == 0.0:
-        return array("d", bytes(8 * n))
-    return array("d", [fill]) * n
-
-
-def _int_column(n: int) -> "Sequence[int]":
-    """A zeroed n-slot column of signed 64-bit ints."""
-    return array("q", bytes(8 * n))
 
 
 class SegmentState(IntEnum):
@@ -143,12 +130,12 @@ class SendScoreboard:
     unacknowledged segment index (the "next expected" the receiver
     reports); the flow is fully acknowledged when ``cum_ack == n_segments``.
 
-    The per-ACK paths are incremental: segments already ACKed are
-    skipped at C speed (a ``bytearray.find`` over the not-yet-acked
-    mask), loss inference drains a lazily-validated min-heap of
-    ``(sack mark, seq)`` evidence entries instead of rescanning the
-    window, and ``first_lost`` peeks a min-heap of LOST candidates.
-    Per-ACK cost is O(newly-acked + log window) rather than O(window).
+    The per-ACK paths scan at C speed: segments already ACKed are
+    skipped by a ``bytearray.find`` over the not-yet-acked mask, loss
+    inference visits only the SENT segments between ``cum_ack`` and
+    DUPTHRESH below the SACK frontier (a ``find`` over the state bytes),
+    and ``first_lost`` is a ``find`` for LOST that a clean flow never
+    starts (``_lost_count`` is zero).
     """
 
     #: Duplicate-ACK / reordering threshold for SACK loss inference.
@@ -164,41 +151,23 @@ class SendScoreboard:
         self.highest_sacked = -1
         self.acked_count = 0
         self._pipe = 0
-        # --- struct-of-arrays per-segment columns (see module docstring)
         # SACK frontier observed when each segment was last (re)sent.
         # Loss inference demands DUPTHRESH segments SACKed *beyond* this
         # mark, so a retransmission is not instantly re-declared lost on
         # stale evidence (the RFC 6675 retransmission-tracking rule; see
         # detect_lost).
-        self._sack_mark = _int_column(n_segments)
+        self._sack_mark = array("q", bytes(8 * n_segments))
         # Simulated time of each segment's last (re)transmission, for
         # the round-based naive re-marking rule (see detect_lost).
-        self._sent_time = _float_column(n_segments)
-        # Simulated time each segment was first acknowledged; -1 until
-        # then (valid simulated times are non-negative).
-        self._ack_time = _float_column(n_segments, fill=-1.0)
-        # Retransmissions per segment (first transmission not counted).
-        self._rtx_count = _int_column(n_segments)
+        self._sent_time = array("d", bytes(8 * n_segments))
         # 1 for every segment not yet ACKED.  ``bytearray.find(1, ...)``
         # skips arbitrarily long acked runs at memchr speed, which is
         # what makes re-announced SACK ranges and the cum-ack advance
         # O(newly-acked) instead of O(range).
         self._unacked = bytearray(b"\x01") * n_segments
-        # Loss-evidence min-heap of (sack mark, seq), one entry pushed
-        # per (re)transmission.  An entry is *live* while the segment is
-        # still SENT and the mark matches its latest transmission;
-        # detect_lost pops entries whose mark has DUPTHRESH SACKed
-        # segments beyond it and validates lazily (stale entries are
-        # discarded).  Marks only need draining once: highest_sacked is
-        # monotone, so an entry that stays above the threshold today is
-        # still in the heap tomorrow.
-        self._evidence_heap: List[Tuple[int, int]] = []
-        # Min-heap of segments that have been marked LOST, with a
-        # membership flag per seq so each appears at most once.  A LOST
-        # segment that is retransmitted flips back to SENT and its heap
-        # entry goes stale; first_lost validates on peek.
-        self._lost_heap: List[int] = []
-        self._in_lost_heap = bytearray(n_segments)
+        # Segments currently LOST; lets first_lost answer a clean flow
+        # without scanning.
+        self._lost_count = 0
         # Monotone scan pointer for next_unsent: no state ever reverts
         # to UNSENT, so skipping non-UNSENT segments is amortized O(1)
         # even when an out-of-order send leaves a hole below
@@ -244,23 +213,14 @@ class SendScoreboard:
     def lost_segments(self) -> List[int]:
         """Segments currently marked LOST, ascending."""
         state = self._state
-        return sorted(seq for seq in self._lost_heap if state[seq] == _LOST)
+        return [seq for seq in range(self.cum_ack, self.highest_sent + 1)
+                if state[seq] == _LOST]
 
     def first_lost(self) -> Optional[int]:
-        """Lowest segment currently marked LOST, or None.
-
-        O(1) when the candidate heap's head is live; stale heads
-        (retransmitted or since-ACKed segments) are popped lazily.
-        """
-        heap = self._lost_heap
-        state = self._state
-        while heap:
-            seq = heap[0]
-            if state[seq] == _LOST:
-                return seq
-            heappop(heap)
-            self._in_lost_heap[seq] = 0
-        return None
+        """Lowest segment currently marked LOST, or None."""
+        if not self._lost_count:
+            return None
+        return self._state.find(_LOST, self.cum_ack, self.highest_sent + 1)
 
     def unacked_segments(self) -> List[int]:
         """All segments not yet ACKed (any non-ACKED state), ascending."""
@@ -271,27 +231,6 @@ class SendScoreboard:
         """Simulated time of ``seq``'s last (re)transmission (0.0 if
         never sent)."""
         return float(self._sent_time[seq])
-
-    def ack_time(self, seq: int) -> Optional[float]:
-        """Simulated time ``seq`` was first acknowledged, or None."""
-        when = self._ack_time[seq]
-        return float(when) if when >= 0.0 else None
-
-    def retransmit_count(self, seq: int) -> int:
-        """Retransmissions of ``seq`` (first transmission not counted)."""
-        return int(self._rtx_count[seq])
-
-    def rtt_sample(self, seq: int) -> Optional[float]:
-        """ACK time minus send time for ``seq``, or None.
-
-        Karn's rule: a retransmitted segment's sample is ambiguous (the
-        ACK may answer either transmission), so only never-retransmitted
-        acknowledged segments yield one.
-        """
-        when = self._ack_time[seq]
-        if when < 0.0 or self._rtx_count[seq]:
-            return None
-        return float(when - self._sent_time[seq])
 
     # -- transitions ----------------------------------------------------
 
@@ -305,36 +244,33 @@ class SendScoreboard:
             return
         if state != _SENT:
             self._pipe += 1
-        if state != _UNSENT:
-            # SENT or LOST: this is a retransmission.
-            self._rtx_count[seq] += 1
+        if state == _LOST:
+            self._lost_count -= 1
         self._state[seq] = _SENT
         mark = self.highest_sacked
         if seq > mark:
             mark = seq
         self._sack_mark[seq] = mark
         self._sent_time[seq] = time
-        heappush(self._evidence_heap, (mark, seq))
         if seq > self.highest_sent:
             self.highest_sent = seq
 
-    def _mark_acked(self, seq: int, now: float) -> bool:
+    def _mark_acked(self, seq: int) -> None:
         state = self._state[seq]
-        if state == _ACKED:
-            return False
         if state == _SENT:
             self._pipe -= 1
+        elif state == _LOST:
+            self._lost_count -= 1
         self._state[seq] = _ACKED
         self._unacked[seq] = 0
-        self._ack_time[seq] = now
         self.acked_count += 1
-        return True
 
     def on_ack(self, cum: int, sack: Sequence[Range] = (),
                now: float = 0.0) -> List[int]:
         """Apply one ACK.  ``cum`` is the next-expected segment index;
-        ``now`` (the simulated arrival instant) is stamped into the
-        ACK-time column for every newly-acknowledged segment.
+        ``now`` (the simulated arrival instant) is accepted for callers
+        that have it and not stored — RTT samples come from the echoed
+        send time on the packet.
 
         Returns the segments newly acknowledged by this ACK, ascending.
 
@@ -349,7 +285,7 @@ class SendScoreboard:
         find_unacked = self._unacked.find
         seq = find_unacked(1, self.cum_ack, cum)
         while seq != -1:
-            self._mark_acked(seq, now)
+            self._mark_acked(seq)
             newly.append(seq)
             seq = find_unacked(1, seq + 1, cum)
         if cum > self.cum_ack:
@@ -359,7 +295,7 @@ class SendScoreboard:
                 raise TransportError(f"bad SACK range ({start}, {end})")
             seq = find_unacked(1, start, end)
             while seq != -1:
-                self._mark_acked(seq, now)
+                self._mark_acked(seq)
                 newly.append(seq)
                 seq = find_unacked(1, seq + 1, end)
             if end - 1 > self.highest_sacked:
@@ -376,9 +312,7 @@ class SendScoreboard:
     def _declare_lost(self, seq: int) -> None:
         self._state[seq] = _LOST
         self._pipe -= 1
-        if not self._in_lost_heap[seq]:
-            self._in_lost_heap[seq] = 1
-            heappush(self._lost_heap, seq)
+        self._lost_count += 1
 
     def detect_lost(
         self,
@@ -396,56 +330,37 @@ class SendScoreboard:
         prevents the classic storm where a fresh retransmission is
         instantly re-declared lost on stale SACK evidence.
 
-        The baseline rule is evaluated incrementally: each transmission
-        pushed a ``(mark, seq)`` entry onto the evidence heap, and since
-        ``highest_sacked`` is monotone, exactly the entries whose mark
-        has crossed the DUPTHRESH line need popping — everything else
-        stays put for a later ACK.  Stale entries (the segment was since
-        ACKed, or retransmitted under a newer mark) are discarded on
-        pop.  The mark is always >= the sequence number, so a popped
-        entry's segment automatically sits DUPTHRESH below the SACK
-        frontier — the classic "ceiling" bound needs no separate check.
-
         With ``track_retransmissions=False`` the naive round-based rule
         applies additionally: a SENT segment DUPTHRESH below the SACK
         frontier whose last transmission is older than ``rtx_round``
         (callers pass ~1 SRTT) is re-declared lost even without fresh
         evidence — one recovery round per RTT, so "each lost packet may
         require multiple retransmissions" (the paper's JumpStart
-        behaviour).  The age sweep inherently revisits every in-flight
-        segment below the frontier, so this mode keeps the bounded scan.
+        behaviour).
+
+        Both rules are one walk over the SENT segments in
+        ``[cum_ack, highest_sacked - DUPTHRESH]``: a mark is never below
+        its sequence number, so no segment above that range can qualify,
+        and ``bytearray.find`` skips the ACKED and LOST runs in between.
 
         Returns the segments newly marked LOST, ascending.
         """
         newly: List[int] = []
-        if track_retransmissions:
-            heap = self._evidence_heap
-            threshold = self.highest_sacked - self.DUPTHRESH
-            state = self._state
-            sack_mark = self._sack_mark
-            while heap and heap[0][0] <= threshold:
-                mark, seq = heappop(heap)
-                if state[seq] != _SENT or sack_mark[seq] != mark:
-                    continue  # stale: since ACKed/LOST or resent anew
+        threshold = self.highest_sacked - self.DUPTHRESH
+        stop = min(threshold, self.highest_sent) + 1
+        if stop <= self.cum_ack:
+            return newly
+        find_sent = self._state.find
+        sack_mark = self._sack_mark
+        sent_time = self._sent_time
+        aged = not track_retransmissions and rtx_round is not None
+        seq = find_sent(_SENT, self.cum_ack, stop)
+        while seq != -1:
+            if (sack_mark[seq] <= threshold
+                    or (aged and now - sent_time[seq] >= rtx_round)):
                 self._declare_lost(seq)
                 newly.append(seq)
-            newly.sort()
-            return newly
-        ceiling = self.highest_sacked - self.DUPTHRESH + 1
-        for seq in range(self.cum_ack, max(self.cum_ack, ceiling)):
-            if self._state[seq] != _SENT:
-                continue
-            fresh_evidence = (
-                self.highest_sacked >= self._sack_mark[seq] + self.DUPTHRESH
-            )
-            stale_round = (
-                rtx_round is not None
-                and now - self._sent_time[seq] >= rtx_round
-            )
-            if not fresh_evidence and not stale_round:
-                continue
-            self._declare_lost(seq)
-            newly.append(seq)
+            seq = find_sent(_SENT, seq + 1, stop)
         return newly
 
     def mark_lost(self, seq: int) -> bool:
@@ -474,9 +389,6 @@ class ReceiveTracker:
             raise TransportError("tracker needs at least one segment")
         self.n_segments = n_segments
         self._received = bytearray(n_segments)
-        # First-arrival time per segment; -1 until it arrives (see the
-        # struct-of-arrays note in the module docstring).
-        self._arrival_time = _float_column(n_segments, fill=-1.0)
         self._out_of_order = IntervalSet()
         self.cum = 0  # next expected segment
         self.count = 0
@@ -484,16 +396,14 @@ class ReceiveTracker:
         self._last_new: Optional[int] = None
 
     def add(self, seq: int, now: float = 0.0) -> bool:
-        """Record arrival of segment ``seq`` at simulated time ``now``;
-        False for duplicates (their timestamps are not recorded — the
-        column holds first arrivals, matching FCT semantics)."""
+        """Record arrival of segment ``seq``; False for duplicates.
+        ``now`` (the arrival instant) is accepted and not stored."""
         if not 0 <= seq < self.n_segments:
             raise TransportError(f"segment {seq} out of range")
         if self._received[seq]:
             self.duplicates += 1
             return False
         self._received[seq] = 1
-        self._arrival_time[seq] = now
         self.count += 1
         self._last_new = seq
         if seq == self.cum:
@@ -508,11 +418,6 @@ class ReceiveTracker:
     def complete(self) -> bool:
         """True once every segment has arrived."""
         return self.count == self.n_segments
-
-    def arrival_time(self, seq: int) -> Optional[float]:
-        """Simulated time ``seq`` first arrived, or None."""
-        when = self._arrival_time[seq]
-        return float(when) if when >= 0.0 else None
 
     def missing(self) -> List[int]:
         """Segments not yet received, ascending."""

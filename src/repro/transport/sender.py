@@ -249,48 +249,34 @@ class SenderBase:
         if packet.echo_time >= 0:
             self.rtt.sample(self.sim.now - packet.echo_time)
         scoreboard = self.scoreboard
-        newly = scoreboard.on_ack(packet.ack, packet.sack, now=self.sim.now)
-        # Fast path: a pure cumulative ACK on a clean connection — no
-        # SACK blocks on the wire, no recovery episode in progress, and
-        # no selectively-ACKed holes above the frontier (the common case
-        # for paced short flows).  With the SACK frontier below cum_ack
-        # both loss-inference rules are provably vacuous (any evidence
-        # mark is >= its segment >= cum_ack > highest_sacked - DUPTHRESH,
-        # and the naive rule's scan range is empty), so the recovery/loss
-        # machinery can be skipped outright.
-        if (not packet.sack and self.recovery_point < 0
-                and scoreboard.highest_sacked < scoreboard.cum_ack):
-            if newly:
-                self._grow_cwnd(len(newly))
-                if scoreboard.all_acked:
-                    self.rto_timer.cancel()
-                else:
-                    self.rto_timer.restart(self.rtt.rto)
-            self.on_ack_hook(packet, newly)
-            if scoreboard.all_acked:
-                self._complete()
-                return
-            self.send_window()
-            return
-        lost_now = self.scoreboard.detect_lost(
-            track_retransmissions=self.tracks_retransmissions,
-            now=self.sim.now,
-            rtx_round=None if self.tracks_retransmissions else self.smoothed_rtt(),
-        )
-        if lost_now:
-            self._enter_recovery_if_needed()
-            self.on_loss_detected(lost_now)
-        if (self.recovery_point >= 0
-                and self.scoreboard.cum_ack > self.recovery_point):
-            self.recovery_point = -1
+        newly = scoreboard.on_ack(packet.ack, packet.sack)
+        # A pure cumulative ACK on a clean connection — no SACK blocks on
+        # the wire, no recovery episode in progress, and no selectively-
+        # ACKed holes above the frontier (the common case for paced short
+        # flows) — skips loss inference: with the SACK frontier below
+        # cum_ack both rules are provably vacuous (any evidence mark is
+        # >= its segment >= cum_ack > highest_sacked - DUPTHRESH).
+        if (packet.sack or self.recovery_point >= 0
+                or scoreboard.highest_sacked >= scoreboard.cum_ack):
+            lost_now = scoreboard.detect_lost(
+                track_retransmissions=self.tracks_retransmissions,
+                now=self.sim.now,
+                rtx_round=None if self.tracks_retransmissions else self.smoothed_rtt(),
+            )
+            if lost_now:
+                self._enter_recovery_if_needed()
+                self.on_loss_detected(lost_now)
+            if (self.recovery_point >= 0
+                    and scoreboard.cum_ack > self.recovery_point):
+                self.recovery_point = -1
         if newly:
             self._grow_cwnd(len(newly))
-            if self.scoreboard.all_acked:
+            if scoreboard.all_acked:
                 self.rto_timer.cancel()
             else:
                 self.rto_timer.restart(self.rtt.rto)
         self.on_ack_hook(packet, newly)
-        if self.scoreboard.all_acked:
+        if scoreboard.all_acked:
             self._complete()
             return
         self.send_window()

@@ -22,9 +22,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: What an un-instrumented run must never pay for.
 PLANES = (
-    "repro.audit", "repro.hb", "repro.bench", "repro.obs.spans",
-    "repro.obs.critical", "repro.obs.traceviewer", "repro.obs.progress",
-    "repro.obs.sketch", "repro.telemetry.hub", "repro.telemetry.export",
+    "repro.audit", "repro.hb", "repro.obs.spans", "repro.obs.critical",
+    "repro.obs.traceviewer", "repro.obs.progress", "repro.obs.sketch",
+    "repro.telemetry.hub", "repro.telemetry.export",
     "repro.telemetry.profiling", "repro.telemetry.timeline",
     "repro.chaos.impairments", "repro.parallel.supervisor",
     "concurrent.futures", "multiprocessing",

@@ -1,11 +1,15 @@
 """``python -m repro hb`` CLI: subcommands, sources, and exit codes."""
 
+import gc
+import importlib
 import json
 
 import pytest
 
 from repro.hb.cli import hb_main
+from repro.hb.graph import HBGraph
 from repro.hb.session import ProvenanceSession
+from repro.sim.trace import TraceRecord
 from repro.telemetry.export import record_to_dict
 from tests.conftest import run_one_flow
 
@@ -69,6 +73,40 @@ class TestRaces:
                 }) + "\n")
         assert hb_main(["races", "--trace", str(path)]) == 1
         assert "race(s):" in capsys.readouterr().out
+
+
+    def test_run_source_retains_no_record_list(self, monkeypatch, capsys):
+        # `races --run fig12` once held every record, twice, plus every
+        # graph node (8 GB and counting); the scan needs one tie group.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"races built a {type(self).__name__}")
+
+        monkeypatch.setattr(ProvenanceSession, "__init__", refuse)
+        monkeypatch.setattr(HBGraph, "__init__", refuse)
+        # (``repro.hb.perturb`` the attribute is the function.)
+        perturb = importlib.import_module("repro.hb.perturb")
+        run_scenario = perturb.run_scenario
+
+        def live_records():
+            return sum(isinstance(obj, TraceRecord)
+                       for obj in gc.get_objects())
+
+        grown = []
+
+        def run_then_count(*args, **kwargs):
+            report = run_scenario(*args, **kwargs)
+            grown.append(live_records() - before)
+            return report
+
+        monkeypatch.setattr(perturb, "run_scenario", run_then_count)
+        gc.collect()
+        before = live_records()  # other tests' fixtures may hold some
+        assert hb_main(["races", "--run", "fig3", "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "across 208 events" in out and "no races" in out
+        # Still inside the recording scope, the run's ~600 records are
+        # gone (the one being dispatched may linger in a frame).
+        assert grown and grown[0] <= 2
 
 
 class TestExport:

@@ -267,11 +267,11 @@ class TestProgressPlane:
         assert stream.getvalue().endswith("\r\x1b[2K")
 
     def test_queue_pump_and_close_drain(self, tmp_path):
+        # The plane has no queue of its own: whoever pumps one (the
+        # shard supervisor) hands each event to apply().
         p = self._plane(out_dir=str(tmp_path))
-        queue = p.queue()
-        queue.put(ProgressEvent(0, "start", label="cell", flows_total=2))
-        queue.put(ProgressEvent(0, "done", flows_done=2, events=77))
-        p.sync()
+        p.apply(ProgressEvent(0, "start", label="cell", flows_total=2))
+        p.apply(ProgressEvent(0, "done", flows_done=2, events=77))
         p.close()
         assert p.shards[0].state == "done"
         assert p.shards[0].events == 77

@@ -36,8 +36,8 @@ class TestContext:
 
 
 class HostHub:
-    """A hand-rolled hub, as the benchmark ledger (``trace=None``) and
-    the bench observatory (a disabled recorder) install."""
+    """A hand-rolled hub: ``trace=None`` as the benchmark ledger
+    installs, or a disabled recorder."""
 
     def __init__(self, trace):
         self.trace = trace

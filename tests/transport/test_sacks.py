@@ -249,8 +249,8 @@ class _ModelScoreboard:
 
     Re-implements the documented semantics with plain lists and full
     rescans; the property test below drives it in lockstep with the
-    incremental (memchr + evidence-heap) implementation and demands
-    identical observable state after every operation.
+    find-based implementation and demands identical observable state
+    after every operation.
     """
 
     DUPTHRESH = SendScoreboard.DUPTHRESH
@@ -263,14 +263,10 @@ class _ModelScoreboard:
         self.highest_sacked = -1
         self.sack_mark = [0] * n_segments
         self.sent_time = [0.0] * n_segments
-        self.ack_time = [None] * n_segments
-        self.rtx_count = [0] * n_segments
 
     def mark_sent(self, seq, time=0.0):
         if self.state[seq] == SegmentState.ACKED:
             return
-        if self.state[seq] != SegmentState.UNSENT:
-            self.rtx_count[seq] += 1
         self.state[seq] = SegmentState.SENT
         self.sack_mark[seq] = max(seq, self.highest_sacked)
         self.sent_time[seq] = time
@@ -281,14 +277,12 @@ class _ModelScoreboard:
         for seq in range(self.cum_ack, cum):
             if self.state[seq] != SegmentState.ACKED:
                 self.state[seq] = SegmentState.ACKED
-                self.ack_time[seq] = now
                 newly.append(seq)
         self.cum_ack = max(self.cum_ack, cum)
         for start, end in sack:
             for seq in range(start, end):
                 if self.state[seq] != SegmentState.ACKED:
                     self.state[seq] = SegmentState.ACKED
-                    self.ack_time[seq] = now
                     newly.append(seq)
             self.highest_sacked = max(self.highest_sacked, end - 1)
         while (self.cum_ack < self.n
@@ -342,12 +336,6 @@ class _ModelScoreboard:
     def lost_segments(self):
         return [i for i, s in enumerate(self.state)
                 if s == SegmentState.LOST]
-
-    def rtt_sample(self, seq):
-        # Karn's rule: retransmitted segments yield no sample.
-        if self.ack_time[seq] is None or self.rtx_count[seq]:
-            return None
-        return self.ack_time[seq] - self.sent_time[seq]
 
 
 class TestScoreboardModelEquivalence:
@@ -413,14 +401,8 @@ class TestScoreboardModelEquivalence:
             assert sb.first_lost() == (model.lost_segments() or [None])[0]
             assert sb.all_acked == all(s == SegmentState.ACKED
                                        for s in model.state)
-            # Struct-of-arrays columns (send/ack times, retransmit
-            # counts) in lockstep with the boxed reference model.
+            # The send-time column in lockstep with the boxed model.
             assert [sb.send_time(i) for i in range(n)] == model.sent_time
-            assert [sb.ack_time(i) for i in range(n)] == model.ack_time
-            assert ([sb.retransmit_count(i) for i in range(n)]
-                    == model.rtx_count)
-            assert ([sb.rtt_sample(i) for i in range(n)]
-                    == [model.rtt_sample(i) for i in range(n)])
 
 
 class TestReceiveTracker:
