@@ -443,7 +443,7 @@ class Link:
         two pushes coincide to the exact float instant.
         """
         pending = self._pending
-        queue = self.queue
+        queue = self._queue
         released = queue.pending_bytes
         while pending:
             start, size, dq_push = pending[0]
@@ -541,7 +541,7 @@ class Link:
         if not self._fast:
             # The predicate flipped mid-train (_leave_fast_path).
             self._start_transmission()
-        elif self.queue._packets:
+        elif self._queue._packets:
             self._start_train()
 
     def _start_train(self) -> None:
@@ -627,7 +627,7 @@ class Link:
                 schedule_fast(arrival, cur._deliver_forward, p, nxt,
                               lpush=push_t)
                 break
-            queue2 = nxt.queue
+            queue2 = nxt._queue
             if (nxt._inbound_pending or queue2._packets
                     or nxt._busy
                     or arrival < nxt._busy_until

@@ -155,6 +155,28 @@ class EventScheduler:
             self._note_discarded(discarded)
         return None
 
+    def pop_due(self, until: Optional[float]) -> Optional[Event]:
+        """The event loop's whole turn in one call: :meth:`peek_time`,
+        the ``until`` cut-off and :meth:`pop` fused.
+
+        Returns the next live event, or None when the queue is empty or
+        that event is due after ``until`` — it then stays queued.
+        """
+        discarded = 0
+        heap = self._heap
+        while heap and heap[0][-1].cancelled:
+            heapq.heappop(heap)
+            discarded += 1
+        if discarded:
+            self._note_discarded(discarded)
+        if not heap:
+            self._live = 0
+            return None
+        if until is not None and heap[0][0] > until:
+            return None
+        self._live -= 1
+        return heapq.heappop(heap)[-1]
+
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without popping."""
         discarded = 0

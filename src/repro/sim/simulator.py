@@ -392,6 +392,7 @@ class Simulator:
         profiler = self.profiler
         stall_limit = self.stall_event_limit
         prov = self._refresh_provenance()
+        queue = self._queue
         if profiler is not None:
             profiler.begin_run()
         try:
@@ -400,21 +401,19 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                # One scheduler call per turn: it sheds cancelled heads
+                # and leaves an event due after ``until`` queued.
+                event = queue.pop_due(until)
+                if event is None:
                     break
-                if until is not None and next_time > until:
-                    break
-                event = self._queue.pop()
-                if event is None:  # pragma: no cover - raced cancellation
-                    break
-                self._now = event.time
+                time = event.time
+                self._now = time
                 self.exec_lpush = event.lpush
                 # The same-instant counter doubles as the stall watchdog
                 # and the tie-break exposure accounting: every group of
                 # two or more events at one instant is a point where the
                 # scheduler's tie-break chose an execution order.
-                if event.time == self._stall_time:
+                if time == self._stall_time:
                     self._stall_count += 1
                     if self._stall_count == 2:
                         self.tie_break_groups += 1
@@ -426,32 +425,30 @@ class Simulator:
                         # snapshot), and in a tight zero-delay cycle
                         # it IS the loop.
                         raise StallError(
-                            event.time, self._stall_count,
-                            ["firing: "
-                             + self._queue.render_event(event)]
-                            + self._queue.snapshot(),
+                            time, self._stall_count,
+                            ["firing: " + queue.render_event(event)]
+                            + queue.snapshot(),
                         )
                 else:
-                    self._stall_time = event.time
+                    self._stall_time = time
                     self._stall_count = 1
+                callback = event.callback
                 if prov:
                     self._exec_seq = event.seq
-                    callback = event.callback
                     self._trace.record(
-                        event.time, EV_SCHED_EXEC,
+                        time, EV_SCHED_EXEC,
                         self._event_entity(callback),
                         seq=event.seq, parent=event.parent,
                         callback=_callback_label(callback),
                         prio=event.priority)
                 if profiler is None:
-                    event.fire()
+                    callback(*event.args)
                 else:
-                    callback = event.callback
                     started = profiler.clock()
-                    event.fire()
+                    callback(*event.args)
                     profiler.on_event(callback,
                                       profiler.clock() - started,
-                                      self._queue.heap_depth)
+                                      queue.heap_depth)
                 self.events_run += 1
                 fired += 1
         except BaseException as exc:
@@ -472,22 +469,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run exactly one event.  Returns False if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self.exec_lpush = event.lpush
-        profiler = self.profiler
-        if profiler is None:
-            event.fire()
-        else:
-            callback = event.callback
-            started = profiler.clock()
-            event.fire()
-            profiler.on_event(callback, profiler.clock() - started,
-                              self._queue.heap_depth)
-        self.events_run += 1
-        return True
+        before = self.events_run
+        self.run(max_events=1)
+        return self.events_run != before
 
     def _publish_tie_breaks(self) -> None:
         """Fold this simulator's tie-break counters into the process-wide
@@ -533,12 +517,17 @@ class Timer:
 
     Used for retransmission timeouts: ``restart(rto)`` cancels any pending
     expiry and arms a new one.  The callback takes no arguments.
+
+    The timer owns its pending :class:`Event` outright — no handle, no
+    ``schedule`` round trip — because an RTO is re-armed on every ACK and
+    the arm/cancel pair is the simulator's most-travelled path after the
+    event loop itself.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "") -> None:
         self._sim = sim
         self._callback = callback
-        self._handle: Optional[EventHandle] = None
+        self._event: Optional[Event] = None
         self.name = name
         #: Number of times the timer has expired (diagnostic).
         self.expirations = 0
@@ -546,21 +535,28 @@ class Timer:
     @property
     def armed(self) -> bool:
         """True while an expiry is pending."""
-        return self._handle is not None and self._handle.active
+        return self._event is not None
 
     @property
     def expiry_time(self) -> Optional[float]:
         """Absolute time of the pending expiry, or None when idle."""
-        if self.armed:
-            assert self._handle is not None
-            return self._handle.time
-        return None
+        event = self._event
+        return None if event is None else event.time
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now; error if already armed."""
-        if self.armed:
+        if self._event is not None:
             raise SimulationError(f"timer {self.name!r} already armed")
-        self._handle = self._sim.schedule(delay, self._fire)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay:.9f}s into the past")
+        sim = self._sim
+        now = sim._now
+        # What ``Simulator.schedule`` would build, minus the handle.
+        event = self._event = Event(now + delay, self._fire)
+        event.lpush = now
+        if sim._prov:
+            event.parent = sim._exec_seq
+        sim._queue.push(event)
 
     def restart(self, delay: float) -> None:
         """Cancel any pending expiry and arm a new one."""
@@ -569,11 +565,16 @@ class Timer:
 
     def cancel(self) -> None:
         """Disarm the timer; safe to call when idle."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        event = self._event
+        if event is not None:
+            self._event = None
+            # Scheduler first, as a handle's cancel does: a compaction
+            # this very cancellation triggers still counts the event
+            # live, so heap-depth readings match the handle path's.
+            self._sim._queue.note_cancelled()
+            event.cancel()
 
     def _fire(self) -> None:
-        self._handle = None
+        self._event = None
         self.expirations += 1
         self._callback()

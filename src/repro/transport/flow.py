@@ -52,6 +52,9 @@ class FlowSpec:
     kind:
         Free-form tag used by experiments (``"short"``, ``"long"``,
         ``"web-object"`` ...).
+    n_segments:
+        Number of data segments in this flow; derived from ``size`` at
+        construction, not an ``__init__`` argument.
     """
 
     flow_id: int
@@ -67,11 +70,12 @@ class FlowSpec:
             raise ConfigurationError("flow size must be positive")
         if self.start_time < 0:
             raise ConfigurationError("start time must be non-negative")
-
-    @property
-    def n_segments(self) -> int:
-        """Number of data segments in this flow."""
-        return segments_for(self.size)
+        # Senders read the segment count per segment sent, so it is
+        # computed once.  A plain attribute, deliberately not a field:
+        # ``==``, ``repr``, ``asdict`` and ``fields()``-keyed digests do
+        # not see it.  (Set at construction rather than cached on first
+        # use: a late ``__dict__`` write costs every spec 56 more bytes.)
+        object.__setattr__(self, "n_segments", segments_for(self.size))
 
 
 @dataclass

@@ -1,8 +1,12 @@
 """Unit tests for flow specs and records."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.parallel.journal import _encode
 from repro.transport.flow import FlowRecord, FlowSpec, next_flow_id, segments_for
 from repro.units import MSS
 
@@ -26,6 +30,29 @@ def test_segments_for_rounds_up():
 def test_segments_for_rejects_nonpositive():
     with pytest.raises(ConfigurationError):
         segments_for(0)
+
+
+def test_n_segments_is_computed_once_and_is_not_a_field():
+    flow = FlowSpec(7, "s0", "d0", size=100_000, protocol="tcp")
+    assert flow.n_segments == segments_for(100_000) == 69
+    assert vars(flow)["n_segments"] == 69       # stored, not recomputed
+    # ... and invisible to everything keyed on dataclass fields.
+    shown = {"flow_id": 7, "src": "s0", "dst": "d0", "size": 100_000,
+             "protocol": "tcp", "start_time": 0.0, "kind": "short"}
+    assert [f.name for f in dataclasses.fields(FlowSpec)] == list(shown)
+    assert dataclasses.asdict(flow) == shown
+    assert repr(flow) == ("FlowSpec(flow_id=7, src='s0', dst='d0', "
+                          "size=100000, protocol='tcp', start_time=0.0, "
+                          "kind='short')")
+    assert _encode(flow) == ["FlowSpec", shown]  # the journal's cell digest
+    assert flow == FlowSpec(**shown) and hash(flow) == hash(FlowSpec(**shown))
+    # A derived spec recomputes; a pickled one round-trips with it.
+    assert dataclasses.replace(flow, size=MSS + 1).n_segments == 2
+    clone = pickle.loads(pickle.dumps(flow))
+    assert clone == flow and clone.n_segments == 69
+    # Still frozen, the derived attribute included.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flow.n_segments = 1
 
 
 def test_spec_validation():
