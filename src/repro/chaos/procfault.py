@@ -24,7 +24,7 @@ and derive per-shard coin flips from ``sha256(seed:kind:shard)`` — the
 same schedule in every process that parses the same spec.
 
 Faults fire *inside the worker*, between the shard's start heartbeat
-and its cell body (see :func:`repro.parallel.pool._pool_task`), so a
+and its cell body (see :func:`repro.parallel.pool._run_shard`), so a
 ``hang`` is a started-then-silent shard and a ``kill`` breaks the pool
 mid-cell: the two failure shapes the supervisor must survive.
 """

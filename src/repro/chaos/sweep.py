@@ -34,7 +34,7 @@ from repro.experiments.runner import launch_flow
 from repro.net.topology import access_network
 from repro.obs import progress as _progress
 from repro.obs.sketch import QuantileSketch
-from repro.parallel import CellJournal, FanoutPolicy, ShardFailure, fanout_map
+from repro.parallel import ShardFailure, fanout_map
 from repro.protocols.registry import ProtocolContext, available_protocols
 from repro.sim.randomness import derive_seed
 from repro.sim.simulator import Simulator
@@ -379,8 +379,6 @@ def run_sweep(
     audit: bool = False,
     jobs: int = 1,
     breakdown: bool = False,
-    policy: Optional[FanoutPolicy] = None,
-    journal: Optional[CellJournal] = None,
 ) -> SweepReport:
     """Run the full protocol x profile survival matrix.
 
@@ -392,12 +390,11 @@ def run_sweep(
     order, so the report (and its fingerprint) is bit-identical to a
     ``jobs=1`` run.
 
-    ``policy`` supervises the fan-out (retries, reaping, hedging,
-    quarantine — see :class:`~repro.parallel.FanoutPolicy`); with
-    quarantine on, poison cells become :attr:`SweepReport.failures`
-    entries instead of aborting the sweep.  ``journal`` makes the sweep
-    resumable: completed cells are recorded durably and replayed on the
-    next run over the same journal directory.
+    The fan-out runs under the ambient supervision policy and cell
+    journal (:func:`repro.parallel.supervision` / ``journaling``, which
+    ``chaos sweep`` declares through its run session): with quarantine
+    on, poison cells become :attr:`SweepReport.failures` entries instead
+    of aborting the sweep, and a journal makes the sweep resumable.
     """
     if protocols is None:
         protocols = available_protocols()
@@ -410,8 +407,7 @@ def run_sweep(
         for profile in resolved
         for protocol in protocols
     ]
-    outcomes = fanout_map(_run_cell_task, tasks, jobs=jobs,
-                          policy=policy, journal=journal)
+    outcomes = fanout_map(_run_cell_task, tasks, jobs=jobs)
     cells: List[CellResult] = []
     failures: List[Dict[str, object]] = []
     for task, outcome in zip(tasks, outcomes):

@@ -12,6 +12,11 @@ The schema is versioned (:data:`MANIFEST_SCHEMA_ID`) and validated by
 to gate every manifest artifact.  Wall-clock and RSS fields are
 non-deterministic by nature and therefore excluded from result
 fingerprints — the manifest *records* a run, it never feeds one.
+
+:class:`RunSession` is the run lifecycle that produces the manifest —
+the one both sweep CLIs (``experiments`` and ``chaos sweep``) enter —
+and :func:`add_run_flags` the flags it reads.  It lives here because a
+default ``python -m repro fig3`` imports this module anyway.
 """
 
 from __future__ import annotations
@@ -23,13 +28,17 @@ import platform
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.errors import StallError
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_ID",
     "RunManifest",
+    "RunSession",
+    "add_run_flags",
     "config_digest",
     "git_revision",
     "peak_rss_kb",
@@ -482,3 +491,218 @@ class RunManifest:
                     "supervisor", "observers", "interrupt_reason"):
             doc.pop(key, None)
         return canonical_json(doc)
+
+
+# ----------------------------------------------------------------------
+# The run lifecycle
+# ----------------------------------------------------------------------
+
+#: How a run ends when an exception escapes it: the first row whose type
+#: matches gives the exit status and the manifest outcome, and the
+#: exception's type name is the reason.  A run that ends without one
+#: exits with :attr:`RunSession.status` (the CLI's verdict), outcome
+#: ``ok``.  Anything else (``SystemExit`` ...) is not a run ending and
+#: propagates untouched.
+ENDINGS = (
+    (KeyboardInterrupt, 130, "interrupted"),
+    (StallError, 1, "interrupted"),
+    (Exception, 1, "error"),
+)
+
+
+def add_run_flags(parser) -> None:
+    """Add the flags :class:`RunSession` reads to an argparse parser."""
+    parser.add_argument("--progress", nargs="?", const="-", default=None,
+                        metavar="DIR",
+                        help="live multi-shard progress plane (refreshing "
+                             "status on stderr); with DIR also exports "
+                             "progress.prom (Prometheus text) and "
+                             "progress.jsonl snapshots there")
+    parser.add_argument("--manifest", default="run_manifest.json",
+                        metavar="PATH",
+                        help="where to write the run manifest "
+                             "(default: run_manifest.json)")
+    parser.add_argument("--no-manifest", action="store_true",
+                        help="skip writing the run manifest")
+    parser.add_argument("--retries", type=int, default=1, metavar="N",
+                        help="total attempts per sweep cell before it "
+                             "fails (default 1 = no retry; applies to the "
+                             "fan-out, with deterministic backoff)")
+    parser.add_argument("--heartbeat-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="reap (SIGKILL) a fan-out worker after this "
+                             "many seconds of heartbeat silence and retry "
+                             "its cell (default: never)")
+    parser.add_argument("--procfault", default=None, metavar="SPEC",
+                        help="inject harness process faults into the "
+                             "fan-out, e.g. 'kill@1,hang@2/20,raise@3,"
+                             "kill%%10,seed=7' (deterministic; exercises "
+                             "the shard supervisor)")
+    parser.add_argument("--resume", default=None, metavar="DIR",
+                        help="journal completed sweep cells to "
+                             "DIR/cells.jsonl and replay any already "
+                             "recorded there; an interrupted run resumes "
+                             "with an identical final result")
+
+
+class RunSession:
+    """One CLI run, start to finish, ending in one manifest.
+
+    ::
+
+        with RunSession("chaos:sweep", args, config) as run:
+            with run.stage("sweep"):
+                report = run_sweep(...)
+            print(report.format_report())
+            run.record_result(report.fingerprint)
+            run.status = 0 if report.live else 1
+        return run.status
+
+    Construction creates the :class:`RunManifest` (unless
+    ``args.no_manifest``) and digests ``config``.  Entry declares, through
+    the ambient run context, the supervision policy (``args.retries``,
+    ``args.heartbeat_timeout`` plus any ``FanoutPolicy`` field given as a
+    keyword), the ``--resume`` cell journal, the ``--progress`` plane and
+    the ``WorkerEnv`` (``args.procfault`` plus the ``env`` fields), then
+    zeroes the tie-break and supervision accumulators.  Exit leaves those
+    scopes (closing the journal), applies :data:`ENDINGS`, prints the
+    tie-break and supervisor lines, and writes the manifest with every
+    section recorded; the exception is then swallowed and
+    :attr:`status` is the process exit code.
+    """
+
+    def __init__(self, command: str, args: Any, config: Dict[str, Any], *,
+                 env: Optional[Dict[str, Any]] = None, **policy: Any) -> None:
+        self.args = args
+        #: Fan-out width the run used (``config["jobs"]``, else serial).
+        self.jobs = config.get("jobs", 1)
+        #: Exit code; the CLI sets 1 when its own verdict fails.
+        self.status = 0
+        #: What the worker env entered: telemetry hub, chaos profile.
+        self.hub = self.profile = None
+        self.manifest: Optional[RunManifest] = None
+        if not args.no_manifest:
+            self.manifest = RunManifest(command, args=vars(args),
+                                        seed=args.seed)
+            self.manifest.record_config(config)
+        self._env = dict(env or {}, procfault_spec=args.procfault)
+        self._policy = policy
+        self._journal = self._lineage = None
+
+    def __enter__(self) -> "RunSession":
+        from repro.parallel import (
+            FanoutPolicy,
+            reset_fanout_stats,
+            supervision,
+        )
+        from repro.sim.simulator import reset_tie_break_stats
+
+        args = self.args
+        with ExitStack() as stack:
+            stack.enter_context(supervision(FanoutPolicy(
+                max_attempts=max(1, args.retries),
+                heartbeat_timeout=args.heartbeat_timeout, **self._policy)))
+            if args.resume is not None:
+                from repro.parallel import CellJournal, journaling
+
+                self._journal = CellJournal(args.resume)
+                # Lineage is the journal *being resumed*: digest it
+                # before this run appends to it.
+                self._lineage = {"journal": self._journal.path,
+                                 "journal_digest": self._journal.file_digest()}
+                stack.enter_context(journaling(self._journal))
+            if args.progress is not None:
+                from repro.obs import progress
+
+                stack.enter_context(progress.plane(
+                    out_dir=None if args.progress == "-" else args.progress))
+            if any(self._env.get(key) is not None for key in
+                   ("telemetry_dir", "chaos_spec", "procfault_spec")):
+                from repro.parallel import WorkerEnv
+
+                # Every pool worker re-enters the same env (its telemetry
+                # files shard-suffixed).
+                self.hub, self.profile = WorkerEnv(**self._env).enter(stack)
+            self._stack = stack.pop_all()
+        reset_tie_break_stats()
+        reset_fanout_stats()
+        return self
+
+    def stage(self, name: str):
+        """Time one named stage into the manifest, recording what is
+        observing the run as it starts (the CLI's own sessions — audit,
+        breakdown — are entered by then)."""
+        if self.manifest is None:
+            return nullcontext()
+        from repro.telemetry.context import describe
+
+        self.manifest.record_observers(describe())
+        return self.manifest.stage(name)
+
+    def record_result(self, fingerprint: str, **extra: Any) -> None:
+        """The run's deterministic result fingerprint."""
+        if self.manifest is not None:
+            self.manifest.set_result_fingerprint(fingerprint, **extra)
+
+    def record_telemetry(self, shards: List[Dict[str, Any]]) -> None:
+        """The hub's trace drop counter plus per-shard worker ones."""
+        if self.manifest is not None:
+            self.manifest.record_telemetry(self.hub.dropped_records,
+                                           shards=shards)
+
+    def record_trace_viewer(self, path: str, export: Any) -> None:
+        """A ``--trace-viewer`` export (events, truncation, cap)."""
+        if self.manifest is not None:
+            self.manifest.record_trace_viewer(path, export.events,
+                                              export.truncated,
+                                              export.max_events)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._stack.__exit__(exc_type, exc, tb)
+        outcome = "ok"
+        reason = None
+        if exc_type is not None:
+            ending = next((row for row in ENDINGS
+                           if issubclass(exc_type, row[0])), None)
+            if ending is None:
+                return False
+            _, self.status, outcome = ending
+            reason = exc_type.__name__
+            if issubclass(exc_type, KeyboardInterrupt):
+                print("\ninterrupted — " + (
+                    f"completed cells journaled to {self._journal.path}; "
+                    "re-run with --resume to continue"
+                    if self._journal is not None else
+                    "use --resume DIR to make the run resumable"),
+                    file=sys.stderr)
+            else:
+                import traceback
+
+                traceback.print_exception(exc_type, exc, tb)
+        from repro.parallel import fanout_stats
+        from repro.sim.simulator import tie_break_stats
+
+        ties = tie_break_stats()
+        print(f"[scheduler tie-breaks: {ties['groups']} same-timestamp "
+              f"group(s), max size {ties['max_group']}"
+              + (" — in-process sims only" if self.jobs > 1 else "") + "]")
+        stats = fanout_stats()
+        if any(stats[key] for key in ("retries", "reaped", "hedges",
+                                      "pool_respawns", "replayed")):
+            print(f"[supervisor: {stats['attempts']} attempts, "
+                  f"{stats['retries']} retries, {stats['reaped']} reaped, "
+                  f"{stats['hedges_won']}/{stats['hedges']} hedges won, "
+                  f"{stats['pool_respawns']} pool respawns, "
+                  f"{stats['replayed']} cells replayed from journal]")
+        manifest = self.manifest
+        if manifest is not None:
+            manifest.record_scheduler(ties["groups"], ties["max_group"])
+            manifest.record_supervisor(stats, resume=self._lineage)
+            manifest.set_outcome(outcome, reason)
+            manifest.set_exit_status(self.status)
+            path = manifest.write(self.args.manifest)
+            if outcome == "ok":
+                print(f"[run manifest: {path}]")
+            else:
+                print(f"[run manifest: {path} ({outcome})]", file=sys.stderr)
+        return True

@@ -59,7 +59,7 @@ from repro.parallel.policy import (
     journaling,
     supervision,
 )
-from repro.telemetry.context import current_plane, reporting
+from repro.telemetry.context import current_plane
 
 if TYPE_CHECKING:
     from repro.obs.progress import ProgressPlane
@@ -124,10 +124,11 @@ def run_serial(
     """The in-process twin of :class:`ShardSupervisor`: same retry /
     quarantine semantics, no pool (so no reaping or hedging — a hang
     here hangs the caller, which is what serial means)."""
-    from repro.parallel.pool import _inject_procfault, _item_label
+    from repro.parallel.pool import _item_label, _run_shard
 
     if plane is not None:
-        from repro.obs.progress import ProgressEvent, ShardReporter
+        from repro.obs.progress import ProgressEvent
+    post = None if plane is None else plane.apply
 
     items = list(items)
     results = dict(results or {})
@@ -141,16 +142,7 @@ def run_serial(
         while True:
             stats.attempts += 1
             try:
-                if plane is not None:
-                    reporter = ShardReporter(index, plane.apply)
-                    reporter.started(label=label)
-                    _inject_procfault(index, failures)
-                    with reporting(reporter):
-                        value = worker(item)
-                    reporter.done()
-                else:
-                    _inject_procfault(index, failures)
-                    value = worker(item)
+                value = _run_shard(worker, index, item, failures, post)
             except Exception as exc:
                 failures += 1
                 if failures >= policy.max_attempts:

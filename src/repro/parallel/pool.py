@@ -3,8 +3,9 @@
 Everything in this module crosses (or prepares to cross) the process
 boundary: the picklable :class:`WorkerEnv` that pool workers mirror,
 the pool initializer that re-enters the parent's observability sessions
-inside each worker, and the per-item task wrapper that reports shard
-heartbeats and consults the ambient process-fault injector.
+inside each worker, and :func:`_run_shard`, the per-item body (shard
+heartbeats, the ambient process-fault injector, the worker call) that
+pool tasks and the serial fan-out share.
 
 The supervisor (:mod:`repro.parallel.supervisor`) owns scheduling;
 this module owns what runs *inside* a worker.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.telemetry.context import ambient, reporting, scope
 
@@ -120,13 +121,6 @@ def _worker_init(env: Optional[WorkerEnv], counter, queue) -> None:
         Finalize(_worker_hub, _worker_hub.close, exitpriority=10)
 
 
-def _inject_procfault(shard: int, attempt: int) -> None:
-    """Fire the ambient process-fault plan for ``(shard, attempt)``."""
-    plan = ambient.procfault
-    if plan is not None:
-        plan.inject(shard, attempt)
-
-
 def _item_label(item) -> str:
     """A short human label for the shard table (best effort)."""
     if isinstance(item, tuple):
@@ -137,27 +131,40 @@ def _item_label(item) -> str:
     return label[:48]
 
 
-def _pool_task(payload):
-    """Picklable per-item wrapper running inside a pool worker.
+def _run_shard(worker, index: int, item, attempt: int,
+               post: Optional[Callable] = None):
+    """One attempt at one shard — the per-item body of the serial
+    fan-out and of every pool task.
 
-    The shard's ``start`` heartbeat (carrying this worker's pid — the
-    supervisor's reaping handle) is posted *before* the fault injector
-    runs, so a hang fault is a started-then-silent shard, exactly the
-    failure the heartbeat deadline exists to catch.
+    With a progress channel (``post``: the plane's ``apply`` in-process,
+    the heartbeat queue's ``put`` in a worker) the shard's ``start``
+    heartbeat — carrying this process's pid, the supervisor's reaping
+    handle — is posted *before* the ambient process-fault plan fires, so
+    a hang fault is a started-then-silent shard, exactly the failure the
+    heartbeat deadline exists to catch.
     """
-    worker, index, item, attempt = payload
-    if _worker_queue is not None:
+    reporter = None
+    if post is not None:
         from repro.obs.progress import ShardReporter
 
-        reporter = ShardReporter(index, _worker_queue.put)
+        reporter = ShardReporter(index, post)
         reporter.started(label=_item_label(item))
-        _inject_procfault(index, attempt)
-        with reporting(reporter):
-            result = worker(item)
-        reporter.done()
-    else:
-        _inject_procfault(index, attempt)
+    plan = ambient.procfault
+    if plan is not None:
+        plan.inject(index, attempt)
+    if reporter is None:
+        return worker(item)
+    with reporting(reporter):
         result = worker(item)
+    reporter.done()
+    return result
+
+
+def _pool_task(payload):
+    """Picklable per-item wrapper running inside a pool worker."""
+    worker, index, item, attempt = payload
+    result = _run_shard(worker, index, item, attempt,
+                        None if _worker_queue is None else _worker_queue.put)
     if _worker_hub is not None:
         # Keep the shard trace file durable even if the pool is torn
         # down abruptly; per-item flushes are noise next to a cell.

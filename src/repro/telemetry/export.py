@@ -11,8 +11,8 @@ Two formats:
 * :class:`CsvTraceSink` — ``time,kind,source,detail`` rows with the
   detail payload as compact JSON, for spreadsheet-side analysis.
 
-Both support size-based rotation (``trace.jsonl``, ``trace.jsonl.1``,
-...) and periodic flushing so a crashed run still leaves usable data.
+Both flush every :data:`FLUSH_EVERY` records so a crashed run still
+leaves usable data.
 """
 
 from __future__ import annotations
@@ -21,9 +21,13 @@ import csv
 import io
 import json
 import os
-from typing import Any, IO, List, Optional
+from typing import Any, IO, Optional
 
 __all__ = ["TraceSink", "JsonlTraceSink", "CsvTraceSink", "record_to_dict"]
+
+#: Records between periodic flushes of a sink's OS buffer: durability
+#: for a run that crashes before it closes its sinks.
+FLUSH_EVERY = 1000
 
 
 def record_to_dict(record) -> dict:
@@ -37,32 +41,21 @@ def record_to_dict(record) -> dict:
 
 
 class TraceSink:
-    """Base class for streaming sinks: open/rotate/flush plumbing.
+    """Base class for streaming sinks: open/flush plumbing.
 
-    Parameters
-    ----------
-    path:
-        Output file path; parent directories are created.
-    flush_every:
-        Flush the OS buffer after this many records (0 = never, rely on
-        close).
-    max_bytes:
-        Rotate to ``path.1``, ``path.2`` ... once the current file
-        exceeds this many written bytes (None = never rotate).
+    ``path`` is the output file; parent directories are created.
     """
 
-    def __init__(self, path: str, flush_every: int = 1000,
-                 max_bytes: Optional[int] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.flush_every = flush_every
-        self.max_bytes = max_bytes
-        #: Every file this sink has written, in order.
-        self.paths: List[str] = []
         self.records_written = 0
         self._since_flush = 0
-        self._bytes_current = 0
-        self._file: Optional[IO[str]] = None
-        self._open(self.path)
+        parent = os.path.dirname(self.path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        self._file: Optional[IO[str]] = open(self.path, "w", encoding="utf-8",
+                                             newline="")
+        self._on_open()
 
     # -- subclass surface ------------------------------------------------
 
@@ -71,37 +64,19 @@ class TraceSink:
         raise NotImplementedError
 
     def _on_open(self) -> None:
-        """Hook run after each file is opened (e.g. CSV header)."""
+        """Hook run after the file is opened (e.g. CSV header)."""
 
     # -- plumbing --------------------------------------------------------
 
-    def _open(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._file = open(path, "w", encoding="utf-8", newline="")
-        self.paths.append(path)
-        self._bytes_current = 0
-        self._on_open()
-
-    def _rotate(self) -> None:
-        assert self._file is not None
-        self._file.close()
-        self._open(f"{self.path}.{len(self.paths)}")
-
     def write(self, record) -> None:
-        """Serialize and write one record, rotating/flushing as due."""
+        """Serialize and write one record, flushing as due."""
         if self._file is None:
             raise ValueError(f"sink {self.path!r} is closed")
-        line = self._format(record) + "\n"
-        self._file.write(line)
-        self._bytes_current += len(line)
+        self._file.write(self._format(record) + "\n")
         self.records_written += 1
         self._since_flush += 1
-        if self.flush_every and self._since_flush >= self.flush_every:
+        if self._since_flush >= FLUSH_EVERY:
             self.flush()
-        if self.max_bytes is not None and self._bytes_current >= self.max_bytes:
-            self._rotate()
 
     def flush(self) -> None:
         """Push buffered lines to the OS."""

@@ -78,9 +78,6 @@ class Telemetry:
         unaffected.  None uses :data:`DEFAULT_MAX_RECORDS`.
     profile:
         Attach a :class:`SimProfiler` to every simulator in the session.
-    flush_every / max_bytes:
-        Passed through to the streaming sink (see
-        :class:`~repro.telemetry.export.TraceSink`).
     shard:
         Optional shard id for hubs living inside pool workers.  Suffixes
         every exported filename (``trace-shard3.jsonl``,
@@ -95,8 +92,6 @@ class Telemetry:
         kinds: Union[str, Sequence[str], None] = None,
         max_records: Optional[int] = None,
         profile: bool = True,
-        flush_every: int = 1000,
-        max_bytes: Optional[int] = None,
         shard: Optional[int] = None,
     ) -> None:
         self.out_dir = str(out_dir) if out_dir is not None else None
@@ -108,13 +103,11 @@ class Telemetry:
             if trace_format == "jsonl":
                 self.sink = JsonlTraceSink(
                     os.path.join(self.out_dir,
-                                 self._shard_name("trace", "jsonl")),
-                    flush_every=flush_every, max_bytes=max_bytes)
+                                 self._shard_name("trace", "jsonl")))
             elif trace_format == "csv":
                 self.sink = CsvTraceSink(
                     os.path.join(self.out_dir,
-                                 self._shard_name("trace", "csv")),
-                    flush_every=flush_every, max_bytes=max_bytes)
+                                 self._shard_name("trace", "csv")))
             else:
                 raise ValueError(
                     f"unknown trace format {trace_format!r} "
@@ -154,7 +147,7 @@ class Telemetry:
         """Every file this session has written so far."""
         paths: List[str] = []
         if self.sink is not None:
-            paths.extend(self.sink.paths)
+            paths.append(self.sink.path)
         if self.out_dir is not None:
             for stem in ("metrics", "profile"):
                 path = os.path.join(self.out_dir,

@@ -1,5 +1,7 @@
 """Tests for report rendering and the CLI."""
 
+import importlib
+
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main
@@ -86,3 +88,67 @@ class TestCli:
         assert main(["fig2", "--manifest", str(target)]) == 0
         capsys.readouterr()
         assert target.exists()
+
+
+def _wrappers(scale, seed, jobs, breakdown):
+    """What the per-figure wrapper functions the registry table replaced
+    passed to each module's ``run``: ``name -> (module, kwargs)``."""
+    paths = {"n_paths": int(260 * scale), "seed": seed, "jobs": jobs}
+    return {
+        "fig1": ("fig01_tradeoff", {
+            "utilizations": tuple(round(0.1 * i, 2) for i in range(1, 10)),
+            "duration": max(5.0, 10 * scale), "seed": seed}),
+        "fig2": ("fig02_traffic_cdf", {}),
+        "fig3": ("fig03_example", {"seed": seed}),
+        "table1": ("table1_taxonomy", {}),
+        "fig5": ("fig05_retransmissions", paths),
+        "fig6": ("fig06_planetlab_fct", dict(paths, breakdown=breakdown)),
+        "fig7": ("fig07_rtt_counts", paths),
+        "fig8": ("fig08_loss_fct", paths),
+        "fig9": ("fig09_homenets", {
+            "n_servers": max(4, int(40 * scale)), "seed": seed}),
+        "fig10": ("fig10_bufferbloat", {
+            "duration": max(20.0, 60 * scale), "seed": seed}),
+        "fig11": ("fig11_flowsize", {
+            "duration": max(10.0, 30 * scale), "seed": seed}),
+        "fig12": ("fig12_utilization", {
+            "duration": max(5.0, 15 * scale), "seed": seed, "jobs": jobs,
+            "breakdown": breakdown}),
+        "fig13": ("fig13_short_long", {
+            "duration": max(20.0, 40 * scale), "seed": seed}),
+        "fig14": ("fig14_friendliness", {
+            "duration": max(10.0, 30 * scale), "seed": seed}),
+        "fig15": ("fig15_throughput", {"seed": seed}),
+        "fig16": ("fig16_web", {
+            "duration": max(15.0, 40 * scale), "seed": seed, "jobs": jobs}),
+        "fig17": ("fig17_ablation", {
+            "duration": max(5.0, 15 * scale), "seed": seed}),
+    }
+
+
+class _RecordingRun:
+    """Stands in for a module's ``run``: the real parameter list (what
+    the registry reads), and a call that only records its kwargs."""
+
+    def __init__(self, real):
+        self.__code__ = real.__code__
+        self.kwargs = None
+
+    def __call__(self, **kwargs):
+        self.kwargs = kwargs
+
+
+@pytest.mark.parametrize("scale", [0.01, 2.0])
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_registry_forwards_what_the_wrappers_passed(name, scale, monkeypatch):
+    module, expected = _wrappers(scale, 5, 3, True)[name]
+    m = importlib.import_module("repro.experiments." + module)
+    run = _RecordingRun(m.run)
+    monkeypatch.setattr(m, "run", run)
+    _, runner = EXPERIMENTS[name]
+
+    assert runner(scale, 5, 3, True) == (None, m.format_report)
+    assert run.kwargs == expected
+    # The two-argument call ``hb perturb`` makes: jobs=1, no breakdown.
+    runner(scale, 5)
+    assert run.kwargs == _wrappers(scale, 5, 1, False)[name][1]

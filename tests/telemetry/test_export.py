@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.sim.trace import TraceRecord
+from repro.telemetry import export
 from repro.telemetry.export import CsvTraceSink, JsonlTraceSink, record_to_dict
 
 
@@ -55,28 +56,14 @@ class TestJsonl:
         with pytest.raises(ValueError):
             sink.write(rec())
 
-    def test_flush_every_pushes_to_disk(self, tmp_path):
+    def test_flush_every_pushes_to_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "FLUSH_EVERY", 2)
         path = tmp_path / "t.jsonl"
-        sink = JsonlTraceSink(str(path), flush_every=2)
+        sink = JsonlTraceSink(str(path))
         sink.write(rec(1.0))
         sink.write(rec(2.0))  # triggers the periodic flush
         assert len(path.read_text().splitlines()) == 2
         sink.close()
-
-    def test_rotation_by_size(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlTraceSink(str(path), max_bytes=100)
-        for i in range(20):
-            sink.write(rec(float(i), "kind", "source", payload="x" * 20))
-        sink.close()
-        assert len(sink.paths) > 1
-        assert sink.paths[0] == str(path)
-        assert sink.paths[1] == str(path) + ".1"
-        total = sum(
-            len(open(p, encoding="utf-8").read().splitlines())
-            for p in sink.paths
-        )
-        assert total == 20
 
 
 class TestCsv:
@@ -91,14 +78,3 @@ class TestCsv:
         assert rows[1][1] == "queue.drop"
         assert rows[1][2] == "q0"
         assert json.loads(rows[1][3]) == {"uid": 3, "packet": "DATA"}
-
-    def test_rotated_files_each_get_a_header(self, tmp_path):
-        sink = CsvTraceSink(str(tmp_path / "t.csv"), max_bytes=80)
-        for i in range(10):
-            sink.write(rec(float(i), "k", "s", pad="y" * 30))
-        sink.close()
-        assert len(sink.paths) > 1
-        for p in sink.paths:
-            with open(p, newline="", encoding="utf-8") as fh:
-                assert next(csv.reader(fh)) == ["time", "kind", "source",
-                                                "detail"]
