@@ -12,6 +12,7 @@ same one the figure targets use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -58,9 +59,9 @@ def main(argv=None) -> int:
                               "(violations break the cell)")
     p_sweep.add_argument("--breakdown", action="store_true",
                          help="attribute every completed flow's FCT to "
-                              "critical-path components and append the "
-                              "time-in-component table (also keyed into "
-                              "--json output; cell fingerprints are "
+                              "critical-path components and print the "
+                              "time-in-component tables (also keyed into "
+                              "--json output; the sweep fingerprint is "
                               "unchanged)")
     p_sweep.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full report (cells + "
@@ -90,6 +91,7 @@ def main(argv=None) -> int:
         return 0
 
     from repro.chaos.sweep import run_sweep
+    from repro.obs.critical import BreakdownSession
 
     protocols, profiles = _split(args.protocols), _split(args.profiles)
     config = {"protocols": protocols, "profiles": profiles,
@@ -99,15 +101,25 @@ def main(argv=None) -> int:
     with RunSession("chaos:sweep", args, config,
                     hedge_after=args.hedge_after,
                     quarantine=args.quarantine) as run:
-        with run.stage("sweep"):
+        attribution = BreakdownSession() if args.breakdown else None
+        # Entered before the stage, which records what observes the run.
+        with attribution or contextlib.nullcontext(), run.stage("sweep"):
             report = run_sweep(protocols=protocols, profiles=profiles,
                                seed=args.seed, n_flows=args.flows,
                                size=args.size, audit=args.audit,
-                               jobs=args.jobs, breakdown=args.breakdown)
+                               jobs=args.jobs)
         print(report.format_report())
+        doc = report.to_dict()
+        if attribution is not None:
+            print("== breakdown ==")
+            print(attribution.aggregate.report())
+            if attribution.aggregate.flows:
+                # Beside the cells, not in them: the sweep fingerprint
+                # hashes cell outcomes only.
+                doc["breakdown"] = attribution.aggregate.to_dict()
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+                json.dump(doc, handle, indent=2, sort_keys=True)
             print(f"json report: {args.json}")
         run.record_result(report.fingerprint, live=report.live)
         run.status = 0 if (report.live and report.complete) else 1

@@ -93,12 +93,6 @@ class CellResult:
     #: Mergeable FCT quantile sketch over completed flows (fed one FCT
     #: at a time — the cell never retains per-flow record lists for it).
     fct_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    #: Serialized per-cell FCT-component attribution
-    #: (:meth:`~repro.obs.critical.BreakdownAggregator.to_dict`), only
-    #: under ``--breakdown``.  Deliberately NOT part of :meth:`to_dict`:
-    #: the sweep fingerprint predates breakdowns and must not change
-    #: when the flag is toggled.
-    breakdown: Optional[Dict[str, object]] = None
 
     @property
     def live(self) -> bool:
@@ -184,22 +178,8 @@ class SweepReport:
         """
         return QuantileSketch.merged(cell.fct_sketch for cell in self.cells)
 
-    def merged_breakdown(self):
-        """All cells' FCT attributions merged (serial cell order).
-
-        A :class:`~repro.obs.critical.BreakdownAggregator`, or None when
-        the sweep ran without ``--breakdown``.
-        """
-        from repro.obs.critical import BreakdownAggregator
-
-        merged = BreakdownAggregator()
-        for cell in self.cells:
-            if cell.breakdown is not None:
-                merged.merge(BreakdownAggregator.from_dict(cell.breakdown))
-        return merged if merged.flows else None
-
     def to_dict(self) -> Dict[str, object]:
-        doc = {
+        return {
             "seed": self.seed,
             "audited": self.audited,
             "live": self.live,
@@ -209,13 +189,6 @@ class SweepReport:
             "cells": [cell.to_dict() for cell in self.cells],
             "failures": [dict(f) for f in self.failures],
         }
-        merged = self.merged_breakdown()
-        if merged is not None:
-            # Outside the per-cell dicts on purpose: the sweep
-            # fingerprint hashes cell outcomes only, so same-seed runs
-            # with and without --breakdown stay fingerprint-identical.
-            doc["breakdown"] = merged.to_dict()
-        return doc
 
     def format_report(self) -> str:
         """The protocol x profile survival table."""
@@ -249,10 +222,6 @@ class SweepReport:
                 for q in (0.50, 0.90, 0.99, 0.999))
             lines.append(f"merged FCT sketch ({merged.count} completed "
                          f"flows): {quantiles}")
-        merged_breakdown = self.merged_breakdown()
-        if merged_breakdown is not None:
-            lines.append(merged_breakdown.render(
-                title="FCT attribution under chaos (time in component)"))
         if self.failures:
             lines.append(f"-- MISSING ({len(self.failures)} quarantined "
                          f"cells) --")
@@ -279,7 +248,6 @@ def run_cell(
     size: int = 60_000,
     audit: bool = False,
     config: Optional[TransportConfig] = None,
-    breakdown: bool = False,
 ) -> CellResult:
     """Run one protocol under one profile and judge the liveness contract.
 
@@ -335,20 +303,6 @@ def run_cell(
         if result.completed:
             result.mean_fct = fct_sum / result.completed
 
-    def run_body() -> None:
-        if breakdown:
-            # Cell-local session (nested inside the audit hub when both
-            # are on): attribution floats are computed in-process
-            # whether the cell runs inline or in a --jobs worker.
-            from repro.obs.critical import BreakdownSession
-
-            with BreakdownSession() as session:
-                execute()
-            if session.aggregate.flows:
-                result.breakdown = session.aggregate.to_dict()
-        else:
-            execute()
-
     if audit:
         # Imported lazily: repro.audit re-exports fault helpers that now
         # live in this package, so a module-level import would tangle
@@ -356,18 +310,18 @@ def run_cell(
         from repro.audit import AuditSession
 
         with AuditSession() as session:
-            run_body()
+            execute()
         result.violations = [v.render() for v in session.violations]
     else:
-        run_body()
+        execute()
     return result
 
 
 def _run_cell_task(task) -> CellResult:
     """Picklable per-cell worker for :func:`fanout_map`."""
-    protocol, profile, seed, n_flows, size, audit, breakdown = task
+    protocol, profile, seed, n_flows, size, audit = task
     return run_cell(protocol, profile, seed=seed, n_flows=n_flows,
-                    size=size, audit=audit, breakdown=breakdown)
+                    size=size, audit=audit)
 
 
 def run_sweep(
@@ -378,7 +332,6 @@ def run_sweep(
     size: int = 60_000,
     audit: bool = False,
     jobs: int = 1,
-    breakdown: bool = False,
 ) -> SweepReport:
     """Run the full protocol x profile survival matrix.
 
@@ -403,7 +356,7 @@ def run_sweep(
     resolved = [get_profile(name, seed=seed) if isinstance(name, str)
                 else name for name in profiles]
     tasks = [
-        (protocol, profile, seed, n_flows, size, audit, breakdown)
+        (protocol, profile, seed, n_flows, size, audit)
         for profile in resolved
         for protocol in protocols
     ]

@@ -19,9 +19,12 @@ trace stream.
 ``--telemetry`` and ``--chaos`` compose with ``--jobs N``: the parent
 and every pool worker enter the same ``WorkerEnv`` (per-worker trace
 files are shard-suffixed, the chaos profile is re-parsed from its
-deterministic spec).  ``--audit`` and ``--trace-viewer`` keep the run
-in-process — their sessions live in the parent only; the rule is
-:data:`IN_PROCESS_RULES`.
+deterministic spec).  ``--breakdown`` and ``--trace-viewer`` compose
+too: the fan-out attributes each cell in its own session and merges
+those into the run-level one in cell order, so the ``== breakdown ==``
+section and the trace-viewer export are the same for any ``--jobs``.
+``--audit`` keeps the run in-process — its session lives in the parent
+only; the rule is :data:`IN_PROCESS_RULES`.
 
 The run lifecycle — ``--progress``, ``--manifest`` / ``--no-manifest``,
 ``--retries``, ``--heartbeat-timeout``, ``--procfault``, ``--resume``,
@@ -52,13 +55,10 @@ DEFAULT_TELEMETRY_DIR = "telemetry-out"
 DEFAULT_AUDIT_DIR = "audit-out"
 
 #: Flags whose session lives in the parent process only — the auditor's
-#: flight recorder, the span store a trace-viewer export reads.  Given
-#: with ``--jobs N`` (N > 1), the run stays in-process and says so once
-#: on stderr: ``(argparse dest, notice)``.
+#: flight recorder.  Given with ``--jobs N`` (N > 1), the run stays
+#: in-process and says so once on stderr: ``(argparse dest, notice)``.
 IN_PROCESS_RULES = (
     ("audit", "[--jobs ignored: --audit needs an in-process run]"),
-    ("trace_viewer", "[--jobs ignored: --trace-viewer exports spans "
-                     "retained by an in-process run]"),
 )
 
 Formatter = Callable[[object], str]
@@ -78,22 +78,19 @@ def _experiment(description: str, module: str,
                 sized: Optional[Sized] = None) -> Tuple[str, Runner]:
     """One registry row: ``(description, runner)``.
 
-    ``runner(scale, seed, jobs=1, breakdown=False)`` imports
+    ``runner(scale, seed, jobs=1)`` imports
     ``repro.experiments.<module>`` and calls its ``run`` with
     ``sized(scale)`` (the scale -> size/duration kwargs; none without
-    ``sized``) plus each of ``seed`` / ``jobs`` / ``breakdown``
-    that ``run`` has a parameter of that name for; it returns
-    ``(result, format_report)``.
+    ``sized``) plus each of ``seed`` / ``jobs`` that ``run`` has a
+    parameter of that name for; it returns ``(result, format_report)``.
     """
 
-    def runner(scale: float, seed: int, jobs: int = 1,
-               breakdown: bool = False):
+    def runner(scale: float, seed: int, jobs: int = 1):
         m = importlib.import_module("repro.experiments." + module)
         code = m.run.__code__
         params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         kwargs = sized(scale) if sized is not None else {}
-        for name, value in (("seed", seed), ("jobs", jobs),
-                            ("breakdown", breakdown)):
+        for name, value in (("seed", seed), ("jobs", jobs)):
             if name in params:
                 kwargs[name] = value
         return m.run(**kwargs), m.format_report
@@ -224,10 +221,10 @@ def main(argv=None) -> int:
                              "critical-path components (serialization, "
                              "queue wait, propagation, pacing, loss "
                              "detection, retransmission, RTO idle) and "
-                             "print per-protocol time-in-component tables; "
-                             "fig6/fig12 reports gain breakdown + 'where "
-                             "Halfback wins' tables that are bit-identical "
-                             "for any --jobs value")
+                             "print a closing '== breakdown ==' section: "
+                             "per-protocol time-in-component tables, "
+                             "'where Halfback wins' and a fingerprint, "
+                             "bit-identical for any --jobs value")
     parser.add_argument("--trace-viewer-max", type=int, default=500_000,
                         metavar="N",
                         help="event cap for the --trace-viewer export "
@@ -238,8 +235,8 @@ def main(argv=None) -> int:
                         help="export retained flow/packet/recovery span "
                              "timelines as Perfetto/Chrome trace_event "
                              "JSON to PATH (implies --breakdown; open at "
-                             "ui.perfetto.dev; spans are retained from "
-                             "the in-process run, so --jobs is ignored)")
+                             "ui.perfetto.dev; the same events for any "
+                             "--jobs value)")
     parser.add_argument("--chaos", default=None, metavar="PROFILE[:seed]",
                         help="run the experiments under a chaos profile "
                              "(see 'chaos list'): every access network "
@@ -303,24 +300,14 @@ def main(argv=None) -> int:
                 print(f"== {name}: {description} (scale={args.scale}) ==")
                 started = time.time()
                 with run.stage(name):
-                    result, formatter = runner(args.scale, args.seed, jobs,
-                                               breakdown)
+                    result, formatter = runner(args.scale, args.seed, jobs)
                     report = formatter(result)
                 digest.update(report.encode("utf-8"))
                 print(report)
                 print(f"[{name} finished in {time.time() - started:.1f}s]\n")
         if breakdown_session is not None:
             print("== breakdown ==")
-            agg = breakdown_session.aggregate
-            if agg.flows:
-                print(agg.render(title="FCT attribution (time in component)"))
-                wins = agg.render_halfback_vs_tcp()
-                if wins is not None:
-                    print(wins)
-            else:
-                print("no flows observed by the run-level session"
-                      + (" (per-trial breakdowns ran in --jobs workers; see "
-                         "the figure reports above)" if jobs > 1 else ""))
+            print(breakdown_session.aggregate.report())
             if args.trace_viewer is not None:
                 from repro.obs.traceviewer import write_trace_viewer
 

@@ -34,9 +34,6 @@ class Fig6Result:
     #: sketches; what a sharded full-scale run reports from).
     aggregate: StreamingFlowAggregator = field(
         default_factory=StreamingFlowAggregator)
-    #: Per-protocol FCT-component attribution (``--breakdown`` runs
-    #: only; a :class:`~repro.obs.critical.BreakdownAggregator`).
-    breakdown: Optional[object] = None
 
     def reduction_vs(self, protocol: str, baseline: str) -> float:
         """Fractional mean-FCT reduction of ``protocol`` vs ``baseline``."""
@@ -49,13 +46,11 @@ def run(
     seed: int = 42,
     trials: Optional[PlanetlabTrials] = None,
     jobs: int = 1,
-    breakdown: bool = False,
 ) -> Fig6Result:
     """Run (or reuse) the PlanetLab trial set and build the Fig. 6 data."""
     if trials is None:
         trials = run_planetlab_trials(n_paths=n_paths, protocols=protocols,
-                                      seed=seed, jobs=jobs,
-                                      breakdown=breakdown)
+                                      seed=seed, jobs=jobs)
     fcts: Dict[str, List[float]] = {}
     for protocol in trials.protocols():
         fcts[protocol] = trials.collector(protocol).fcts()
@@ -66,7 +61,6 @@ def run(
         mean_fct={p: mean(v) for p, v in fcts.items() if v},
         p99_fct={p: percentile(v, 99) for p, v in fcts.items() if v},
         aggregate=trials.aggregate(),
-        breakdown=trials.breakdown_aggregate(),
     )
 
 
@@ -112,12 +106,4 @@ def format_report(result: Fig6Result) -> str:
             title="Fig. 6 — streamed FCT quantiles"))
         parts.append(f"aggregate fingerprint: "
                      f"{result.aggregate.fingerprint()}")
-    if result.breakdown is not None:
-        parts.append(result.breakdown.render(
-            title="Fig. 6 — FCT attribution (time in component)"))
-        wins = result.breakdown.render_halfback_vs_tcp()
-        if wins is not None:
-            parts.append(wins)
-        parts.append(f"breakdown fingerprint: "
-                     f"{result.breakdown.fingerprint()}")
     return "\n".join(parts)

@@ -10,7 +10,7 @@ with far better FCT).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.metrics.collapse import SweepPoint, feasible_capacity
 from repro.experiments.report import render_table
@@ -46,9 +46,6 @@ class UtilizationSweep:
     #: order — the sweep's FCT quantile sketches and fingerprint.
     aggregate: StreamingFlowAggregator = field(
         default_factory=StreamingFlowAggregator)
-    #: Per-protocol FCT-component attribution (``--breakdown`` runs
-    #: only; a :class:`~repro.obs.critical.BreakdownAggregator`).
-    breakdown: Optional[object] = None
 
     def curve(self, protocol: str) -> List[SweepPoint]:
         """The (utilization, mean FCT) curve for one scheme."""
@@ -66,26 +63,12 @@ def _run_point_task(task):
     record list, so parent memory (and the pickled payload) stays flat
     no matter how many flows a cell ran.
     """
-    protocol, utilization, duration, seed, n_pairs, drain_time, breakdown \
-        = task
-    if breakdown:
-        # Cell-local session: the cell's FCT attribution is computed
-        # in-process whether the cell runs inline (jobs=1) or in a
-        # worker, so the shipped-back doc is bit-identical either way.
-        from repro.obs.critical import BreakdownSession
-
-        with BreakdownSession() as session:
-            stats = run_utilization_point_stats(
-                protocol, utilization, duration=duration, seed=seed,
-                n_pairs=n_pairs, drain_time=drain_time,
-                penalty=INCOMPLETE_PENALTY,
-            )
-        return stats, session.aggregate.to_dict()
+    protocol, utilization, duration, seed, n_pairs, drain_time = task
     return run_utilization_point_stats(
         protocol, utilization, duration=duration, seed=seed,
         n_pairs=n_pairs, drain_time=drain_time,
         penalty=INCOMPLETE_PENALTY,
-    ), None
+    )
 
 
 def sweep_protocols(
@@ -97,7 +80,6 @@ def sweep_protocols(
     collapse_factor: float = 4.0,
     drain_time: float = 30.0,
     jobs: int = 1,
-    breakdown: bool = False,
 ) -> UtilizationSweep:
     """Run the all-short-flow sweep for each protocol.
 
@@ -107,28 +89,15 @@ def sweep_protocols(
     ``jobs > 1`` fans the cells out over worker processes; curves merge
     in the serial order and match a serial run exactly.
     """
-    tasks = [(protocol, utilization, duration, seed, n_pairs, drain_time,
-              breakdown)
+    tasks = [(protocol, utilization, duration, seed, n_pairs, drain_time)
              for protocol in protocols for utilization in utilizations]
     cells = fanout_map(_run_point_task, tasks, jobs=jobs)
     points: Dict[str, List[SweepPoint]] = {}
     aggregate = StreamingFlowAggregator(penalty=INCOMPLETE_PENALTY)
-    breakdown_agg = None
-    if breakdown:
-        from repro.obs.critical import BreakdownAggregator
-
-        breakdown_agg = BreakdownAggregator()
     for i, protocol in enumerate(protocols):
         curve: List[SweepPoint] = []
         for j, utilization in enumerate(utilizations):
-            stats, cell_breakdown = cells[i * len(utilizations) + j]
-            if breakdown_agg is not None and cell_breakdown is not None:
-                # Serial cell order again: merge is associative but the
-                # fingerprint bar is byte-identity, so keep one order.
-                from repro.obs.critical import BreakdownAggregator
-
-                breakdown_agg.merge(
-                    BreakdownAggregator.from_dict(cell_breakdown))
+            stats = cells[i * len(utilizations) + j]
             if not stats.flows:
                 # Short (scaled-down) runs can draw zero Poisson
                 # arrivals at the lowest loads; the point carries no
@@ -148,11 +117,9 @@ def sweep_protocols(
         protocol: feasible_capacity(curve, factor=collapse_factor)
         for protocol, curve in points.items()
     }
-    if breakdown_agg is not None and not breakdown_agg.flows:
-        breakdown_agg = None
     return UtilizationSweep(points=points, feasible=feasible,
                             collapse_factor=collapse_factor,
-                            aggregate=aggregate, breakdown=breakdown_agg)
+                            aggregate=aggregate)
 
 
 def run(
@@ -163,13 +130,11 @@ def run(
     n_pairs: int = 16,
     collapse_factor: float = 4.0,
     jobs: int = 1,
-    breakdown: bool = False,
 ) -> UtilizationSweep:
     """The Fig. 12 sweep over all eight schemes."""
     return sweep_protocols(protocols, utilizations=utilizations,
                            duration=duration, seed=seed, n_pairs=n_pairs,
-                           collapse_factor=collapse_factor, jobs=jobs,
-                           breakdown=breakdown)
+                           collapse_factor=collapse_factor, jobs=jobs)
 
 
 def format_report(result: UtilizationSweep) -> str:
@@ -197,12 +162,4 @@ def format_report(result: UtilizationSweep) -> str:
             title="Fig. 12 — streamed FCT quantiles"))
         parts.append(f"aggregate fingerprint: "
                      f"{result.aggregate.fingerprint()}")
-    if result.breakdown is not None:
-        parts.append(result.breakdown.render(
-            title="Fig. 12 — FCT attribution (time in component)"))
-        wins = result.breakdown.render_halfback_vs_tcp()
-        if wins is not None:
-            parts.append(wins)
-        parts.append(f"breakdown fingerprint: "
-                     f"{result.breakdown.fingerprint()}")
     return "\n\n".join(parts)

@@ -56,39 +56,10 @@ class PlanetlabTrials:
             agg.group(protocol).observe_all(self.by_protocol[protocol].records)
         return agg
 
-    def breakdown_aggregate(self):
-        """Per-protocol FCT-component stats over the trial set.
-
-        Folds each record's stamped
-        :class:`~repro.obs.spans.FlowBreakdown` (present when the trials
-        ran with ``breakdown=True``) in the serial protocol-major,
-        path-order sequence, so the result — and its fingerprint — is
-        identical however many jobs ran the trials.  None when no record
-        carries one.
-        """
-        from repro.obs.critical import BreakdownAggregator
-
-        agg = BreakdownAggregator()
-        for protocol in self.by_protocol:
-            for record in self.by_protocol[protocol].records:
-                breakdown = record.extra.get("breakdown")
-                if breakdown is not None:
-                    agg.observe(breakdown)
-        return agg if agg.flows else None
-
 
 def _run_path_task(task) -> FlowRecord:
     """Picklable per-trial worker for :func:`fanout_map`."""
-    spec, protocol, flow_size, seed, breakdown = task
-    if breakdown:
-        # Trial-local session: the flow's FCT attribution is computed
-        # in-process whether this runs inline (jobs=1) or in a worker,
-        # so the stamped breakdown floats are identical either way.
-        from repro.obs.critical import BreakdownSession
-
-        with BreakdownSession():
-            return run_single_path_flow(spec, protocol, size=flow_size,
-                                        seed=seed)
+    spec, protocol, flow_size, seed = task
     return run_single_path_flow(spec, protocol, size=flow_size, seed=seed)
 
 
@@ -99,7 +70,6 @@ def run_planetlab_trials(
     flow_size: int = SHORT_FLOW_BYTES,
     population: Optional[PathPopulation] = None,
     jobs: int = 1,
-    breakdown: bool = False,
 ) -> PlanetlabTrials:
     """Run one flow per (path, protocol).
 
@@ -115,7 +85,7 @@ def run_planetlab_trials(
     if population is None:
         population = PathPopulation(n_pairs=n_paths, seed=seed)
     paths = population.subset(min(n_paths, len(population)))
-    tasks = [(spec, protocol, flow_size, seed, breakdown)
+    tasks = [(spec, protocol, flow_size, seed)
              for protocol in protocols for spec in paths]
     records = fanout_map(_run_path_task, tasks, jobs=jobs)
     by_protocol: Dict[str, FctCollector] = {}

@@ -22,12 +22,21 @@ from typing import Any, Dict, Tuple
 
 from repro.units import HEADER_SIZE
 
-__all__ = ["PacketType", "Packet", "SackRanges"]
+__all__ = ["PacketType", "Packet", "SackRanges", "packet_uid_mark"]
 
 #: Up to three SACK ranges per ACK, as in classic TCP SACK option space.
 SackRanges = Tuple[Tuple[int, int], ...]
 
 _packet_ids = itertools.count(1)
+
+
+def packet_uid_mark(at_least: int = 0) -> int:
+    """The next packet uid, not allocated; first skips the counter
+    forward to ``at_least`` (uids a fan-out's workers allocated)."""
+    global _packet_ids
+    mark = max(next(_packet_ids), at_least)
+    _packet_ids = itertools.count(mark)
+    return mark
 
 
 class PacketType(Enum):

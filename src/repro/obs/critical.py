@@ -11,18 +11,18 @@ trace recorder is ambient — the same one call as
 The aggregate state is per protocol, per component: a float running sum
 (for exact means) plus a PR 6 :class:`~repro.obs.sketch.QuantileSketch`
 (for p50/p99).  Both merge associatively and serialize
-order-independently, so sharded ``--jobs N`` runs fold into tables that
-are byte-identical with serial runs — the acceptance bar Fig. 6/12
-reports are held to.
+order-independently, so the per-cell sessions of a ``--jobs N`` run fold
+into a ``== breakdown ==`` section byte-identical with a serial run's.
 """
 
 from __future__ import annotations
 
 import hashlib
 from contextlib import ExitStack
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.net.packet import packet_uid_mark
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
@@ -33,12 +33,14 @@ from repro.sim.trace import TraceRecorder
 from repro.telemetry import context
 from repro.telemetry.context import active_session, take_breakdown
 from repro.telemetry.hub import ring_recorder
+from repro.transport.flow import flow_id_mark
 
 __all__ = [
     "BreakdownAggregator",
     "BreakdownSession",
     "BreakdownStats",
     "active_session",
+    "id_marks",
     "take_breakdown",
 ]
 
@@ -279,6 +281,19 @@ class BreakdownAggregator:
             ["component", f"{baseline} mean", f"{challenger} mean", "delta"],
             rows, title=f"where {challenger} wins (vs {baseline})")
 
+    def report(self) -> str:
+        """The ``== breakdown ==`` section a run prints: the table, the
+        "where Halfback wins" table when both schemes ran, and the
+        fingerprint."""
+        if not self.flows:
+            return "no flows observed by the run-level session"
+        parts = [self.render(title="FCT attribution (time in component)")]
+        wins = self.render_halfback_vs_tcp()
+        if wins is not None:
+            parts.append(wins)
+        parts.append(f"breakdown fingerprint: {self.fingerprint()}")
+        return "\n".join(parts)
+
 
 def _fmt_ms(seconds: float, signed: bool = False) -> str:
     sign = "+" if signed else ""
@@ -316,19 +331,23 @@ class BreakdownSession:
     Completed breakdowns land in two places: folded into the session's
     :class:`BreakdownAggregator` (``session.aggregate``), and parked in
     ``session.pending`` until the harness claims them per flow via
-    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`) — from the
-    innermost session when several nest.
+    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`).
+
+    Sessions nest: one entered inside another suspends the enclosing
+    session's builder until it exits, so every flow completing inside
+    belongs to the inner session alone.  That presumes no flow of the
+    enclosing session is live across the nested block — true of fan-out
+    cells, self-contained simulations run to completion, which is what
+    nests: :func:`repro.parallel.fanout_map` runs each cell in its own
+    session and merges what :meth:`shipped` returns through
+    :meth:`absorb`.
     """
 
-    def __init__(self, keep_spans: bool = False,
-                 focus_flow: Optional[int] = None,
-                 max_spans: int = 200_000) -> None:
+    def __init__(self, keep_spans: bool = False) -> None:
         # ``on_complete`` is bound while the session is entered only: a
         # standing builder <-> session cycle would leave every finished
         # session to the cycle collector.
-        self.builder = FlowSpanBuilder(
-            keep_spans=keep_spans, focus_flow=focus_flow,
-            max_spans=max_spans)
+        self.builder = FlowSpanBuilder(keep_spans=keep_spans)
         self.aggregate = BreakdownAggregator()
         self.pending: Dict[int, FlowBreakdown] = {}
         self.completed: List[FlowBreakdown] = []
@@ -343,14 +362,66 @@ class BreakdownSession:
             self.completed.append(breakdown)
 
     def __enter__(self) -> "BreakdownSession":
+        outer = context.active_session()
         self.builder.on_complete = self._on_complete
         self._stack = ExitStack()
         self.trace = self._stack.enter_context(context.attached(
             "breakdown", self.builder.observe, self.builder.kinds,
             ring_recorder))
+        if outer is not None:
+            outer.trace.unsubscribe(outer.builder.observe)
+            self._stack.callback(outer.trace.subscribe, outer.builder.observe,
+                                 outer.builder.kinds)
         self._stack.enter_context(context.scope(breakdown=self))
+        self._marks = id_marks() if self.keep_spans else None
         return self
 
     def __exit__(self, *exc) -> None:
         self._stack.close()
         self.builder.on_complete = None
+
+    # -- fan-out cells -------------------------------------------------
+
+    def shipped(self) -> Tuple[Dict[str, Any], Optional[tuple]]:
+        """What a fan-out cell hands back of its session: the aggregate
+        document, and with ``keep_spans`` the retained breakdowns —
+        flow ids and packet uids made cell-local — plus how many of each
+        the cell allocated."""
+        doc = self.aggregate.to_dict()
+        if self._marks is None:
+            return doc, None
+        (flow0, uid0), (flow1, uid1) = self._marks, id_marks()
+        _rebase(self.completed, -flow0, -uid0)
+        return doc, (self.completed, flow1 - flow0, uid1 - uid0)
+
+    def absorb(self, shipped: Iterable[tuple],
+               marks: Optional[Tuple[int, int]]) -> None:
+        """Merge cells' :meth:`shipped` observations in cell order.
+
+        ``marks`` are the :func:`id_marks` taken when the fan-out began
+        (None without ``keep_spans``): spans get the ids they would have
+        had had every cell run in this process, one after another, and
+        the counters move past them, so ``--jobs N`` changes no id.
+        """
+        for doc, spans in shipped:
+            self.aggregate.merge(BreakdownAggregator.from_dict(doc))
+            if spans is not None:
+                completed, n_flows, n_uids = spans
+                _rebase(completed, *marks)
+                self.completed.extend(completed)
+                marks = (marks[0] + n_flows, marks[1] + n_uids)
+        if marks is not None:
+            id_marks(marks)
+
+
+def id_marks(at_least: Tuple[int, int] = (0, 0)) -> Tuple[int, int]:
+    """This process's next flow id and packet uid, allocating neither;
+    both counters first skip forward to ``at_least``."""
+    return flow_id_mark(at_least[0]), packet_uid_mark(at_least[1])
+
+
+def _rebase(breakdowns: List[FlowBreakdown], flows: int, uids: int) -> None:
+    for breakdown in breakdowns:
+        breakdown.flow += flows
+        for packet in breakdown.packets:
+            packet["uid"] += uids

@@ -15,7 +15,7 @@ over a worker function, serial for ``jobs <= 1`` and a supervised
 must be module-level functions and the items/results picklable; all
 sweep cells here satisfy that (plain dataclasses end to end).
 
-Three ambient integrations make runs observable and resilient instead
+Four ambient integrations make runs observable and resilient instead
 of opaque and brittle:
 
 * **progress** — when a :class:`repro.obs.progress.ProgressPlane` is
@@ -29,6 +29,13 @@ of opaque and brittle:
   picklable :class:`WorkerEnv` that the pool initializer re-activates
   inside every worker.  Only ``--audit`` still forces serial runs (its
   flight recorder is single-process by design).
+* **attribution** — under an ambient
+  :class:`~repro.obs.critical.BreakdownSession` every cell, inline or
+  pooled, runs in its own nested session and ships its attribution back
+  beside its value; the run-level session absorbs those in cell order
+  and callers get bare values, so ``--breakdown`` / ``--trace-viewer``
+  are the same for any ``jobs``.  The observation is part of each
+  cell's journal digest.
 * **supervision & journaling** — :func:`supervision` declares a
   :class:`FanoutPolicy` (retries with deterministic backoff,
   heartbeat-deadline reaping of hung workers, hedged straggler
@@ -46,6 +53,7 @@ journal and the supervisor — and with it ``concurrent.futures`` and
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, TypeVar)
 
@@ -59,7 +67,7 @@ from repro.parallel.policy import (
     journaling,
     supervision,
 )
-from repro.telemetry.context import current_plane
+from repro.telemetry.context import active_session, current_plane
 
 if TYPE_CHECKING:
     from repro.obs.progress import ProgressPlane
@@ -203,7 +211,9 @@ def fanout_map(
     When a progress plane (:mod:`repro.obs.progress`) is active, every
     item reports as one shard; when a :class:`WorkerEnv` is declared
     (see :func:`worker_env`), pool workers re-activate the parent's
-    telemetry/chaos/procfault sessions before their first item.
+    telemetry/chaos/procfault sessions before their first item; when a
+    breakdown session is active, each item is attributed in its own
+    and merged into it in item order.
     """
     from repro.parallel import pool as _pool
 
@@ -216,6 +226,8 @@ def fanout_map(
     plane = current_plane()
     if plane is not None:
         plane.begin(len(items))
+    session = active_session()
+    observe = None if session is None else session.keep_spans
 
     # Journal replay: resolve already-completed cells by digest.
     replayed: Dict[int, _Result] = {}
@@ -225,7 +237,10 @@ def fanout_map(
 
         recorded = journal.replay()
         for index, item in enumerate(items):
-            digest = cell_digest(worker, item)
+            # What observes a cell is part of its identity: a journaled
+            # value carries its shipped attribution, or does not.
+            digest = cell_digest(worker, item if observe is None
+                                 else (item, "breakdown", observe))
             digests.append(digest)
             if digest in recorded:
                 value = recorded[digest]
@@ -246,6 +261,15 @@ def fanout_map(
             journal.append(digests[index], _pool._item_label(items[index]),
                            value)
 
+    if session is not None:
+        # Each cell attributes its flows in its own nested session,
+        # inline or in a worker alike, and ships that back beside its
+        # value (DESIGN.md §6).
+        from repro.obs.critical import id_marks
+
+        marks = id_marks() if observe else None
+        worker = partial(_pool._observed, observe, worker)
+
     if workers <= 1:
         stats = SupervisorStats(shards=len(items), replayed=len(replayed))
         try:
@@ -254,20 +278,23 @@ def fanout_map(
                                  stats=stats)
         finally:
             _run_stats.merge(stats)
-        if plane is not None:
-            plane.tick(force=True)
-        return results
+    else:
+        from repro.parallel.supervisor import ShardSupervisor
 
-    from repro.parallel.supervisor import ShardSupervisor
-
-    supervisor = ShardSupervisor(
-        worker, items, workers, policy, env=_pool.current_worker_env(),
-        plane=plane, on_result=on_result, results=replayed)
-    supervisor.stats.replayed = len(replayed)
-    try:
-        results = supervisor.run()
-    finally:
-        _run_stats.merge(supervisor.stats)
+        supervisor = ShardSupervisor(
+            worker, items, workers, policy, env=_pool.current_worker_env(),
+            plane=plane, on_result=on_result, results=replayed)
+        supervisor.stats.replayed = len(replayed)
+        try:
+            results = supervisor.run()
+        finally:
+            _run_stats.merge(supervisor.stats)
     if plane is not None:
         plane.tick(force=True)
+    if session is not None:
+        # Serial cell order, replayed cells included.
+        session.absorb([result[1] for result in results
+                        if not isinstance(result, ShardFailure)], marks)
+        results = [result if isinstance(result, ShardFailure) else result[0]
+                   for result in results]
     return results

@@ -3,9 +3,10 @@
 Everything in this module crosses (or prepares to cross) the process
 boundary: the picklable :class:`WorkerEnv` that pool workers mirror,
 the pool initializer that re-enters the parent's observability sessions
-inside each worker, and :func:`_run_shard`, the per-item body (shard
+inside each worker, :func:`_run_shard`, the per-item body (shard
 heartbeats, the ambient process-fault injector, the worker call) that
-pool tasks and the serial fan-out share.
+pool tasks and the serial fan-out share, and :func:`_observed`, the
+worker wrapper that gives each cell its own breakdown session.
 
 The supervisor (:mod:`repro.parallel.supervisor`) owns scheduling;
 this module owns what runs *inside* a worker.
@@ -158,6 +159,16 @@ def _run_shard(worker, index: int, item, attempt: int,
         result = worker(item)
     reporter.done()
     return result
+
+
+def _observed(keep_spans: bool, worker, item):
+    """``worker(item)`` inside the cell's own breakdown session, which
+    suspends any enclosing one: ``(value, session.shipped())``."""
+    from repro.obs.critical import BreakdownSession
+
+    with BreakdownSession(keep_spans=keep_spans) as session:
+        value = worker(item)
+    return value, session.shipped()
 
 
 def _pool_task(payload):

@@ -96,6 +96,18 @@ def _crashed(process, pid: int) -> bool:
     return process.exitcode not in (None, -signal.SIGTERM)
 
 
+def _terminate(processes) -> None:
+    """SIGTERM ``processes``, SIGKILL any still alive a second later, and
+    join (reap) every one."""
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join(1.0)
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+
+
 class ShardSupervisor:
     """Supervised execution of ``worker`` over ``items`` on a process
     pool; see the module docstring for the failure model.
@@ -162,8 +174,13 @@ class ShardSupervisor:
                                           daemon=True)
             self._pump.start()
             self._loop()
-        finally:
-            self._shutdown()
+        except BaseException:
+            # Ctrl-C, a shard's terminal error: no worker may outlive
+            # the fan-out (one mid-write to the result pipe would also
+            # keep the executor, and so the interpreter, from exiting).
+            self._shutdown(terminate=True)
+            raise
+        self._shutdown()
         return [self.results[i] for i in range(len(self.items))]
 
     def _spawn_pool(self) -> None:
@@ -179,12 +196,16 @@ class ShardSupervisor:
             initializer=_worker_init,
             initargs=(self.env, self._counter, self._queue))
 
-    def _shutdown(self) -> None:
+    def _shutdown(self, terminate: bool = False) -> None:
         self._stop.set()
         if self._pool is not None:
+            processes = list(
+                (getattr(self._pool, "_processes", None) or {}).values())
             # Hedge losers may still be mid-cell; don't wait for them.
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+            if terminate:
+                _terminate(processes)
         if self._pump is not None:
             self._pump.join(timeout=2.0)
             self._pump = None

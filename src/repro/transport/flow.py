@@ -16,7 +16,8 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.units import MSS
 
-__all__ = ["FlowSpec", "FlowRecord", "next_flow_id", "segments_for"]
+__all__ = ["FlowSpec", "FlowRecord", "flow_id_mark", "next_flow_id",
+           "segments_for"]
 
 _flow_ids = itertools.count(1)
 
@@ -24,6 +25,15 @@ _flow_ids = itertools.count(1)
 def next_flow_id() -> int:
     """Allocate a globally unique flow id."""
     return next(_flow_ids)
+
+
+def flow_id_mark(at_least: int = 0) -> int:
+    """The next flow id, not allocated; first skips the counter forward
+    to ``at_least`` (ids a fan-out's workers allocated for this run)."""
+    global _flow_ids
+    mark = max(next(_flow_ids), at_least)
+    _flow_ids = itertools.count(mark)
+    return mark
 
 
 def segments_for(size_bytes: int) -> int:

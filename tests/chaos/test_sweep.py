@@ -1,10 +1,13 @@
 """Survival-sweep harness: liveness contract, determinism, CLI."""
 
+import contextlib
+import io
 import json
 
 from repro.chaos.cli import main as chaos_main
 from repro.chaos.profiles import get_profile
 from repro.chaos.sweep import run_cell, run_sweep, sweep_config
+from repro.obs.critical import BreakdownSession
 
 
 class TestRunCell:
@@ -72,26 +75,25 @@ class TestRunSweep:
                       profiles=["wifi-bursty"],
                       seed=7, n_flows=2, size=30_000)
         plain = run_sweep(**kwargs)
-        attributed = run_sweep(breakdown=True, **kwargs)
+        with BreakdownSession() as session:
+            attributed = run_sweep(**kwargs)
         # Attribution is observational: the sweep result — and its
         # verdict fingerprint — must not move.
         assert attributed.fingerprint == plain.fingerprint
-        merged = attributed.merged_breakdown()
-        assert merged is not None and merged.flows > 0
-        assert plain.merged_breakdown() is None
-        # The merged tables ride the JSON report and render.
-        assert "breakdown" in attributed.to_dict()
-        assert "FCT attribution under chaos" in attributed.format_report()
+        assert attributed.format_report() == plain.format_report()
+        assert session.aggregate.flows == 4
 
     def test_breakdown_parallel_matches_serial(self):
         kwargs = dict(protocols=["halfback", "tcp"],
                       profiles=["wifi-bursty"],
-                      seed=7, n_flows=2, size=30_000, breakdown=True)
-        serial = run_sweep(jobs=1, **kwargs)
-        fanned = run_sweep(jobs=2, **kwargs)
+                      seed=7, n_flows=2, size=30_000)
+        with BreakdownSession() as serial_session:
+            serial = run_sweep(jobs=1, **kwargs)
+        with BreakdownSession() as fanned_session:
+            fanned = run_sweep(jobs=2, **kwargs)
         assert fanned.fingerprint == serial.fingerprint
-        assert (fanned.merged_breakdown().fingerprint()
-                == serial.merged_breakdown().fingerprint())
+        assert (fanned_session.aggregate.fingerprint()
+                == serial_session.aggregate.fingerprint())
         assert fanned.format_report() == serial.format_report()
 
     def test_different_seed_changes_the_fingerprint(self):
@@ -144,3 +146,68 @@ class TestCli:
         manifest = json.loads(manifest_path.read_text())
         assert validate_manifest(manifest) == []
         assert manifest["result"]["fingerprint"] == payload["fingerprint"]
+
+
+SWEEP = ["sweep", "--protocols", "tcp,halfback",
+         "--profiles", "wifi-bursty,dead-air", "--flows", "2",
+         "--size", "30000", "--seed", "7"]
+
+
+def _sweep(tmp_path, name, *extra):
+    """One ``chaos sweep`` run: exit code, its stdout lines (minus what
+    names its own files or counts its own work), the --json document and
+    the manifest's supervisor section."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = chaos_main(SWEEP + list(extra) + [
+            "--json", str(tmp_path / f"{name}.json"),
+            "--manifest", str(tmp_path / f"{name}-manifest.json")])
+    lines = [line for line in out.getvalue().splitlines()
+             if not line.startswith(("json report:", "[scheduler",
+                                     "[supervisor:", "[run manifest:"))]
+    manifest = json.loads((tmp_path / f"{name}-manifest.json").read_text())
+    return (code, lines, json.loads((tmp_path / f"{name}.json").read_text()),
+            manifest["supervisor"])
+
+
+class TestBreakdownResume:
+    def test_resumed_breakdown_equals_an_uninterrupted_run(self, tmp_path):
+        _, whole, whole_doc, _ = _sweep(tmp_path, "whole", "--breakdown")
+        state = str(tmp_path / "state")
+        code, degraded, _, _ = _sweep(
+            tmp_path, "degraded", "--breakdown", "--jobs", "2",
+            "--quarantine", "--procfault", "raise@1,raise@1.1",
+            "--retries", "2", "--resume", state)
+        assert code == 1
+        assert any(line.startswith("-- MISSING") for line in degraded)
+        code, resumed, resumed_doc, supervisor = _sweep(
+            tmp_path, "resumed", "--breakdown", "--resume", state)
+        assert code == 0
+        # Three cells replay from the journal, shipped attribution and
+        # all; the lost one runs now; the merge keeps cell order.
+        assert supervisor["replayed"] == 3
+        assert resumed == whole
+        assert "== breakdown ==" in whole
+        assert resumed_doc["breakdown"] == whole_doc["breakdown"]
+        assert resumed_doc["fingerprint"] == whole_doc["fingerprint"]
+
+    def test_journals_replay_only_into_runs_observed_alike(self, tmp_path):
+        _, _, attributed_doc, _ = _sweep(tmp_path, "attributed",
+                                         "--breakdown")
+        _, plain, plain_doc, _ = _sweep(tmp_path, "plain")
+        # A journal written without --breakdown holds no attribution:
+        # every cell re-runs under it...
+        state = str(tmp_path / "plain-state")
+        _sweep(tmp_path, "journal-plain", "--resume", state)
+        _, _, doc, supervisor = _sweep(tmp_path, "now-attributed",
+                                       "--breakdown", "--resume", state)
+        assert supervisor["replayed"] == 0
+        assert doc == attributed_doc
+        # ...and one written with it never replays into a plain run.
+        state = str(tmp_path / "attributed-state")
+        _sweep(tmp_path, "journal-attributed", "--breakdown",
+               "--resume", state)
+        _, lines, doc, supervisor = _sweep(tmp_path, "now-plain",
+                                           "--resume", state)
+        assert supervisor["replayed"] == 0
+        assert lines == plain and doc == plain_doc

@@ -46,18 +46,17 @@ def test_fig03_walkthrough_conserves():
 
 
 def test_fig06_trials_conserve():
-    result = fig06_planetlab_fct.run(n_paths=6, seed=9, breakdown=True,
-                                     protocols=("tcp", "halfback"))
-    assert_conserved(result.breakdown)
-    assert set(result.breakdown.protocols()) == {"tcp", "halfback"}
+    aggregate = run_ambient(lambda: fig06_planetlab_fct.run(
+        n_paths=6, seed=9, protocols=("tcp", "halfback")))
+    assert_conserved(aggregate)
+    assert set(aggregate.protocols()) == {"tcp", "halfback"}
 
 
 def test_fig12_sweep_conserves():
-    result = fig12_utilization.sweep_protocols(
+    assert_conserved(run_ambient(lambda: fig12_utilization.sweep_protocols(
         ("tcp", "halfback"), utilizations=(0.1, 0.3), duration=4.0,
-        seed=1, n_pairs=4, breakdown=True,
-    )
-    assert_conserved(result.breakdown)
+        seed=1, n_pairs=4,
+    )))
 
 
 def test_fig09_homenets_conserve():
@@ -79,7 +78,9 @@ def test_breakdown_is_off_path_by_default():
     # anywhere (the take_breakdown fast path returns None).
     from repro.obs.critical import active_session
 
+    from repro.experiments.planetlab_runs import run_planetlab_trials
+
     assert active_session() is None
-    result = fig06_planetlab_fct.run(n_paths=2, seed=9,
-                                     protocols=("halfback",))
-    assert result.breakdown is None
+    trials = run_planetlab_trials(n_paths=2, seed=9, protocols=("halfback",))
+    assert all("breakdown" not in record.extra
+               for record in trials.collector("halfback").records)

@@ -90,7 +90,7 @@ class TestCli:
         assert target.exists()
 
 
-def _wrappers(scale, seed, jobs, breakdown):
+def _wrappers(scale, seed, jobs):
     """What the per-figure wrapper functions the registry table replaced
     passed to each module's ``run``: ``name -> (module, kwargs)``."""
     paths = {"n_paths": int(260 * scale), "seed": seed, "jobs": jobs}
@@ -102,7 +102,7 @@ def _wrappers(scale, seed, jobs, breakdown):
         "fig3": ("fig03_example", {"seed": seed}),
         "table1": ("table1_taxonomy", {}),
         "fig5": ("fig05_retransmissions", paths),
-        "fig6": ("fig06_planetlab_fct", dict(paths, breakdown=breakdown)),
+        "fig6": ("fig06_planetlab_fct", paths),
         "fig7": ("fig07_rtt_counts", paths),
         "fig8": ("fig08_loss_fct", paths),
         "fig9": ("fig09_homenets", {
@@ -112,8 +112,7 @@ def _wrappers(scale, seed, jobs, breakdown):
         "fig11": ("fig11_flowsize", {
             "duration": max(10.0, 30 * scale), "seed": seed}),
         "fig12": ("fig12_utilization", {
-            "duration": max(5.0, 15 * scale), "seed": seed, "jobs": jobs,
-            "breakdown": breakdown}),
+            "duration": max(5.0, 15 * scale), "seed": seed, "jobs": jobs}),
         "fig13": ("fig13_short_long", {
             "duration": max(20.0, 40 * scale), "seed": seed}),
         "fig14": ("fig14_friendliness", {
@@ -141,14 +140,14 @@ class _RecordingRun:
 @pytest.mark.parametrize("scale", [0.01, 2.0])
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_registry_forwards_what_the_wrappers_passed(name, scale, monkeypatch):
-    module, expected = _wrappers(scale, 5, 3, True)[name]
+    module, expected = _wrappers(scale, 5, 3)[name]
     m = importlib.import_module("repro.experiments." + module)
     run = _RecordingRun(m.run)
     monkeypatch.setattr(m, "run", run)
     _, runner = EXPERIMENTS[name]
 
-    assert runner(scale, 5, 3, True) == (None, m.format_report)
+    assert runner(scale, 5, 3) == (None, m.format_report)
     assert run.kwargs == expected
-    # The two-argument call ``hb perturb`` makes: jobs=1, no breakdown.
+    # The two-argument call ``hb perturb`` makes: jobs=1.
     runner(scale, 5)
-    assert run.kwargs == _wrappers(scale, 5, 1, False)[name][1]
+    assert run.kwargs == _wrappers(scale, 5, 1)[name][1]

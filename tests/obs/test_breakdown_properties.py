@@ -21,7 +21,7 @@ from repro.chaos.impairments import (
 )
 from repro.chaos.profiles import ChaosProfile
 from repro.chaos.sweep import run_cell
-from repro.obs.critical import BreakdownAggregator
+from repro.obs.critical import BreakdownSession
 from repro.obs.spans import CONSERVATION_TOLERANCE
 
 # One entry per impairment family the breakdown must stay conserved
@@ -73,9 +73,10 @@ class TestConservationUnderChaos:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_components_sum_to_fct(self, recipe, protocol, seed):
-        cell = run_cell(protocol, composed_profile(recipe, seed),
-                        seed=seed, n_flows=2, size=30_000,
-                        audit=True, breakdown=True)
+        # The session a fan-out gives each cell, around the audited cell.
+        with BreakdownSession() as session:
+            cell = run_cell(protocol, composed_profile(recipe, seed),
+                            seed=seed, n_flows=2, size=30_000, audit=True)
         # Enforcement point 1: the audit checker replays every flow's
         # lineage through its own span builder and flags any breakdown
         # whose components fail to sum to the flow.complete FCT.
@@ -84,11 +85,10 @@ class TestConservationUnderChaos:
         assert conservation == [], "\n".join(conservation)
         if not cell.completed:
             return  # chaos killed every flow; nothing to attribute
-        # Enforcement point 2: the cell-local session saw every
-        # completed flow and its own max error stays inside tolerance
-        # (fct_sum bounds any single flow's FCT from above).
-        assert cell.breakdown is not None
-        agg = BreakdownAggregator.from_dict(cell.breakdown)
+        # Enforcement point 2: the cell's session saw every completed
+        # flow and its own max error stays inside tolerance (fct_sum
+        # bounds any single flow's FCT from above).
+        agg = session.aggregate
         assert agg.flows == cell.completed
         for name in agg.protocols():
             stats = agg.by_protocol[name]

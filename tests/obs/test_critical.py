@@ -11,7 +11,7 @@ from repro.obs.critical import (
     take_breakdown,
 )
 from repro.obs.spans import FlowBreakdown
-from repro.sim.trace import TraceRecord
+from repro.parallel import fanout_map
 from repro.telemetry.schema import EV_FLOW_COMPLETE, EV_FLOW_START
 
 
@@ -24,6 +24,17 @@ def bd(flow=1, protocol="tcp", fct=0.1, **components):
         comps = {"propagation": fct}
     return FlowBreakdown(flow=flow, protocol=protocol, size=1000,
                          start=0.0, complete=fct, components=comps)
+
+
+def _feed_cell(cell):
+    """A fan-out cell whose two flows complete on the ambient trace."""
+    trace = active_session().trace
+    for protocol, flow in (("tcp", 2 * cell), ("halfback", 2 * cell + 1)):
+        fct = 0.1 * (flow + 1)
+        trace.record(0.0, EV_FLOW_START, "test", flow=flow,
+                     protocol=protocol, size=100)
+        trace.record(fct, EV_FLOW_COMPLETE, "test", flow=flow, fct=fct)
+    return cell
 
 
 class TestBreakdownStats:
@@ -131,10 +142,27 @@ class TestBreakdownSession:
                 assert inner.aggregate.flows == 1
                 assert 3 not in inner.pending
             assert active_session() is outer
-            # ...but both sessions observe the shared ambient trace, so
-            # the run-level aggregate still counts the flow.
+            # ...and the suspended outer session folded none of its
+            # flows, nor parked them with nobody to claim them.
+            assert outer.aggregate.flows == 0
+            assert outer.pending == {}
+            self.feed(outer, flow=4)
             assert outer.aggregate.flows == 1
-            assert 3 in outer.pending
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fanout_merges_cell_sessions_in_cell_order(self, jobs):
+        cells = [0, 1, 2, 3]
+        expected = BreakdownAggregator()
+        for cell in cells:
+            with BreakdownSession() as alone:
+                _feed_cell(cell)
+            expected.merge(BreakdownAggregator.from_dict(
+                alone.aggregate.to_dict()))
+        with BreakdownSession() as outer:
+            assert fanout_map(_feed_cell, cells, jobs=jobs) == cells
+        assert outer.aggregate.flows == 2 * len(cells)
+        assert outer.aggregate.to_dict() == expected.to_dict()
+        assert outer.pending == {}
 
     def test_keep_spans_retains_completed_breakdowns(self):
         with BreakdownSession(keep_spans=True) as session:
