@@ -16,6 +16,7 @@ from repro.metrics.stats import cdf_points, median
 from repro.planetlab.homenet import HOME_PROFILES, server_rtts, to_path_spec
 from repro.experiments.report import render_table
 from repro.experiments.scenarios import SHORT_FLOW_BYTES, run_single_path_flow
+from repro.sim.randomness import derive_seed
 
 __all__ = ["Fig9Result", "run", "format_report"]
 
@@ -52,8 +53,9 @@ def run(
         for protocol in protocols:
             values: List[float] = []
             for server_index, server_rtt in enumerate(rtts):
-                spec = to_path_spec(profile, server_rtt,
-                                    pair_id=hash((profile_name, server_index)) % (1 << 30))
+                pair_id = derive_seed(
+                    seed, f"fig9:{profile_name}:{server_index}") % (1 << 30)
+                spec = to_path_spec(profile, server_rtt, pair_id=pair_id)
                 record = run_single_path_flow(spec, protocol, size=flow_size,
                                               seed=seed)
                 if record.fct is not None:

@@ -160,11 +160,6 @@ class FlowStats:
         """FCT quantile from the sketch (completed flows only)."""
         return self.fct_sketch.quantile(q)
 
-    def quantile_row(self) -> Dict[str, float]:
-        """The standard p50/p90/p99/p99.9 row streamed reports print."""
-        return {f"p{q * 100:g}": self.fct_sketch.quantile(q)
-                for q in REPORT_QUANTILES}
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

@@ -18,17 +18,15 @@ each shard a heartbeat channel and the parent a live, exportable view:
   concurrent readers never observe torn output.
 
 The same heartbeats double as the *liveness* signal for the shard
-supervisor (:mod:`repro.parallel.supervisor`): ``start`` events carry
-the worker pid, supervision verdicts surface as ``retry``/``fail``
-events, and a shard whose heartbeats go silent past the policy deadline
-gets reaped and retried.
+supervisor (:mod:`repro.parallel.supervisor`): a worker whose heartbeats
+go silent past the policy deadline gets reaped and its shard retried,
+and supervision verdicts surface as ``retry``/``fail`` events.
 
 The plane is wall-clock-driven and advisory by design: it never touches
 simulation state, so enabling it cannot change a result or fingerprint.
 :func:`repro.parallel.fanout_map` picks up the ambient plane
-automatically — serial runs report inline, pool workers post to the
-shard supervisor's queue, whose pump thread calls
-:meth:`ProgressPlane.apply`.
+automatically — serial runs report inline, workers post on their pipe
+to the shard supervisor, which calls :meth:`ProgressPlane.apply`.
 """
 
 from __future__ import annotations
@@ -85,22 +83,19 @@ MAX_SNAPSHOTS = 720
 
 
 class ProgressEvent:
-    """One heartbeat from a shard (picklable, queue-friendly).
+    """One heartbeat from a shard (picklable, pipe-friendly).
 
-    ``pid`` rides on ``start`` events: it is the worker process running
-    the shard, which is the shard supervisor's reaping handle for
-    heartbeat-silent shards.  ``retry`` and ``fail`` are parent-side
-    supervision verdicts (a shard requeued after a failed attempt; a
+    ``retry`` and ``fail`` are parent-side supervision verdicts (a shard requeued after a failed attempt; a
     shard quarantined after exhausting its budget).
     """
 
     __slots__ = ("shard", "kind", "label", "flows_done", "flows_total",
-                 "events", "wall_s", "ts", "pid")
+                 "events", "wall_s", "ts")
 
     def __init__(self, shard: int, kind: str, label: str = "",
                  flows_done: int = 0, flows_total: Optional[int] = None,
                  events: int = 0, wall_s: float = 0.0,
-                 ts: Optional[float] = None, pid: int = 0) -> None:
+                 ts: Optional[float] = None) -> None:
         self.shard = shard
         self.kind = kind  # "start" | "update" | "done" | "retry" | "fail"
         self.label = label
@@ -109,7 +104,6 @@ class ProgressEvent:
         self.events = events
         self.wall_s = wall_s
         self.ts = ts if ts is not None else time.time()
-        self.pid = pid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ProgressEvent(shard={self.shard}, kind={self.kind!r}, "
@@ -120,7 +114,7 @@ class ShardState:
     """Parent-side view of one shard's latest heartbeat."""
 
     __slots__ = ("shard", "label", "state", "flows_done", "flows_total",
-                 "events", "wall_s", "updated_at", "retries", "pid")
+                 "events", "wall_s", "updated_at", "retries")
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
@@ -132,7 +126,6 @@ class ShardState:
         self.wall_s = 0.0
         self.updated_at = 0.0
         self.retries = 0
-        self.pid = 0
 
     def apply(self, event: ProgressEvent) -> None:
         """Fold one heartbeat in (monotonic per shard)."""
@@ -140,8 +133,6 @@ class ShardState:
             self.label = event.label
         if event.kind == "start":
             self.state = "running"
-            if event.pid:
-                self.pid = event.pid
         elif event.kind == "done":
             self.state = "done"
         elif event.kind == "retry":
@@ -176,8 +167,8 @@ class ShardState:
 class ShardReporter:
     """Worker-side heartbeat emitter for one shard.
 
-    ``post`` is either a queue ``put`` (process pool) or the plane's
-    ``apply`` (serial runs); the reporter never blocks on it beyond what
+    ``post`` is either a worker pipe's ``send`` (worker processes) or the
+    plane's ``apply`` (serial runs); the reporter never blocks on it beyond what
     the channel itself costs, and throttles ``update`` events to one per
     :data:`UPDATE_INTERVAL` of wall clock.
     """
@@ -197,12 +188,11 @@ class ShardReporter:
 
     def started(self, label: str = "",
                 flows_total: Optional[int] = None) -> None:
-        """Announce the shard is running (stamped with our pid, the
-        supervisor's handle for reaping a later-hung worker)."""
+        """Announce the shard is running."""
         self._label = label
         self._started = time.perf_counter()
         self._post(ProgressEvent(self.shard, "start", label=label,
-                                 flows_total=flows_total, pid=os.getpid()))
+                                 flows_total=flows_total))
 
     def flow_completed(self, events: Optional[int] = None) -> None:
         """Count one finished flow (the natural ``on_complete`` hook)."""

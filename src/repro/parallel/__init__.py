@@ -10,10 +10,11 @@ then bit-identical to a serial one — same records, same report, same
 fingerprint — only faster.
 
 :func:`fanout_map` is the one primitive: an order-preserving ``map``
-over a worker function, serial for ``jobs <= 1`` and a supervised
-:class:`concurrent.futures.ProcessPoolExecutor` otherwise.  Workers
-must be module-level functions and the items/results picklable; all
-sweep cells here satisfy that (plain dataclasses end to end).
+over a worker function, serial for ``jobs <= 1`` and otherwise handed
+to :class:`~repro.parallel.supervisor.ShardSupervisor`, which runs
+cells on worker processes it starts and watches itself.  Workers must
+be module-level functions and the items/results picklable; all sweep
+cells here satisfy that (plain dataclasses end to end).
 
 Four ambient integrations make runs observable and resilient instead
 of opaque and brittle:
@@ -25,13 +26,13 @@ of opaque and brittle:
   inline through the same plane.
 * **worker environment** — ``--telemetry``, ``--chaos`` and
   ``--procfault`` sessions live in parent-process context variables a
-  pool worker would silently miss.  :func:`worker_env` declares a
-  picklable :class:`WorkerEnv` that the pool initializer re-activates
-  inside every worker.  Only ``--audit`` still forces serial runs (its
-  flight recorder is single-process by design).
+  worker process would silently miss.  :func:`worker_env` declares a
+  picklable :class:`WorkerEnv` that every worker re-activates for its
+  whole life.  Only ``--audit`` still forces serial runs (its flight
+  recorder is single-process by design).
 * **attribution** — under an ambient
   :class:`~repro.obs.critical.BreakdownSession` every cell, inline or
-  pooled, runs in its own nested session and ships its attribution back
+  in a worker, runs in its own nested session and ships its attribution back
   beside its value; the run-level session absorbs those in cell order
   and callers get bare values, so ``--breakdown`` / ``--trace-viewer``
   are the same for any ``jobs``.  The observation is part of each
@@ -46,8 +47,8 @@ of opaque and brittle:
 
 Importing this package costs :mod:`~repro.parallel.policy` only (every
 run declares a policy and reads the stats); the worker plumbing, the
-journal and the supervisor — and with it ``concurrent.futures`` and
-``multiprocessing`` — load when a fan-out first needs them.
+journal and the supervisor — and with it ``multiprocessing`` — load
+when a fan-out first needs them.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def fanout_map(
 
     ``jobs <= 1`` (or a single item) runs serially in-process — the
     zero-overhead baseline parallel runs must match.  Otherwise items
-    are dispatched to a supervised process pool that preserves input
-    order regardless of completion order, which is what keeps merged
-    sweep reports (and their fingerprints) bit-identical to serial
-    runs.
+    are dispatched to supervised worker processes, and results keep
+    input order regardless of completion order, which is what keeps
+    merged sweep reports (and their fingerprints) bit-identical to
+    serial runs.
 
     ``worker`` must be picklable (a module-level function), as must the
     items and results.  Under the default policy a worker exception
@@ -210,7 +211,7 @@ def fanout_map(
 
     When a progress plane (:mod:`repro.obs.progress`) is active, every
     item reports as one shard; when a :class:`WorkerEnv` is declared
-    (see :func:`worker_env`), pool workers re-activate the parent's
+    (see :func:`worker_env`), workers re-activate the parent's
     telemetry/chaos/procfault sessions before their first item; when a
     breakdown session is active, each item is attributed in its own
     and merged into it in item order.

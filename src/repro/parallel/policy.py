@@ -3,12 +3,12 @@
 :class:`FanoutPolicy` (the supervision knobs), :class:`ShardFailure`
 (the tombstone of a quarantined cell) and :class:`SupervisorStats` (the
 accounting recorded in run manifests), plus the ambient declarations a
-CLI makes once instead of threading arguments through every experiment
+CLI makes once instead of passing arguments through every experiment
 module: :func:`supervision` and :func:`journaling`.
 
 Import-light on purpose: every run declares a policy and reads the
 stats, but only a real ``--jobs N`` fan-out needs the supervisor and its
-process pool, and only ``--resume`` needs the journal.
+worker processes, and only ``--resume`` needs the journal.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class SupervisorStats:
 
 # ----------------------------------------------------------------------
 # Ambient declarations (the ``policy`` / ``journal`` slots of the run
-# context): a CLI enables retries or resume without threading arguments
+# context): a CLI enables retries or resume without passing arguments
 # through every experiment module
 # ----------------------------------------------------------------------
 

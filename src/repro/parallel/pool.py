@@ -1,12 +1,12 @@
 """Worker-process plumbing for the shard fan-out.
 
 Everything in this module crosses (or prepares to cross) the process
-boundary: the picklable :class:`WorkerEnv` that pool workers mirror,
-the pool initializer that re-enters the parent's observability sessions
-inside each worker, :func:`_run_shard`, the per-item body (shard
-heartbeats, the ambient process-fault injector, the worker call) that
-pool tasks and the serial fan-out share, and :func:`_observed`, the
-worker wrapper that gives each cell its own breakdown session.
+boundary: the picklable :class:`WorkerEnv` that workers mirror,
+:func:`_worker_main`, the body of every supervised worker process,
+:func:`_run_shard`, the per-item body (shard heartbeats, the ambient
+process-fault injector, the worker call) that workers and the serial
+fan-out share, and :func:`_observed`, the worker wrapper that gives
+each cell its own breakdown session.
 
 The supervisor (:mod:`repro.parallel.supervisor`) owns scheduling;
 this module owns what runs *inside* a worker.
@@ -14,7 +14,8 @@ this module owns what runs *inside* a worker.
 
 from __future__ import annotations
 
-import os
+import signal
+import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +38,7 @@ def resolve_jobs(jobs: int, n_items: int) -> int:
 @dataclass(frozen=True)
 class WorkerEnv:
     """Picklable description of the observability sessions a run enters
-    in its parent process and every pool worker re-creates (run-context
+    in its parent process and every worker re-creates (run-context
     slots don't cross the process boundary)."""
 
     #: Telemetry export directory (per-worker files are shard-suffixed).
@@ -61,7 +62,8 @@ class WorkerEnv:
         (files shard-suffixed when ``shard`` is given), chaos profile,
         process-fault plan — and declare this env for the fan-outs
         below.  Returns ``(hub, profile)``, None for what is off.  The
-        parent's stack closes with the run; a worker's never does.
+        parent's stack closes with the run, a worker's when the
+        supervisor dismisses it.
         """
         hub = profile = None
         if self.telemetry_dir is not None:
@@ -92,34 +94,8 @@ def current_worker_env() -> Optional[WorkerEnv]:
 
 
 def worker_env(env: Optional[WorkerEnv]):
-    """Declare the environment pool workers must mirror for a block."""
+    """Declare the environment workers must mirror for a block."""
     return scope(worker_env=env)
-
-
-# Worker-process globals, set once per worker by _worker_init.  The
-# stack holds the worker's sessions: entered once, never left.
-_worker_queue = None
-_worker_hub = None
-_worker_sessions = ExitStack()
-
-
-def _worker_init(env: Optional[WorkerEnv], counter, queue) -> None:
-    """Pool initializer: runs once in each worker process."""
-    global _worker_queue, _worker_hub
-    _worker_queue = queue
-    if env is None or env.empty:
-        return
-    with counter.get_lock():
-        shard = counter.value
-        counter.value += 1
-    _worker_hub, _ = env.enter(_worker_sessions, shard=shard)
-    if _worker_hub is not None:
-        from multiprocessing.util import Finalize
-
-        # Pool workers exit via multiprocessing's bootstrap (atexit
-        # handlers never run there); Finalize hooks do, so the sink is
-        # flushed and metrics-shard<N>.json written on clean shutdown.
-        Finalize(_worker_hub, _worker_hub.close, exitpriority=10)
 
 
 def _item_label(item) -> str:
@@ -135,14 +111,13 @@ def _item_label(item) -> str:
 def _run_shard(worker, index: int, item, attempt: int,
                post: Optional[Callable] = None):
     """One attempt at one shard — the per-item body of the serial
-    fan-out and of every pool task.
+    fan-out and of every worker process.
 
     With a progress channel (``post``: the plane's ``apply`` in-process,
-    the heartbeat queue's ``put`` in a worker) the shard's ``start``
-    heartbeat — carrying this process's pid, the supervisor's reaping
-    handle — is posted *before* the ambient process-fault plan fires, so
-    a hang fault is a started-then-silent shard, exactly the failure the
-    heartbeat deadline exists to catch.
+    the worker pipe's ``send`` in a worker) the shard's ``start``
+    heartbeat is posted *before* the ambient process-fault plan fires,
+    so a hang fault is a started-then-silent shard, exactly the failure
+    the heartbeat deadline exists to catch.
     """
     reporter = None
     if post is not None:
@@ -171,26 +146,31 @@ def _observed(keep_spans: bool, worker, item):
     return value, session.shipped()
 
 
-def _pool_task(payload):
-    """Picklable per-item wrapper running inside a pool worker."""
-    worker, index, item, attempt = payload
-    result = _run_shard(worker, index, item, attempt,
-                        None if _worker_queue is None else _worker_queue.put)
-    if _worker_hub is not None:
-        # Keep the shard trace file durable even if the pool is torn
-        # down abruptly; per-item flushes are noise next to a cell.
-        _worker_hub.flush()
-    return result
+def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
+    """The body of one supervised worker process.
 
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe for a worker pid."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - not our child
-        return True
-    return True
+    Mirrors ``env`` (telemetry files suffixed ``-shard<shard>``), then
+    runs each ``(worker, index, item, attempt)`` the parent sends through
+    :func:`_run_shard`, posting heartbeats on the same pipe, and replies
+    ``(True, value)`` or ``(False, (error, traceback text))``.  ``None``
+    dismisses it: its sessions close the normal way, which writes
+    ``metrics-shard<shard>.json``.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns teardown
+    with ExitStack() as stack:
+        hub = None
+        if env is not None and not env.empty:
+            hub, _ = env.enter(stack, shard=shard)
+        for task in iter(conn.recv, None):
+            try:
+                reply = (True, _run_shard(*task, post=conn.send))
+            except Exception as exc:
+                reply = (False, (exc, traceback.format_exc()))
+            if hub is not None:
+                # Keep the shard trace durable even if this worker is
+                # reaped later; per-item flushes are noise next to a cell.
+                hub.flush()
+            try:
+                conn.send(reply)
+            except Exception as exc:  # an unpicklable value or error
+                conn.send((False, (exc, traceback.format_exc())))

@@ -1,4 +1,4 @@
-"""The shard supervisor: fault-tolerant scheduling over a process pool.
+"""The shard supervisor: fault-tolerant scheduling over worker processes.
 
 ``pool.map`` dies with its first casualty: one crashed worker, one
 poison cell, or one hung shard aborts the whole fan-out with nothing
@@ -6,15 +6,15 @@ salvaged.  The supervisor replaces it with per-shard control:
 
 * **bounded deterministic retries** — a failed attempt requeues with
   exponential backoff (no jitter: retry timing never feeds results);
-* **BrokenProcessPool recovery** — a killed worker breaks the whole
-  executor, so the supervisor respawns the pool and requeues only the
-  in-flight cells, charging the attempt to shards whose worker died;
-* **hung-shard reaping** — with a heartbeat deadline set, a shard that
-  has gone heartbeat-silent past the deadline has its worker SIGKILLed
-  (the recovery-timer idea from T-RACKs, applied to the harness) and
-  re-runs under the retry budget;
+* **crash recovery** — a worker that dies while holding a shard charges
+  that shard a ``crash``; only that worker is replaced;
+* **hung-shard reaping** — with a heartbeat deadline set, a worker
+  silent past the deadline (since its last message, or since the
+  hand-off if the shard never started) is SIGKILLed and replaced, and
+  its shard charged a ``hang`` (the recovery-timer idea from T-RACKs,
+  applied to the harness);
 * **hedged execution** — with a hedge threshold set, a straggler shard
-  is duplicated onto an idle worker and the first finisher wins
+  is handed to an idle worker too and the first finisher wins
   (RepFlow's replicate-and-take-first, applied to cells; results are
   bit-identical because cells are deterministic functions of their
   seeds);
@@ -22,6 +22,11 @@ salvaged.  The supervisor replaces it with per-shard control:
   structured :class:`ShardFailure` in its result slot instead of an
   exception, so a sweep degrades to a report that names exactly which
   cells are missing.
+
+The supervisor starts its workers itself, one duplex pipe each
+(:func:`repro.parallel.pool._worker_main`), and hands a shard only to
+an idle worker, so it always knows which worker holds which shard and
+every failure has exactly one owner.
 
 Everything is policy-gated: the default :class:`FanoutPolicy` (one
 attempt, no deadline, no hedging, no quarantine) reproduces the old
@@ -31,35 +36,31 @@ attempt, no deadline, no hedging, no quarantine) reproduces the old
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ShardHungError, WorkerCrashError
 from repro.obs import progress as _progress
 from repro.parallel.policy import FanoutPolicy, ShardFailure, SupervisorStats
-from repro.parallel.pool import (
-    WorkerEnv,
-    _item_label,
-    _pid_alive,
-    _pool_task,
-    _worker_init,
-)
+from repro.parallel.pool import WorkerEnv, _item_label, _worker_main
 
 __all__ = ["ShardSupervisor"]
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of
+    the error it raised."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 class _Task:
     """Parent-side state for one shard."""
 
     __slots__ = ("index", "item", "label", "submissions", "failures",
-                 "next_eligible", "submitted_at", "last_beat", "pid",
-                 "started", "reap_pending", "uncharged_breaks", "hedged",
-                 "inflight")
+                 "next_eligible", "submitted_at", "hedged", "holders")
 
     def __init__(self, index: int, item: Any) -> None:
         self.index = index
@@ -69,31 +70,26 @@ class _Task:
         self.failures = 0           # consumed retry budget
         self.next_eligible = 0.0    # backoff gate (perf_counter clock)
         self.submitted_at = 0.0
-        self.last_beat = 0.0
-        self.pid = 0
-        self.started = False        # start heartbeat seen this attempt
-        self.reap_pending = False   # we SIGKILLed its worker
-        self.uncharged_breaks = 0   # pool breaks survived without charge
         self.hedged = False
-        self.inflight: set = set()  # outstanding futures
+        self.holders = 0            # workers running an attempt of it
 
 
-def _fail_event(index: int, label: str) -> "_progress.ProgressEvent":
-    return _progress.ProgressEvent(index, "fail", label=label)
+class _Worker:
+    """One worker process, its end of the pipe, and the shard it holds."""
 
+    __slots__ = ("process", "conn", "task", "hedge", "started", "heard_at")
 
-def _retry_event(index: int, label: str) -> "_progress.ProgressEvent":
-    return _progress.ProgressEvent(index, "retry", label=label)
-
-
-def _crashed(process, pid: int) -> bool:
-    """Did this worker die on its own?  A broken executor SIGTERMs its
-    surviving workers, so by triage time a bystander may be dead too;
-    the exit code of its :class:`multiprocessing.Process` (None while
-    alive) tells the casualty from the cleaned-up."""
-    if process is None:
-        return not _pid_alive(pid)
-    return process.exitcode not in (None, -signal.SIGTERM)
+    def __init__(self, env: Optional[WorkerEnv], shard: int) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(child, env, shard),
+            name=f"shard-worker-{shard}")
+        self.process.start()
+        child.close()
+        self.task: Optional[_Task] = None
+        self.hedge = False
+        self.started = False   # a heartbeat arrived for the held shard
+        self.heard_at = 0.0    # last message, or the hand-off
 
 
 def _terminate(processes) -> None:
@@ -109,8 +105,9 @@ def _terminate(processes) -> None:
 
 
 class ShardSupervisor:
-    """Supervised execution of ``worker`` over ``items`` on a process
-    pool; see the module docstring for the failure model.
+    """Supervised execution of ``worker`` over ``items`` on up to
+    ``workers`` worker processes; see the module docstring for the
+    failure model.
 
     ``on_result(index, value)`` fires in the parent as each shard
     completes (the journal's crash-safe append hook).  ``results`` may
@@ -144,14 +141,8 @@ class ShardSupervisor:
         }
         self._pending: List[_Task] = sorted(self.tasks.values(),
                                             key=lambda t: t.index)
-        self._inflight: Dict[Any, tuple] = {}  # future -> (task, is_hedge)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._counter = None
-        self._queue = None
-        self._pump: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._slot_freed = 0.0  # when a future last completed
+        self._pool: List[_Worker] = []
+        self._spawned = 0  # the next worker's shard number
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -166,89 +157,38 @@ class ShardSupervisor:
         quarantines, in which case the failed slots hold
         :class:`ShardFailure` records.
         """
-        self._counter = multiprocessing.Value("i", 0)
         try:
-            self._spawn_pool()
-            self._pump = threading.Thread(target=self._pump_loop,
-                                          name="shard-supervisor-pump",
-                                          daemon=True)
-            self._pump.start()
             self._loop()
         except BaseException:
             # Ctrl-C, a shard's terminal error: no worker may outlive
-            # the fan-out (one mid-write to the result pipe would also
-            # keep the executor, and so the interpreter, from exiting).
-            self._shutdown(terminate=True)
+            # the fan-out.
+            _terminate([worker.process for worker in self._pool])
             raise
-        self._shutdown()
+        for worker in self._pool:
+            if worker.task is not None:
+                worker.process.kill()  # a hedge loser, still mid-cell
+                continue
+            try:
+                worker.conn.send(None)  # closes its sessions, then exits
+            except OSError:
+                pass  # it has already ended
+        for worker in self._pool:
+            worker.process.join()
+            worker.conn.close()
         return [self.results[i] for i in range(len(self.items))]
 
-    def _spawn_pool(self) -> None:
-        # Heartbeats travel on a SimpleQueue: ``put`` returns with the
-        # event written, so a worker that dies right after its start
-        # heartbeat (a crash, a kill fault) has still named its pid.
-        # And a fresh one per pool: a worker killed mid-``put`` leaks
-        # the queue's cross-process write lock, which would silence
-        # every later writer.  (The parent only reads.)
-        self._queue = multiprocessing.SimpleQueue()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_worker_init,
-            initargs=(self.env, self._counter, self._queue))
-
-    def _shutdown(self, terminate: bool = False) -> None:
-        self._stop.set()
-        if self._pool is not None:
-            processes = list(
-                (getattr(self._pool, "_processes", None) or {}).values())
-            # Hedge losers may still be mid-cell; don't wait for them.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            if terminate:
-                _terminate(processes)
-        if self._pump is not None:
-            self._pump.join(timeout=2.0)
-            self._pump = None
-        if self._queue is not None:
-            self._queue.close()
-            self._queue = None
-
-    # ------------------------------------------------------------------
-    # Heartbeat intake (pump thread)
-    # ------------------------------------------------------------------
-
-    def _pump_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                if self._queue.empty():
-                    self._stop.wait(0.01)
-                    continue
-                event = self._queue.get()
-            except (EOFError, OSError):  # pragma: no cover - closed
-                return
-            self._on_event(event)
-
-    def _on_event(self, event) -> None:
-        with self._lock:
-            task = self.tasks.get(event.shard)
-            if task is not None:
-                task.last_beat = time.perf_counter()
-                if event.kind == "start":
-                    task.started = True
-                    pid = getattr(event, "pid", 0)
-                    if pid:
-                        task.pid = pid
-        if self.plane is not None:
-            self.plane.apply(event)
-
-    def _drain_heartbeats(self, budget: float = 0.25) -> None:
-        """Give the pump a moment to absorb straggler events (used
-        before pool-break triage reads ``started``/``pid``)."""
-        deadline = time.perf_counter() + budget
-        while time.perf_counter() < deadline:
-            if self._queue.empty():
-                break
-            time.sleep(0.01)
+    def _idle_worker(self) -> Optional[_Worker]:
+        """An idle worker, spawning one while fewer than ``workers``
+        are alive; None when every worker holds a shard."""
+        for worker in self._pool:
+            if worker.task is None:
+                return worker
+        if len(self._pool) >= self.workers:
+            return None
+        worker = _Worker(self.env, self._spawned)
+        self._spawned += 1
+        self._pool.append(worker)
+        return worker
 
     # ------------------------------------------------------------------
     # Scheduling loop
@@ -259,65 +199,87 @@ class ShardSupervisor:
         total = len(self.items)
         while len(self.results) < total:
             now = time.perf_counter()
-            self._submit_eligible(now)
-            if not self._inflight:
-                if not self._pending:  # pragma: no cover - invariant
-                    raise RuntimeError("supervisor: no work but not done")
+            self._hand_eligible(now)
+            self._hedge_stragglers(now)
+            if not any(worker.task for worker in self._pool):
+                # Everything left is backing off.
                 soonest = min(t.next_eligible for t in self._pending)
                 time.sleep(max(0.0, min(policy.check_interval,
                                         soonest - now)) or 0.005)
                 continue
-            done, _ = wait(list(self._inflight), timeout=policy.check_interval,
-                           return_when=FIRST_COMPLETED)
-            broken: List[_Task] = []
-            pool_broke = False
-            if done:
-                self._slot_freed = time.perf_counter()
-            for future in done:
-                task, is_hedge = self._inflight.pop(future)
-                task.inflight.discard(future)
-                if task.index in self.results:
-                    continue  # hedge loser / late duplicate
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
-                    pool_broke = True
-                    broken.append(task)
-                except BaseException as exc:  # worker raised, pickled over
-                    self._attempt_failed(task, "exception", exc,
-                                         time.perf_counter())
-                else:
-                    self._record_result(task, value, is_hedge)
-            if pool_broke:
-                self._recover_pool(broken)
-                continue
-            now = time.perf_counter()
-            self._reap_hung(now)
-            self._hedge_stragglers(now)
+            handles = [worker.conn for worker in self._pool] \
+                + [worker.process.sentinel for worker in self._pool]
+            ready = set(wait(handles, timeout=policy.check_interval))
+            for worker in list(self._pool):
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    self._service(worker, ready)
+            self._reap_hung(time.perf_counter())
 
-    def _submit_eligible(self, now: float) -> None:
+    def _hand_eligible(self, now: float) -> None:
         still_waiting: List[_Task] = []
         for task in self._pending:
             if task.index in self.results:
                 continue
-            if task.next_eligible > now:
+            if task.next_eligible > now or not self._hand(task):
                 still_waiting.append(task)
-                continue
-            self._submit(task)
         self._pending = still_waiting
 
-    def _submit(self, task: _Task, hedge: bool = False) -> None:
+    def _hand(self, task: _Task, hedge: bool = False) -> bool:
+        """Hand ``task`` to an idle worker; False when none is free."""
+        worker = self._idle_worker()
+        if worker is None:
+            return False
         attempt = task.submissions
         task.submissions += 1
+        task.holders += 1
         self.stats.attempts += 1
+        now = time.perf_counter()
         if not hedge:
-            task.started = False
-            task.submitted_at = time.perf_counter()
-            task.last_beat = 0.0
-        payload = (self.worker, task.index, task.item, attempt)
-        future = self._pool.submit(_pool_task, payload)
-        task.inflight.add(future)
-        self._inflight[future] = (task, hedge)
+            task.submitted_at = now
+        worker.task, worker.hedge = task, hedge
+        worker.started, worker.heard_at = False, now
+        try:
+            worker.conn.send((self.worker, task.index, task.item, attempt))
+        except OSError:
+            pass  # it died idle; its sentinel charges the shard a crash
+        return True
+
+    def _service(self, worker: _Worker, ready: set) -> None:
+        """Read what ``worker`` sent; retire it if it has ended."""
+        ended = worker.process.sentinel in ready
+        while True:
+            try:
+                if not worker.conn.poll():
+                    break
+                message = worker.conn.recv()
+            except (EOFError, OSError):  # the pipe closed under it
+                ended = True
+                break
+            self._on_message(worker, message)
+        if ended:
+            worker.process.join()
+            self._retire(worker, "crash", "worker process died "
+                         f"(exit code {worker.process.exitcode})")
+
+    def _on_message(self, worker: _Worker, message: Any) -> None:
+        worker.heard_at = time.perf_counter()
+        if not isinstance(message, tuple):  # a heartbeat
+            worker.started = True
+            if self.plane is not None:
+                self.plane.apply(message)
+            return
+        ok, value = message
+        task, hedge = worker.task, worker.hedge
+        worker.task = None
+        task.holders -= 1
+        if task.index in self.results:
+            return  # hedge loser / late duplicate
+        if ok:
+            self._record_result(task, value, hedge)
+            return
+        error, remote_traceback = value
+        error.__cause__ = _RemoteTraceback(remote_traceback)
+        self._attempt_failed(task, "exception", error)
 
     def _record_result(self, task: _Task, value: Any, is_hedge: bool) -> None:
         self.results[task.index] = value
@@ -330,9 +292,20 @@ class ShardSupervisor:
     # Failure handling
     # ------------------------------------------------------------------
 
-    def _attempt_failed(self, task: _Task, kind: str, error: Any,
-                        now: float) -> None:
-        if task.inflight:
+    def _retire(self, worker: _Worker, kind: str, error: str) -> None:
+        """Drop an ended worker (the next hand-off spawns its
+        replacement) and charge the shard it held."""
+        self._pool.remove(worker)
+        worker.conn.close()
+        self.stats.pool_respawns += 1
+        task = worker.task
+        if task is not None:
+            task.holders -= 1
+            if task.index not in self.results:
+                self._attempt_failed(task, kind, error)
+
+    def _attempt_failed(self, task: _Task, kind: str, error: Any) -> None:
+        if task.holders:
             # A duplicate of this shard is still running; it may yet
             # win.  The failed attempt is only charged when the shard
             # has no other iron in the fire.
@@ -342,12 +315,13 @@ class ShardSupervisor:
             self._finalize_failure(task, kind, error)
             return
         self.stats.retries += 1
-        task.next_eligible = now + self.policy.backoff(task.failures)
-        task.reap_pending = False
+        task.next_eligible = (time.perf_counter()
+                              + self.policy.backoff(task.failures))
         task.hedged = False
         self._pending.append(task)
         if self.plane is not None:
-            self.plane.apply(_retry_event(task.index, task.label))
+            self.plane.apply(_progress.ProgressEvent(
+                task.index, "retry", label=task.label))
 
     def _finalize_failure(self, task: _Task, kind: str, error: Any) -> None:
         failure = ShardFailure(task.index, task.label, kind, str(error),
@@ -360,66 +334,14 @@ class ShardSupervisor:
             # tombstones.
             self.results[task.index] = failure
             if self.plane is not None:
-                self.plane.apply(_fail_event(task.index, task.label))
+                self.plane.apply(_progress.ProgressEvent(
+                    task.index, "fail", label=task.label))
             return
         if kind == "crash":
             raise WorkerCrashError(str(failure), shards=[task.index])
         if kind == "hang":
             raise ShardHungError(str(failure), shards=[task.index])
-        if isinstance(error, BaseException):
-            raise error
-        raise WorkerCrashError(str(failure),
-                               shards=[task.index])  # pragma: no cover
-
-    def _recover_pool(self, broken: List[_Task]) -> None:
-        """A worker died and took the executor with it: respawn, then
-        triage every in-flight shard — charge the attempt to shards
-        whose worker actually ran (or that we reaped), requeue the
-        merely-queued ones for free."""
-        self.stats.pool_respawns += 1
-        affected = {id(t): t for t in broken}
-        for future, (task, _) in list(self._inflight.items()):
-            affected[id(task)] = task
-        self._inflight.clear()
-        workers = dict(getattr(self._pool, "_processes", None) or {})
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        self._drain_heartbeats()
-        self._spawn_pool()
-        now = time.perf_counter()
-        for task in sorted(affected.values(), key=lambda t: t.index):
-            task.inflight.clear()
-            if task.index in self.results:
-                continue
-            if task.reap_pending:
-                timeout = self.policy.heartbeat_timeout
-                task.reap_pending = False
-                self._attempt_failed(
-                    task, "hang",
-                    f"heartbeat-silent for more than {timeout:g}s; "
-                    + (f"worker pid {task.pid} reaped" if task.started
-                       else "never started, pool recycled"), now)
-            elif (task.started and _crashed(workers.get(task.pid),
-                                            task.pid)) \
-                    or task.uncharged_breaks >= 2:
-                self._attempt_failed(
-                    task, "crash",
-                    "worker process died (BrokenProcessPool)", now)
-            elif task.started:
-                # Its worker outlived the casualty (an innocent
-                # bystander); requeue without charging the budget, but
-                # remember the free pass so a lost start event cannot
-                # requeue a crashing shard forever.
-                task.uncharged_breaks += 1
-                task.next_eligible = now
-                self._pending.append(task)
-            else:
-                # Never started: it was queued behind the casualty.
-                task.uncharged_breaks += 1
-                task.next_eligible = now
-                self._pending.append(task)
+        raise error
 
     # ------------------------------------------------------------------
     # Liveness and hedging
@@ -429,60 +351,27 @@ class ShardSupervisor:
         timeout = self.policy.heartbeat_timeout
         if timeout is None:
             return
-        for task in self.tasks.values():
-            if not task.inflight or task.reap_pending or not task.started:
+        for worker in list(self._pool):
+            if worker.task is None or now - worker.heard_at <= timeout:
                 continue
-            beat = task.last_beat or task.submitted_at
-            if now - beat <= timeout or not task.pid:
-                continue
-            task.reap_pending = True
+            worker.process.kill()
+            worker.process.join()
             self.stats.reaped += 1
-            try:
-                os.kill(task.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                task.reap_pending = False  # already gone / not ours
-        self._reap_start_silent(now, timeout)
-
-    def _reap_start_silent(self, now: float, timeout: float) -> None:
-        """A worker that wedges before its start heartbeat (a fork that
-        inherited a held lock) leaves no pid to reap and its shard
-        in flight forever.  The sign: a worker slot has been free for a
-        whole deadline while submitted shards wait unstarted.  Recycle
-        the pool and charge the shard at the head of the queue."""
-        waiting = [t for t in self.tasks.values()
-                   if t.inflight and not t.started and not t.reap_pending]
-        busy = {t.pid for t in self.tasks.values()
-                if t.inflight and t.started}
-        if not waiting or len(busy) >= self.workers:
-            return
-        head = min(waiting, key=lambda t: (t.submitted_at, t.index))
-        if now - max(head.submitted_at, self._slot_freed) <= timeout:
-            return
-        head.reap_pending = True
-        self.stats.reaped += 1
-        # The executor keeps its workers in ``_processes`` (pid ->
-        # Process); the ones not running a started shard are idle or
-        # wedged, and a wedged one would also block interpreter exit.
-        for pid in list(getattr(self._pool, "_processes", None) or ()):
-            if pid not in busy:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-        self._recover_pool([])
+            self._retire(worker, "hang", (
+                f"heartbeat-silent for more than {timeout:g}s; "
+                + ("" if worker.started else "never started, ")
+                + f"worker pid {worker.process.pid} reaped"))
 
     def _hedge_stragglers(self, now: float) -> None:
         threshold = self.policy.hedge_after
         if threshold is None:
             return
         for task in sorted(self.tasks.values(), key=lambda t: t.index):
-            if len(self._inflight) >= self.workers:
-                return  # no idle workers to hedge onto
-            if (not task.inflight or task.hedged or task.reap_pending
-                    or task.index in self.results):
+            if (not task.holders or task.hedged
+                    or task.index in self.results
+                    or now - task.submitted_at <= threshold):
                 continue
-            if now - task.submitted_at <= threshold:
-                continue
+            if not self._hand(task, hedge=True):
+                return  # no idle worker to hedge onto
             task.hedged = True
             self.stats.hedges += 1
-            self._submit(task, hedge=True)

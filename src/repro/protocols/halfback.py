@@ -252,8 +252,3 @@ class HalfbackSender(SenderBase):
             self.flow.src, self.flow.dst,
             self.flow.size / (done - established), self.sim.now,
         )
-
-    @property
-    def ropr_retransmissions(self) -> int:
-        """Segments proactively retransmitted by ROPR so far."""
-        return self.ropr.proposed_count if self.ropr is not None else 0

@@ -56,7 +56,7 @@ class RunContext:
         self.chaos = None
         #: Process-fault plan consulted by the fan-out's task wrapper.
         self.procfault = None
-        #: ``WorkerEnv`` pool workers must mirror.
+        #: ``WorkerEnv`` worker processes must mirror.
         self.worker_env = None
         #: Supervision policy and cell journal of every ``fanout_map``.
         self.policy = None
@@ -72,9 +72,7 @@ ambient = RunContext()
 def enter(**slots: Any) -> Dict[str, Any]:
     """Set ``slots`` and return their previous values.
 
-    Unscoped: nothing restores.  :func:`scope` is this plus the restore;
-    the only caller that never leaves is a pool worker mirroring its
-    parent's sessions for its whole life.
+    Unscoped: nothing restores.  :func:`scope` is this plus the restore.
     """
     previous = {name: getattr(ambient, name) for name in slots}
     for name, value in slots.items():

@@ -363,14 +363,6 @@ class SendScoreboard:
             seq = find_sent(_SENT, seq + 1, stop)
         return newly
 
-    def mark_lost(self, seq: int) -> bool:
-        """Explicitly mark one SENT segment LOST (RTO path).  Returns
-        False if it was not in SENT state."""
-        if self._state[seq] != _SENT:
-            return False
-        self._declare_lost(seq)
-        return True
-
     def mark_all_in_flight_lost(self) -> int:
         """RTO: consider everything unacked lost.  Returns count marked."""
         count = 0

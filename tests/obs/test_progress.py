@@ -81,14 +81,6 @@ class TestShardState:
         assert state.state == "done"
         assert state.label == "cell"
 
-    def test_start_event_stamps_worker_pid(self):
-        state = ShardState(1)
-        state.apply(ProgressEvent(1, "start", pid=4242))
-        assert state.pid == 4242
-        # Later pid-less heartbeats keep the reaping handle.
-        state.apply(ProgressEvent(1, "update", flows_done=1))
-        assert state.pid == 4242
-
     def test_retry_event_requeues_and_counts(self):
         state = ShardState(1)
         state.apply(ProgressEvent(1, "start", label="cell"))

@@ -3,8 +3,9 @@
 Faults are injected with the deterministic ``repro.chaos.procfault``
 plans (worker kill -9, silent hang, raise) exactly as a ``--procfault``
 CLI run would, so these tests exercise the same recovery machinery end
-to end: BrokenProcessPool respawn, heartbeat-deadline reaping,
-deterministic retry budgets, and structured ShardFailure quarantine.
+to end: replacing a dead worker and charging its shard,
+heartbeat-deadline reaping, deterministic retry budgets, structured
+ShardFailure quarantine, and the per-shard accounting of each.
 """
 
 import time
@@ -21,7 +22,6 @@ from repro.parallel import (
     pool,
     reset_fanout_stats,
     supervision,
-    supervisor,
     worker_env,
 )
 
@@ -41,19 +41,30 @@ def _boom(x):
     return x
 
 
+def _unpicklable(x):
+    return lambda: x
+
+
+def _missing(x):
+    if x == 2:
+        raise FileNotFoundError("no such cell")
+    return x
+
+
 #: Deadline for the kill tests, whose faults never go silent: a worker
 #: that wedges before its start heartbeat (a fork inheriting a held
 #: lock) then fails the test instead of hanging it.
 KILL_DEADLINE = 20.0
 
+_run_shard = pool._run_shard
 
-def _silent_first_attempt(payload):
-    """``_pool_task`` whose shard 1 wedges before its start heartbeat on
+
+def _silent_first_attempt(worker, index, item, attempt, post=None):
+    """``_run_shard`` whose shard 1 wedges before its start heartbeat on
     the first attempt."""
-    __, index, __, attempt = payload
     if index == 1 and attempt == 0:
         time.sleep(60)
-    return pool._pool_task(payload)
+    return _run_shard(worker, index, item, attempt, post)
 
 
 def _pool_env(spec):
@@ -78,6 +89,24 @@ class TestLegacySemantics:
         with pytest.raises(ValueError):
             fanout_map(_boom, [1, 2, 3, 4], jobs=2, policy=policy)
         assert fanout_stats()["retries"] >= 1
+
+    def test_worker_exception_carries_the_remote_traceback(self):
+        with pytest.raises(ValueError, match="boom") as excinfo:
+            fanout_map(_boom, [1, 2, 3, 4], jobs=2)
+        cause = str(excinfo.value.__cause__)
+        assert "Traceback (most recent call last)" in cause
+        assert 'raise ValueError("boom")' in cause
+
+    def test_unpicklable_result_is_the_shards_exception(self):
+        # The worker reports the pickling error instead of dying on it.
+        with pytest.raises(Exception, match="pickle"):
+            fanout_map(_unpicklable, [1, 2], jobs=2)
+
+    def test_worker_oserror_is_an_exception_not_a_dead_pipe(self):
+        # An error the cell raises is the shard's, even when it is an
+        # OSError like a broken pipe would be.
+        with pytest.raises(FileNotFoundError, match="no such cell"):
+            fanout_map(_missing, [1, 2, 3], jobs=2)
 
 
 class TestRetryThenSucceed:
@@ -117,8 +146,8 @@ class TestRetryThenSucceed:
 class TestWorkerKill:
     def test_sigkill_breaks_pool_and_run_recovers(self):
         # kill@1 SIGKILLs the worker running shard 1 (attempt 0): the
-        # executor breaks, the supervisor respawns it and requeues the
-        # in-flight cells; the re-run (attempt 1) passes the fault.
+        # supervisor replaces that worker and charges shard 1 a crash;
+        # the re-run (attempt 1) passes the fault.
         policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
                               heartbeat_timeout=KILL_DEADLINE)
         with _pool_env("kill@1"):
@@ -127,10 +156,24 @@ class TestWorkerKill:
         assert results == [0, 1, 4, 9]
         assert fanout_stats()["pool_respawns"] >= 1
 
+    def test_one_kill_costs_one_retry(self):
+        # Only the dead worker's shard re-runs: six cells, one kill,
+        # seven attempts and one replaced worker.
+        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
+                              heartbeat_timeout=KILL_DEADLINE)
+        with _pool_env("kill@1"):
+            results = fanout_map(_square, list(range(6)), jobs=2,
+                                 policy=policy)
+        assert results == [x * x for x in range(6)]
+        stats = fanout_stats()
+        assert stats["attempts"] == 7
+        assert stats["retries"] == 1
+        assert stats["pool_respawns"] == 1
+
     def test_repeated_kills_exhaust_budget(self):
-        # Shard 1's worker dies on every attempt; after the free
-        # pool-break passes are used up the attempts are charged and
-        # the supervisor gives up with a structured crash error.
+        # Shard 1's worker dies on every attempt; each death is charged
+        # to shard 1, and the supervisor gives up with a structured
+        # crash error.
         policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
                               heartbeat_timeout=KILL_DEADLINE)
         spec = ",".join(f"kill@1.{a}" if a else "kill@1" for a in range(6))
@@ -166,6 +209,21 @@ class TestHeartbeatReaping:
         assert results == [0, 1, 4, 9]
         assert fanout_stats()["reaped"] >= 1
 
+    def test_kill_and_hang_are_each_charged_once(self):
+        # The kill must not take the hanging shard's worker down with
+        # it: shard 2 hangs, is reaped, and retries like shard 1 does.
+        policy = FanoutPolicy(max_attempts=3, backoff_base=0.01,
+                              heartbeat_timeout=2.0)
+        with _pool_env("kill@1,hang@2/30"):
+            results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
+                                 policy=policy)
+        assert results == [0, 1, 4, 9]
+        stats = fanout_stats()
+        assert stats["reaped"] == 1
+        assert stats["retries"] == 2
+        assert stats["attempts"] == 6
+        assert stats["pool_respawns"] == 2
+
     def test_hang_quarantines_with_hang_kind(self):
         policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
                               heartbeat_timeout=1.0, quarantine=True)
@@ -178,11 +236,11 @@ class TestHeartbeatReaping:
 
 
 class TestStartSilence:
-    """A worker that never posts its start heartbeat leaves no pid to
-    reap; the deadline must still recycle the pool and charge it."""
+    """A worker that never posts its start heartbeat is silent since the
+    hand-off; the deadline must still reap it and charge its shard."""
 
     def test_start_silent_shard_is_recycled_and_retried(self, monkeypatch):
-        monkeypatch.setattr(supervisor, "_pool_task", _silent_first_attempt)
+        monkeypatch.setattr(pool, "_run_shard", _silent_first_attempt)
         policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
                               heartbeat_timeout=1.0)
         results = fanout_map(_square, [0, 1, 2, 3], jobs=2, policy=policy)
@@ -191,7 +249,7 @@ class TestStartSilence:
         assert stats["reaped"] >= 1 and stats["pool_respawns"] >= 1
 
     def test_start_silent_shard_exhausts_budget_as_a_hang(self, monkeypatch):
-        monkeypatch.setattr(supervisor, "_pool_task", _silent_first_attempt)
+        monkeypatch.setattr(pool, "_run_shard", _silent_first_attempt)
         policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
         with pytest.raises(ShardHungError, match="never started") as excinfo:
             fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
@@ -199,7 +257,7 @@ class TestStartSilence:
 
     def test_queued_shards_are_not_start_silent(self):
         # Six 0.7s cells on two workers: the queued ones wait well past
-        # the 1s deadline, but no worker slot is free while they do.
+        # the 1s deadline, but the deadline runs from each hand-off.
         policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
         assert fanout_map(_nap, [0.7] * 6, jobs=2, policy=policy) \
             == [0.7] * 6

@@ -9,14 +9,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Module globals rebound at run time that are *not* run sessions: the
-#: equivalence suite's datapath reference switch, a pool worker's own
-#: queue/hub handles, the process-wide fan-out accumulator, and the
-#: flow-id / packet-uid counters (skipped forward past the ids a
-#: fan-out's workers allocated).
+#: equivalence suite's datapath reference switch, the process-wide
+#: fan-out accumulator, and the flow-id / packet-uid counters (skipped
+#: forward past the ids a fan-out's workers allocated).
 PROCESS_GLOBALS = {
     "net/link.py": {"_BATCHING"},
     "net/packet.py": {"_packet_ids"},
-    "parallel/pool.py": {"_worker_queue", "_worker_hub"},
     "parallel/__init__.py": {"_run_stats"},
     "transport/flow.py": {"_flow_ids"},
 }
