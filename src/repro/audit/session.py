@@ -3,16 +3,19 @@
 :class:`Auditor` ties the pieces together: every trace record is fed to
 the lineage tracer, the flight recorder's ring, and each invariant
 checker; a checker's violation gets its packet's causal chain attached
-from the tracer and — the first time, when an output directory is
-configured — triggers the post-mortem bundle.  A ``sim.crash`` record
-triggers the bundle too, violations or not, so a crashed run leaves its
-last moments on disk.
+from the tracer and — the first time — freezes the post-mortem bundle,
+written when an output directory is configured.  A ``sim.crash``
+record triggers the bundle too, violations or not, so a crashed run
+leaves its last moments on disk.
 
 :class:`AuditSession` is the wiring: as a context manager it subscribes
 the auditor (consuming every kind, so lineage and provenance events
 flow for the duration) to the run's trace stream through
 :func:`repro.telemetry.context.attached` — the ambient hub's recorder
 (composing with ``--telemetry``), or a ring-bounded one of its own.
+Sessions nest like breakdown sessions: :func:`repro.parallel.fanout_map`
+audits each cell in its own session and merges what :meth:`shipped`
+returns through :meth:`absorb`.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class Auditor:
         :func:`repro.audit.invariants.default_checkers`.
     out_dir:
         Post-mortem bundle directory.  When set, the bundle is written
-        on the first violation (or crash); when None, violations are
-        only collected in memory.
+        on the first violation (or crash); when None, it is only
+        frozen in memory (:attr:`FlightRecorder.bundle`).
     ring_size / max_spans:
         Bounds for the flight-recorder ring and the lineage span store.
     """
@@ -60,6 +63,8 @@ class Auditor:
         self.recorder = FlightRecorder(ring_size=ring_size)
         self.violations: List[Violation] = []
         self.events_audited = 0
+        #: Packet spans retained by absorbed fan-out cells' tracers.
+        self.spans_absorbed = 0
         self._finalized = False
         # kind -> the ``observe`` of each observer subscribed to it.
         self._routes: Dict[str, Tuple[Callable, ...]] = {}
@@ -155,7 +160,7 @@ class Auditor:
         return lines
 
     def _dump(self, reason: str) -> None:
-        if self.out_dir is not None:
+        if self.recorder.bundle is None:
             self.recorder.dump(self.out_dir, self.violations,
                                tracer=self.tracer, reason=reason,
                                instant_group=self._render_instant())
@@ -173,7 +178,7 @@ class Auditor:
         """Human-readable audit summary."""
         lines = [
             f"audited {self.events_audited} events, "
-            f"{len(self.tracer)} packet spans, "
+            f"{len(self.tracer) + self.spans_absorbed} packet spans, "
             f"{len(self.checkers)} checkers",
         ]
         if self.clean:
@@ -200,6 +205,10 @@ class AuditSession:
     telemetry.  That ring is readable inside the session only: it is
     cleared on exit.  :attr:`trace` is the recorder observed (None until
     entered).
+
+    One entered inside another suspends the enclosing session's auditor
+    until it exits (the precondition of nested breakdown sessions: no
+    flow of the enclosing session is live across the block).
     """
 
     def __init__(self, out_dir: Optional[str] = None,
@@ -214,13 +223,33 @@ class AuditSession:
         # provenance events feed the scheduler-nondeterminism checker
         # and give post-mortems their same-instant group context.
         self._attachment = context.attached(
-            "audit", self.auditor.observe, None, ring_recorder)
+            "audit", self.auditor.observe, None, ring_recorder, session=self)
         self.trace = self._attachment.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
         self._attachment.__exit__(*exc)
         self.auditor.finalize()
+
+    # -- fan-out cells -------------------------------------------------
+
+    def shipped(self) -> tuple:
+        """What a fan-out cell hands back of its exited session: events
+        audited, packet spans retained, violations (ids and chains as
+        the cell's process saw them) and the frozen bundle, if any."""
+        auditor = self.auditor
+        return (auditor.events_audited, len(auditor.tracer),
+                auditor.violations, auditor.recorder.bundle)
+
+    def absorb(self, shipped) -> None:
+        """Merge cells' :meth:`shipped` audits in cell order; the first
+        cell bundle is written unless this session has its own."""
+        auditor = self.auditor
+        for events, spans, violations, bundle in shipped:
+            auditor.events_audited += events
+            auditor.spans_absorbed += spans
+            auditor.violations.extend(violations)
+            auditor.recorder.adopt(bundle, auditor.out_dir)
 
     # Convenience passthroughs -----------------------------------------
 

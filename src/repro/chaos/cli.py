@@ -12,9 +12,9 @@ same one the figure targets use.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 __all__ = ["main"]
@@ -29,7 +29,7 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.obs.manifest import RunSession, add_run_flags
+    from repro.obs.manifest import RunSession, add_run_flags, positive_seconds
 
     parser = argparse.ArgumentParser(
         prog="halfback-repro chaos",
@@ -70,7 +70,8 @@ def main(argv=None) -> int:
                          help="worker processes for the cell fan-out "
                               "(default 1 = serial; results and "
                               "fingerprint are identical either way)")
-    p_sweep.add_argument("--hedge-after", type=float, default=None,
+    p_sweep.add_argument("--hedge-after", type=positive_seconds,
+                         default=None,
                          metavar="SECONDS",
                          help="duplicate a straggler cell onto an idle "
                               "worker after this many seconds; first "
@@ -90,6 +91,7 @@ def main(argv=None) -> int:
             print(f"{name:18s} {_PROFILES[name].description}")
         return 0
 
+    from repro.audit.session import AuditSession
     from repro.chaos.sweep import run_sweep
     from repro.obs.critical import BreakdownSession
 
@@ -101,13 +103,14 @@ def main(argv=None) -> int:
     with RunSession("chaos:sweep", args, config,
                     hedge_after=args.hedge_after,
                     quarantine=args.quarantine) as run:
+        audit = AuditSession() if args.audit else None
         attribution = BreakdownSession() if args.breakdown else None
         # Entered before the stage, which records what observes the run.
-        with attribution or contextlib.nullcontext(), run.stage("sweep"):
+        with audit or nullcontext(), attribution or nullcontext(), \
+                run.stage("sweep"):
             report = run_sweep(protocols=protocols, profiles=profiles,
                                seed=args.seed, n_flows=args.flows,
-                               size=args.size, audit=args.audit,
-                               jobs=args.jobs)
+                               size=args.size, jobs=args.jobs)
         print(report.format_report())
         doc = report.to_dict()
         if attribution is not None:

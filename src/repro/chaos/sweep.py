@@ -12,7 +12,10 @@ contract**:
    :class:`~repro.errors.StallError` from the no-progress watchdog is
    captured (with its pending-event dump) and fails the cell;
 3. when auditing is on, the invariant checkers report zero violations
-   under every impairment mix.
+   under every impairment mix.  Auditing is an ambient
+   ``AuditSession`` (``chaos sweep --audit`` enters one for the run);
+   the fan-out audits each cell in its own nested session, which
+   :func:`run_cell` reads.
 
 Every cell is a deterministic function of the master seed: the cell's
 simulator seed is derived from ``(master, protocol, profile)``, and a
@@ -38,6 +41,7 @@ from repro.parallel import ShardFailure, fanout_map
 from repro.protocols.registry import ProtocolContext, available_protocols
 from repro.sim.randomness import derive_seed
 from repro.sim.simulator import Simulator
+from repro.telemetry.context import ambient
 from repro.transport.config import TransportConfig
 
 __all__ = ["CellResult", "SweepReport", "run_cell", "run_sweep",
@@ -246,7 +250,6 @@ def run_cell(
     seed: int = 0,
     n_flows: int = 4,
     size: int = 60_000,
-    audit: bool = False,
     config: Optional[TransportConfig] = None,
 ) -> CellResult:
     """Run one protocol under one profile and judge the liveness contract.
@@ -254,7 +257,8 @@ def run_cell(
     ``n_flows`` flows of ``size`` payload bytes start at staggered
     times on separate host pairs sharing the impaired bottleneck; the
     run's horizon is past every flow's give-up deadline, so a healthy
-    cell leaves nothing pending.
+    cell leaves nothing pending.  Under an ambient ``AuditSession`` the
+    cell's violations are that session's (the cell's own, in a sweep).
     """
     result = CellResult(protocol=protocol, profile=profile.name,
                         profile_seed=profile.seed, flows=n_flows)
@@ -262,66 +266,56 @@ def run_cell(
         config = sweep_config()
     horizon = (CELL_FLOW_SPACING * n_flows + config.max_flow_duration + 1.0)
 
-    def execute() -> None:
-        sim = Simulator(seed=derive_seed(
-            seed, f"chaos-cell:{protocol}:{profile.spec}"))
-        # The cell's profile is activated as the ambient chaos session
-        # (displacing any outer --chaos profile for the build), so the
-        # topology hook attaches the impairments exactly once.
-        with _context.activated(profile):
-            net = access_network(sim, n_pairs=n_flows)
-        context = ProtocolContext()
-        records = [
-            launch_flow(sim, net, protocol, size, pair_index=i,
-                        start_time=CELL_FLOW_SPACING * i,
-                        config=config, context=context)
-            for i in range(n_flows)
-        ]
-        try:
-            sim.run(until=horizon)
-        except StallError as exc:
-            result.stalled = True
-            result.stall_dump = list(exc.pending)
-        # Logical event count (fired + absorbed by the batched link
-        # datapath) — invariant under train batching, so the cell
-        # fingerprint matches runs where tracing/auditing forces the
-        # per-packet path.
-        result.events = sim.events_run + sim.events_absorbed
-        _progress.heartbeat(events=result.events)
-        fct_sum = 0.0
-        for record in records:
-            if record.completed:
-                result.completed += 1
-                fct_sum += record.fct
-                result.fct_sketch.insert(record.fct)
-            elif record.failed:
-                result.failed += 1
-                result.abort_reasons[record.abort_reason] = (
-                    result.abort_reasons.get(record.abort_reason, 0) + 1)
-            else:
-                result.pending += 1
-        if result.completed:
-            result.mean_fct = fct_sum / result.completed
-
-    if audit:
-        # Imported lazily: repro.audit re-exports fault helpers that now
-        # live in this package, so a module-level import would tangle
-        # package initialization order.
-        from repro.audit import AuditSession
-
-        with AuditSession() as session:
-            execute()
-        result.violations = [v.render() for v in session.violations]
-    else:
-        execute()
+    sim = Simulator(seed=derive_seed(
+        seed, f"chaos-cell:{protocol}:{profile.spec}"))
+    # The cell's profile is activated as the ambient chaos session
+    # (displacing any outer --chaos profile for the build), so the
+    # topology hook attaches the impairments exactly once.
+    with _context.activated(profile):
+        net = access_network(sim, n_pairs=n_flows)
+    context = ProtocolContext()
+    records = [
+        launch_flow(sim, net, protocol, size, pair_index=i,
+                    start_time=CELL_FLOW_SPACING * i,
+                    config=config, context=context)
+        for i in range(n_flows)
+    ]
+    try:
+        sim.run(until=horizon)
+    except StallError as exc:
+        result.stalled = True
+        result.stall_dump = list(exc.pending)
+    # Logical event count (fired + absorbed by the batched link
+    # datapath) — invariant under train batching, so the cell
+    # fingerprint matches runs where tracing/auditing forces the
+    # per-packet path.
+    result.events = sim.events_run + sim.events_absorbed
+    _progress.heartbeat(events=result.events)
+    fct_sum = 0.0
+    for record in records:
+        if record.completed:
+            result.completed += 1
+            fct_sum += record.fct
+            result.fct_sketch.insert(record.fct)
+        elif record.failed:
+            result.failed += 1
+            result.abort_reasons[record.abort_reason] = (
+                result.abort_reasons.get(record.abort_reason, 0) + 1)
+        else:
+            result.pending += 1
+    if result.completed:
+        result.mean_fct = fct_sum / result.completed
+    session = ambient.audit
+    if session is not None:
+        result.violations = [
+            v.render() for v in session.auditor.finalize().violations]
     return result
 
 
 def _run_cell_task(task) -> CellResult:
-    """Picklable per-cell worker for :func:`fanout_map`."""
-    protocol, profile, seed, n_flows, size, audit = task
-    return run_cell(protocol, profile, seed=seed, n_flows=n_flows,
-                    size=size, audit=audit)
+    """Picklable per-cell worker for :func:`fanout_map`:
+    ``(protocol, profile, seed, n_flows, size)``."""
+    return run_cell(*task)
 
 
 def run_sweep(
@@ -330,7 +324,6 @@ def run_sweep(
     seed: int = 0,
     n_flows: int = 4,
     size: int = 60_000,
-    audit: bool = False,
     jobs: int = 1,
 ) -> SweepReport:
     """Run the full protocol x profile survival matrix.
@@ -347,7 +340,9 @@ def run_sweep(
     journal (:func:`repro.parallel.supervision` / ``journaling``, which
     ``chaos sweep`` declares through its run session): with quarantine
     on, poison cells become :attr:`SweepReport.failures` entries instead
-    of aborting the sweep, and a journal makes the sweep resumable.
+    of aborting the sweep, and a journal makes the sweep resumable.  An
+    ambient ``AuditSession`` audits every cell and marks the report
+    :attr:`SweepReport.audited`.
     """
     if protocols is None:
         protocols = available_protocols()
@@ -356,7 +351,7 @@ def run_sweep(
     resolved = [get_profile(name, seed=seed) if isinstance(name, str)
                 else name for name in profiles]
     tasks = [
-        (protocol, profile, seed, n_flows, size, audit)
+        (protocol, profile, seed, n_flows, size)
         for profile in resolved
         for protocol in protocols
     ]
@@ -374,5 +369,5 @@ def run_sweep(
             })
         else:
             cells.append(outcome)
-    return SweepReport(cells=cells, seed=seed, audited=audit,
-                       failures=failures)
+    return SweepReport(cells=cells, seed=seed,
+                       audited=ambient.audit is not None, failures=failures)

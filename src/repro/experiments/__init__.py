@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "scenarios": (
         "EMULAB", "LONG_FLOW_BYTES", "PROTOCOLS_ALL", "PROTOCOLS_MAIN",
         "SHORT_FLOW_BYTES", "build_emulab", "mixed_schedule",
-        "run_single_path_flow", "run_utilization_point",
-        "run_utilization_point_stats", "run_workload", "short_flow_schedule",
+        "run_single_path_flow", "run_utilization_point_stats",
+        "run_workload", "short_flow_schedule",
     ),
 })

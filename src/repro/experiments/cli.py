@@ -16,15 +16,14 @@ span, the paper's invariants are checked live, and the first violation
 compose — with ``--telemetry`` the auditor observes the telemetry hub's
 trace stream.
 
-``--telemetry`` and ``--chaos`` compose with ``--jobs N``: the parent
-and every pool worker enter the same ``WorkerEnv`` (per-worker trace
-files are shard-suffixed, the chaos profile is re-parsed from its
-deterministic spec).  ``--breakdown`` and ``--trace-viewer`` compose
-too: the fan-out attributes each cell in its own session and merges
-those into the run-level one in cell order, so the ``== breakdown ==``
-section and the trace-viewer export are the same for any ``--jobs``.
-``--audit`` keeps the run in-process — its session lives in the parent
-only; the rule is :data:`IN_PROCESS_RULES`.
+Every flag composes with ``--jobs N``.  ``--telemetry`` and
+``--chaos``: the parent and every pool worker enter the same
+``WorkerEnv`` (per-worker trace files are shard-suffixed, the chaos
+profile is re-parsed from its deterministic spec).  ``--audit``,
+``--breakdown`` and ``--trace-viewer``: the fan-out observes each cell
+in its own sessions and merges those into the run-level ones in cell
+order, so the ``== audit ==`` and ``== breakdown ==`` sections and the
+trace-viewer export are the same for any ``--jobs``.
 
 The run lifecycle — ``--progress``, ``--manifest`` / ``--no-manifest``,
 ``--retries``, ``--heartbeat-timeout``, ``--procfault``, ``--resume``,
@@ -53,13 +52,6 @@ DEFAULT_TELEMETRY_DIR = "telemetry-out"
 
 #: Default post-mortem bundle directory for a bare ``--audit``.
 DEFAULT_AUDIT_DIR = "audit-out"
-
-#: Flags whose session lives in the parent process only — the auditor's
-#: flight recorder.  Given with ``--jobs N`` (N > 1), the run stays
-#: in-process and says so once on stderr: ``(argparse dest, notice)``.
-IN_PROCESS_RULES = (
-    ("audit", "[--jobs ignored: --audit needs an in-process run]"),
-)
 
 Formatter = Callable[[object], str]
 Runner = Callable[..., Tuple[object, Formatter]]
@@ -257,15 +249,8 @@ def main(argv=None) -> int:
             return 2
 
     breakdown = args.breakdown or args.trace_viewer is not None
-    jobs = args.jobs
-    if jobs > 1:
-        for dest, notice in IN_PROCESS_RULES:
-            if getattr(args, dest) is not None:
-                print(notice, file=sys.stderr)
-                jobs = 1
-
     config = {"experiments": names, "scale": args.scale, "seed": args.seed,
-              "jobs": jobs, "chaos": args.chaos, "breakdown": breakdown}
+              "jobs": args.jobs, "chaos": args.chaos, "breakdown": breakdown}
     # Experiments never quarantine: a figure with holes is not a figure.
     # Retries and reaping still apply to the --jobs fan-out.
     with RunSession("experiments:" + args.experiment, args, config,
@@ -300,7 +285,8 @@ def main(argv=None) -> int:
                 print(f"== {name}: {description} (scale={args.scale}) ==")
                 started = time.time()
                 with run.stage(name):
-                    result, formatter = runner(args.scale, args.seed, jobs)
+                    result, formatter = runner(args.scale, args.seed,
+                                               args.jobs)
                     report = formatter(result)
                 digest.update(report.encode("utf-8"))
                 print(report)

@@ -35,7 +35,6 @@ __all__ = [
     "short_flow_schedule",
     "mixed_schedule",
     "run_workload",
-    "run_utilization_point",
     "run_utilization_point_stats",
     "run_single_path_flow",
     "PROTOCOLS_MAIN",
@@ -184,25 +183,6 @@ def run_workload(
     return FctCollector(runner.records)
 
 
-def run_utilization_point(
-    protocol: str,
-    utilization: float,
-    duration: float = 30.0,
-    seed: int = 0,
-    sizes: Optional[SizeDistribution] = None,
-    n_pairs: int = 16,
-    buffer_bytes: Optional[int] = None,
-    drain_time: float = 30.0,
-    config: Optional[TransportConfig] = None,
-) -> FctCollector:
-    """One (protocol, utilization) sweep point with all-short traffic."""
-    schedule = short_flow_schedule(protocol, utilization, duration, seed,
-                                   sizes=sizes)
-    return run_workload(schedule, seed=derive_seed(seed, protocol),
-                        n_pairs=n_pairs, buffer_bytes=buffer_bytes,
-                        drain_time=drain_time, config=config)
-
-
 def run_utilization_point_stats(
     protocol: str,
     utilization: float,
@@ -215,15 +195,15 @@ def run_utilization_point_stats(
     config: Optional[TransportConfig] = None,
     penalty: Optional[float] = None,
 ) -> FlowStats:
-    """Streaming variant of :func:`run_utilization_point`.
+    """One (protocol, utilization) sweep point with all-short traffic.
 
-    Runs the identical simulation but folds every record into a
-    constant-size :class:`~repro.obs.aggregate.FlowStats` (records are
-    drained, not returned), so a sweep worker's result payload is a few
-    hundred bytes however many flows ran.  Because the fold mirrors
+    Every record is folded into a constant-size
+    :class:`~repro.obs.aggregate.FlowStats` (records are drained, not
+    returned), so a sweep worker's result payload is a few hundred
+    bytes however many flows ran.  The fold mirrors
     :class:`~repro.metrics.fct.FctCollector` operation for operation,
-    the penalized mean and completion rate are bit-identical to the
-    record-list path.
+    so the penalized mean and completion rate are what a record list
+    would give.
     """
     from repro.obs.aggregate import FlowStats
 

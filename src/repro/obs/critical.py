@@ -18,7 +18,6 @@ into a ``== breakdown ==`` section byte-identical with a serial run's.
 from __future__ import annotations
 
 import hashlib
-from contextlib import ExitStack
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -333,14 +332,11 @@ class BreakdownSession:
     ``session.pending`` until the harness claims them per flow via
     :func:`take_breakdown` (bounded by :data:`MAX_PENDING`).
 
-    Sessions nest: one entered inside another suspends the enclosing
-    session's builder until it exits, so every flow completing inside
-    belongs to the inner session alone.  That presumes no flow of the
-    enclosing session is live across the nested block — true of fan-out
-    cells, self-contained simulations run to completion, which is what
-    nests: :func:`repro.parallel.fanout_map` runs each cell in its own
-    session and merges what :meth:`shipped` returns through
-    :meth:`absorb`.
+    Sessions nest (:func:`~repro.telemetry.context.attached` suspends
+    the enclosing one), so every flow completing inside belongs to the
+    inner session alone: :func:`repro.parallel.fanout_map` runs each
+    cell in its own session and merges what :meth:`shipped` returns
+    through :meth:`absorb`.
     """
 
     def __init__(self, keep_spans: bool = False) -> None:
@@ -362,22 +358,16 @@ class BreakdownSession:
             self.completed.append(breakdown)
 
     def __enter__(self) -> "BreakdownSession":
-        outer = context.active_session()
         self.builder.on_complete = self._on_complete
-        self._stack = ExitStack()
-        self.trace = self._stack.enter_context(context.attached(
+        self._attachment = context.attached(
             "breakdown", self.builder.observe, self.builder.kinds,
-            ring_recorder))
-        if outer is not None:
-            outer.trace.unsubscribe(outer.builder.observe)
-            self._stack.callback(outer.trace.subscribe, outer.builder.observe,
-                                 outer.builder.kinds)
-        self._stack.enter_context(context.scope(breakdown=self))
+            ring_recorder, session=self)
+        self.trace = self._attachment.__enter__()
         self._marks = id_marks() if self.keep_spans else None
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stack.close()
+        self._attachment.__exit__(*exc)
         self.builder.on_complete = None
 
     # -- fan-out cells -------------------------------------------------

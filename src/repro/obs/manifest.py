@@ -42,6 +42,7 @@ __all__ = [
     "config_digest",
     "git_revision",
     "peak_rss_kb",
+    "positive_seconds",
     "validate_manifest",
 ]
 
@@ -510,6 +511,14 @@ ENDINGS = (
 )
 
 
+def positive_seconds(text: str) -> float:
+    """argparse type: a duration in seconds, greater than zero."""
+    value = float(text)
+    if not value > 0:  # NaN too: argparse reports a usage error
+        raise ValueError(text)
+    return value
+
+
 def add_run_flags(parser) -> None:
     """Add the flags :class:`RunSession` reads to an argparse parser."""
     parser.add_argument("--progress", nargs="?", const="-", default=None,
@@ -528,7 +537,8 @@ def add_run_flags(parser) -> None:
                         help="total attempts per sweep cell before it "
                              "fails (default 1 = no retry; applies to the "
                              "fan-out, with deterministic backoff)")
-    parser.add_argument("--heartbeat-timeout", type=float, default=None,
+    parser.add_argument("--heartbeat-timeout", type=positive_seconds,
+                        default=None,
                         metavar="SECONDS",
                         help="reap (SIGKILL) a fan-out worker after this "
                              "many seconds of heartbeat silence and retry "
@@ -574,8 +584,6 @@ class RunSession:
     def __init__(self, command: str, args: Any, config: Dict[str, Any], *,
                  env: Optional[Dict[str, Any]] = None, **policy: Any) -> None:
         self.args = args
-        #: Fan-out width the run used (``config["jobs"]``, else serial).
-        self.jobs = config.get("jobs", 1)
         #: Exit code; the CLI sets 1 when its own verdict fails.
         self.status = 0
         #: What the worker env entered: telemetry hub, chaos profile.
@@ -684,8 +692,7 @@ class RunSession:
 
         ties = tie_break_stats()
         print(f"[scheduler tie-breaks: {ties['groups']} same-timestamp "
-              f"group(s), max size {ties['max_group']}"
-              + (" — in-process sims only" if self.jobs > 1 else "") + "]")
+              f"group(s), max size {ties['max_group']}]")
         stats = fanout_stats()
         if any(stats[key] for key in ("retries", "reaped", "hedges",
                                       "pool_respawns", "replayed")):

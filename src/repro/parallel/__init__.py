@@ -28,15 +28,15 @@ of opaque and brittle:
   ``--procfault`` sessions live in parent-process context variables a
   worker process would silently miss.  :func:`worker_env` declares a
   picklable :class:`WorkerEnv` that every worker re-activates for its
-  whole life.  Only ``--audit`` still forces serial runs (its flight
-  recorder is single-process by design).
-* **attribution** — under an ambient
+  whole life.
+* **observation** — under an ambient
+  :class:`~repro.audit.session.AuditSession` and/or
   :class:`~repro.obs.critical.BreakdownSession` every cell, inline or
-  in a worker, runs in its own nested session and ships its attribution back
-  beside its value; the run-level session absorbs those in cell order
-  and callers get bare values, so ``--breakdown`` / ``--trace-viewer``
-  are the same for any ``jobs``.  The observation is part of each
-  cell's journal digest.
+  in a worker, runs in its own nested session of each and ships what
+  they saw back beside its value; the run-level sessions absorb those
+  in cell order and callers get bare values, so ``--audit``,
+  ``--breakdown`` and ``--trace-viewer`` are the same for any ``jobs``.
+  The observation is part of each cell's journal digest.
 * **supervision & journaling** — :func:`supervision` declares a
   :class:`FanoutPolicy` (retries with deterministic backoff,
   heartbeat-deadline reaping of hung workers, hedged straggler
@@ -68,7 +68,7 @@ from repro.parallel.policy import (
     journaling,
     supervision,
 )
-from repro.telemetry.context import active_session, current_plane
+from repro.telemetry.context import ambient, current_plane
 
 if TYPE_CHECKING:
     from repro.obs.progress import ProgressPlane
@@ -212,9 +212,9 @@ def fanout_map(
     When a progress plane (:mod:`repro.obs.progress`) is active, every
     item reports as one shard; when a :class:`WorkerEnv` is declared
     (see :func:`worker_env`), workers re-activate the parent's
-    telemetry/chaos/procfault sessions before their first item; when a
-    breakdown session is active, each item is attributed in its own
-    and merged into it in item order.
+    telemetry/chaos/procfault sessions before their first item; when an
+    audit or breakdown session is active, each item is observed in its
+    own and merged into it in item order.
     """
     from repro.parallel import pool as _pool
 
@@ -227,8 +227,12 @@ def fanout_map(
     plane = current_plane()
     if plane is not None:
         plane.begin(len(items))
-    session = active_session()
-    observe = None if session is None else session.keep_spans
+    audit, breakdown = ambient.audit, ambient.breakdown
+    observe = {}
+    if audit is not None:
+        observe["audit"] = audit.auditor.out_dir
+    if breakdown is not None:
+        observe["breakdown"] = breakdown.keep_spans
 
     # Journal replay: resolve already-completed cells by digest.
     replayed: Dict[int, _Result] = {}
@@ -239,9 +243,11 @@ def fanout_map(
         recorded = journal.replay()
         for index, item in enumerate(items):
             # What observes a cell is part of its identity: a journaled
-            # value carries its shipped attribution, or does not.
-            digest = cell_digest(worker, item if observe is None
-                                 else (item, "breakdown", observe))
+            # value carries what its sessions shipped, or does not.
+            key = item if breakdown is None else (
+                item, "breakdown", breakdown.keep_spans)
+            digest = cell_digest(worker, key if audit is None
+                                 else (key, "audit"))
             digests.append(digest)
             if digest in recorded:
                 value = recorded[digest]
@@ -262,13 +268,13 @@ def fanout_map(
             journal.append(digests[index], _pool._item_label(items[index]),
                            value)
 
-    if session is not None:
-        # Each cell attributes its flows in its own nested session,
-        # inline or in a worker alike, and ships that back beside its
-        # value (DESIGN.md §6).
+    if observe:
+        # Each cell is observed in its own nested sessions, inline or in
+        # a worker alike, and ships them back beside its value
+        # (DESIGN.md §6).
         from repro.obs.critical import id_marks
 
-        marks = id_marks() if observe else None
+        marks = id_marks() if observe.get("breakdown") else None
         worker = partial(_pool._observed, observe, worker)
 
     if workers <= 1:
@@ -292,10 +298,15 @@ def fanout_map(
             _run_stats.merge(supervisor.stats)
     if plane is not None:
         plane.tick(force=True)
-    if session is not None:
-        # Serial cell order, replayed cells included.
-        session.absorb([result[1] for result in results
-                        if not isinstance(result, ShardFailure)], marks)
+    if observe:
+        # Serial cell order, replayed cells included: ``(value, audit's
+        # shipped, breakdown's shipped)``, each when on.
+        shipped = [result for result in results
+                   if not isinstance(result, ShardFailure)]
+        if audit is not None:
+            audit.absorb([result[1] for result in shipped])
+        if breakdown is not None:
+            breakdown.absorb([result[-1] for result in shipped], marks)
         results = [result if isinstance(result, ShardFailure) else result[0]
                    for result in results]
     return results

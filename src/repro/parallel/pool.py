@@ -6,7 +6,7 @@ boundary: the picklable :class:`WorkerEnv` that workers mirror,
 :func:`_run_shard`, the per-item body (shard heartbeats, the ambient
 process-fault injector, the worker call) that workers and the serial
 fan-out share, and :func:`_observed`, the worker wrapper that gives
-each cell its own breakdown session.
+each cell its own audit and breakdown sessions.
 
 The supervisor (:mod:`repro.parallel.supervisor`) owns scheduling;
 this module owns what runs *inside* a worker.
@@ -136,14 +136,35 @@ def _run_shard(worker, index: int, item, attempt: int,
     return result
 
 
-def _observed(keep_spans: bool, worker, item):
-    """``worker(item)`` inside the cell's own breakdown session, which
-    suspends any enclosing one: ``(value, session.shipped())``."""
-    from repro.obs.critical import BreakdownSession
+def _observed(observe: dict, worker, item):
+    """``worker(item)`` inside the cell's own session of each observer
+    in ``observe`` — ``{"audit": the run's bundle directory,
+    "breakdown": keep_spans}``, entered in that order — each suspending
+    its enclosing one: ``(value, *their shipped())``.  A cell that
+    raises ships nothing; its audit's frozen (crash) bundle is written
+    into the run's directory instead."""
+    audit = breakdown = None
+    try:
+        with ExitStack() as stack:
+            if "audit" in observe:
+                from repro.audit.session import AuditSession
 
-    with BreakdownSession(keep_spans=keep_spans) as session:
-        value = worker(item)
-    return value, session.shipped()
+                audit = stack.enter_context(AuditSession())
+            if "breakdown" in observe:
+                from repro.obs.critical import BreakdownSession
+
+                breakdown = stack.enter_context(BreakdownSession(
+                    keep_spans=observe["breakdown"]))
+            value = worker(item)
+    except BaseException:
+        bundle = audit and audit.auditor.recorder.bundle
+        if bundle and observe["audit"] is not None:
+            from repro.audit.recorder import write_bundle
+
+            write_bundle(observe["audit"], bundle)
+        raise
+    return (value, *(session.shipped() for session in (audit, breakdown)
+                     if session is not None))
 
 
 def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
@@ -152,20 +173,24 @@ def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
     Mirrors ``env`` (telemetry files suffixed ``-shard<shard>``), then
     runs each ``(worker, index, item, attempt)`` the parent sends through
     :func:`_run_shard`, posting heartbeats on the same pipe, and replies
-    ``(True, value)`` or ``(False, (error, traceback text))``.  ``None``
-    dismisses it: its sessions close the normal way, which writes
-    ``metrics-shard<shard>.json``.
+    ``(True, value, tie-break counts)`` or ``(False, (error, traceback
+    text), None)``.  ``None`` dismisses it: its sessions close the
+    normal way, which writes ``metrics-shard<shard>.json``.
     """
+    from repro.sim.simulator import reset_tie_break_stats, tie_break_stats
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns teardown
     with ExitStack() as stack:
         hub = None
         if env is not None and not env.empty:
             hub, _ = env.enter(stack, shard=shard)
         for task in iter(conn.recv, None):
+            reset_tie_break_stats()  # the reply carries this cell's alone
             try:
-                reply = (True, _run_shard(*task, post=conn.send))
+                value = _run_shard(*task, post=conn.send)
+                reply = (True, value, tie_break_stats())
             except Exception as exc:
-                reply = (False, (exc, traceback.format_exc()))
+                reply = (False, (exc, traceback.format_exc()), None)
             if hub is not None:
                 # Keep the shard trace durable even if this worker is
                 # reaped later; per-item flushes are noise next to a cell.
@@ -173,4 +198,4 @@ def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
             try:
                 conn.send(reply)
             except Exception as exc:  # an unpicklable value or error
-                conn.send((False, (exc, traceback.format_exc())))
+                conn.send((False, (exc, traceback.format_exc()), None))

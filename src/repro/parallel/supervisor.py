@@ -26,7 +26,8 @@ salvaged.  The supervisor replaces it with per-shard control:
 The supervisor starts its workers itself, one duplex pipe each
 (:func:`repro.parallel.pool._worker_main`), and hands a shard only to
 an idle worker, so it always knows which worker holds which shard and
-every failure has exactly one owner.
+every failure has exactly one owner.  A winning reply's scheduler
+tie-break counts fold into this process's, as if the cell had run here.
 
 Everything is policy-gated: the default :class:`FanoutPolicy` (one
 attempt, no deadline, no hedging, no quarantine) reproduces the old
@@ -44,6 +45,7 @@ from repro.errors import ShardHungError, WorkerCrashError
 from repro.obs import progress as _progress
 from repro.parallel.policy import FanoutPolicy, ShardFailure, SupervisorStats
 from repro.parallel.pool import WorkerEnv, _item_label, _worker_main
+from repro.sim.simulator import fold_tie_break_stats
 
 __all__ = ["ShardSupervisor"]
 
@@ -268,13 +270,14 @@ class ShardSupervisor:
             if self.plane is not None:
                 self.plane.apply(message)
             return
-        ok, value = message
+        ok, value, ties = message
         task, hedge = worker.task, worker.hedge
         worker.task = None
         task.holders -= 1
         if task.index in self.results:
             return  # hedge loser / late duplicate
         if ok:
+            fold_tie_break_stats(ties)
             self._record_result(task, value, hedge)
             return
         error, remote_traceback = value

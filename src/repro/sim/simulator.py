@@ -25,7 +25,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
 
 __all__ = ["Simulator", "Timer", "DEFAULT_STALL_EVENT_LIMIT",
-           "reset_tie_break_stats", "tie_break_stats"]
+           "fold_tie_break_stats", "reset_tie_break_stats", "tie_break_stats"]
 
 #: Default no-progress watchdog threshold: events allowed to fire at one
 #: simulated instant before the run is declared stalled.  Real workloads
@@ -42,8 +42,9 @@ DEFAULT_STALL_EVENT_LIMIT = 1_000_000
 #: simulator run since the last :func:`reset_tie_break_stats`.  CLIs
 #: reset it at startup and surface the totals in the run summary and
 #: ``run_manifest.json`` so order-sensitivity exposure is visible per
-#: run.  With ``--jobs N`` the counters cover simulators driven in this
-#: process only (worker processes keep their own).
+#: run.  A ``--jobs N`` worker ships each cell's counters back and the
+#: supervisor folds them in (:func:`fold_tie_break_stats`), so they
+#: cover every simulator of the run.
 _TIE_BREAK_STATS = {"groups": 0, "max_group": 0}
 
 
@@ -51,6 +52,13 @@ def reset_tie_break_stats() -> None:
     """Zero the process-wide tie-break counters (CLIs call this once)."""
     _TIE_BREAK_STATS["groups"] = 0
     _TIE_BREAK_STATS["max_group"] = 0
+
+
+def fold_tie_break_stats(stats: Dict[str, int]) -> None:
+    """Add another process's :func:`tie_break_stats` to this one's."""
+    _TIE_BREAK_STATS["groups"] += stats["groups"]
+    _TIE_BREAK_STATS["max_group"] = max(_TIE_BREAK_STATS["max_group"],
+                                        stats["max_group"])
 
 
 def tie_break_stats() -> Dict[str, int]:

@@ -37,17 +37,20 @@ __all__ = ["RunContext", "ambient", "scope", "enter", "attached", "describe",
 class RunContext:
     """The ambient slots of a run (None / empty = off)."""
 
-    __slots__ = ("hub", "attached", "breakdown", "plane", "reporter",
-                 "chaos", "procfault", "worker_env", "policy", "journal",
-                 "tiebreak_salt")
+    __slots__ = ("hub", "attached", "audit", "breakdown", "plane",
+                 "reporter", "chaos", "procfault", "worker_env", "policy",
+                 "journal", "tiebreak_salt")
 
     def __init__(self) -> None:
         #: Telemetry hub (``trace`` / ``metrics`` / ``profiler``) every
         #: Simulator built now picks up.
         self.hub = None
-        #: Names of the sessions :func:`attached` to the hub's recorder.
+        #: ``(name, trace, observer, kinds)`` of each live
+        #: :func:`attached` subscription, outermost first.
         self.attached: tuple = ()
-        #: Innermost ``BreakdownSession``: it owns flows completing now.
+        #: Innermost ``AuditSession`` / ``BreakdownSession``: it owns
+        #: the events and flows of the run now.
+        self.audit = None
         self.breakdown = None
         #: Progress plane (parent process) / shard reporter (worker side).
         self.plane = None
@@ -111,7 +114,7 @@ def activated(hub):
 
 @contextmanager
 def attached(name: str, observer: Callable, kinds,
-             fresh_trace: Callable[[], Any]) -> Iterator[Any]:
+             fresh_trace: Callable[[], Any], session=None) -> Iterator[Any]:
     """Subscribe ``observer`` to the run's trace stream for a block.
 
     With an *enabled* recorder ambient (``--telemetry``, or an outer
@@ -121,6 +124,11 @@ def attached(name: str, observer: Callable, kinds,
     keep it reachable until a full collection).  ``kinds`` is what the
     observer consumes (see ``TraceRecorder.subscribe``).  Yields the
     recorder.
+
+    The innermost enclosing subscription of the same ``name`` is
+    suspended until the block exits (unless it has left first), so
+    every event inside is this observer's alone (DESIGN.md §6, nested
+    observer sessions); a ``session`` fills the ``name`` slot.
     """
     hub = ambient.hub
     trace = hub.trace if hub is not None else None
@@ -132,11 +140,20 @@ def attached(name: str, observer: Callable, kinds,
         hub = SimpleNamespace(trace=trace,
                               metrics=getattr(hub, "metrics", None),
                               profiler=getattr(hub, "profiler", None))
+    outer = next((entry for entry in reversed(ambient.attached)
+                  if entry[0] == name), None)
     trace.subscribe(observer, kinds)
+    if outer is not None:
+        outer[1].unsubscribe(outer[2])
+    slots = {} if session is None else {name: session}
+    previous = enter(hub=hub, **slots, attached=ambient.attached
+                     + ((name, trace, observer, kinds),))
     try:
-        with scope(hub=hub, attached=ambient.attached + (name,)):
-            yield trace
+        yield trace
     finally:
+        if outer is not None and outer in ambient.attached:
+            outer[1].subscribe(outer[2], outer[3])
+        enter(**previous)
         trace.unsubscribe(observer)
         if own:
             trace.clear()
@@ -145,7 +162,7 @@ def attached(name: str, observer: Callable, kinds,
 def describe() -> Dict[str, Any]:
     """What is observing and steering the run right now (the manifest's
     ``observers`` section; an absent key means off)."""
-    doc: Dict[str, Any] = {name: True for name in ambient.attached}
+    doc: Dict[str, Any] = {entry[0]: True for entry in ambient.attached}
     env = ambient.worker_env
     if env is not None and env.telemetry_dir is not None:
         doc["telemetry"] = {"dir": env.telemetry_dir,

@@ -11,6 +11,7 @@ checkers stay silent.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.audit import AuditSession
 from repro.chaos.impairments import (
     BandwidthModulation,
     BlackholeWindow,
@@ -97,8 +98,9 @@ class TestLivenessContract:
     )
     def test_every_flow_terminates_and_audit_stays_clean(
             self, recipe, protocol, seed):
-        cell = run_cell(protocol, composed_profile(recipe, seed),
-                        seed=seed, n_flows=2, size=30_000, audit=True)
+        with AuditSession():
+            cell = run_cell(protocol, composed_profile(recipe, seed),
+                            seed=seed, n_flows=2, size=30_000)
         assert not cell.stalled, "\n".join(cell.stall_dump)
         assert cell.pending == 0, \
             f"{cell.pending} flows neither DONE nor FAILED"

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 
+import pytest
+
+from repro.audit import AuditSession
 from repro.chaos.cli import main as chaos_main
 from repro.chaos.profiles import get_profile
 from repro.chaos.sweep import run_cell, run_sweep, sweep_config
@@ -36,9 +39,10 @@ class TestRunCell:
         # deliver a clone of an ACK whose original was queue-dropped;
         # the sender learns the contents, so the auditor must too
         # (chaos.clone events), or frontier-meet false-positives.
-        cell = run_cell("halfback",
-                        get_profile("middlebox-madness", seed=42),
-                        seed=42, n_flows=4, size=60_000, audit=True)
+        with AuditSession():
+            cell = run_cell("halfback",
+                            get_profile("middlebox-madness", seed=42),
+                            seed=42, n_flows=4, size=60_000)
         assert cell.violations == []
         assert cell.live
 
@@ -147,6 +151,13 @@ class TestCli:
         assert validate_manifest(manifest) == []
         assert manifest["result"]["fingerprint"] == payload["fingerprint"]
 
+    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
+    def test_hedge_after_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as ended:
+            chaos_main(["sweep", "--hedge-after", value])
+        assert ended.value.code == 2
+        assert "invalid positive_seconds value" in capsys.readouterr().err
+
 
 SWEEP = ["sweep", "--protocols", "tcp,halfback",
          "--profiles", "wifi-bursty,dead-air", "--flows", "2",
@@ -211,3 +222,15 @@ class TestBreakdownResume:
                                            "--resume", state)
         assert supervisor["replayed"] == 0
         assert lines == plain and doc == plain_doc
+
+
+class TestAuditedSweep:
+    def test_audit_composes_with_jobs(self, tmp_path):
+        code, serial, serial_doc, _ = _sweep(tmp_path, "serial", "--audit",
+                                             "--breakdown")
+        _, fanned, fanned_doc, _ = _sweep(tmp_path, "fanned", "--audit",
+                                          "--breakdown", "--jobs", "2")
+        assert code == 0
+        assert serial_doc["audited"] is True
+        assert fanned == serial
+        assert fanned_doc == serial_doc

@@ -1,17 +1,16 @@
-"""Every pair of run-shaping CLI flags either composes or takes a tabled
-rule (ROADMAP item 5).
+"""Every pair of run-shaping CLI flags composes: no pair takes a rule.
 
 One in-process ``main([...])`` per pair: ``fig3`` normally, ``fig6
 --scale 0.05`` for the ``--jobs 2`` rows (fig3 has nothing to fan out).
-The rule table is the CLI's own :data:`IN_PROCESS_RULES`.
 """
 
 import itertools
 import json
+import re
 
 import pytest
 
-from repro.experiments.cli import IN_PROCESS_RULES, main
+from repro.experiments.cli import main
 from repro.obs.manifest import validate_manifest
 
 #: flag name (its argparse dest) -> the argv it contributes.
@@ -32,8 +31,6 @@ FLAGS = {
 OBSERVER_KEY = {"telemetry": "telemetry", "audit": "audit", "chaos": "chaos",
                 "breakdown": "breakdown", "trace_viewer": "breakdown",
                 "progress": "progress", "procfault": "procfault"}
-
-RULES = dict(IN_PROCESS_RULES)
 
 
 @pytest.mark.parametrize(
@@ -57,18 +54,21 @@ def test_flag_pair_composes_or_takes_its_rule(pair, tmp_path, capsys):
     if "audit" in pair:
         assert "all invariants hold" in out
 
-    ruled = [flag for flag in pair if flag in RULES] if "jobs" in pair else []
-    for flag in ruled:
-        assert RULES[flag] in err
-    if not ruled:
-        assert "--jobs ignored" not in err
-    # The tie-break line owns up to sims it could not see in workers.
-    assert ("in-process sims only" in out) == ("jobs" in pair and not ruled)
+    # No flag drops --jobs (no "[--jobs ...]" notice), and the
+    # tie-break line, counting worker sims too, carries no caveat.
+    assert "[--jobs" not in err
+    assert re.search(r"^\[scheduler tie-breaks: \d+ same-timestamp "
+                     r"group\(s\), max size \d+\]$", out, re.MULTILINE)
     if "trace_viewer" in pair:
         export = json.loads((tmp_path / "spans.json").read_text())
         # More than the lone process-name record an empty export holds.
         assert len(export["traceEvents"]) > 1
 
 
-def test_every_rule_names_a_real_flag():
-    assert set(RULES) <= set(FLAGS)
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_heartbeat_timeout_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as ended:
+        main(["fig6", "--scale", "0.02", "--jobs", "2",
+              "--heartbeat-timeout", value])
+    assert ended.value.code == 2
+    assert "invalid positive_seconds value" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from repro.experiments.scenarios import (
     build_emulab,
     mixed_schedule,
     run_single_path_flow,
-    run_utilization_point,
+    run_utilization_point_stats,
     run_workload,
     short_flow_schedule,
 )
@@ -117,9 +117,9 @@ def test_run_workload_returns_collector():
 
 
 def test_run_utilization_point_end_to_end():
-    collector = run_utilization_point("halfback", 0.2, duration=5.0,
-                                      seed=2, n_pairs=4)
-    assert collector.mean_fct() < 1.0
+    stats = run_utilization_point_stats("halfback", 0.2, duration=5.0,
+                                        seed=2, n_pairs=4, penalty=60.0)
+    assert stats.mean_fct(penalized=True) < 1.0
 
 
 def test_run_single_path_flow_records_drops():

@@ -9,7 +9,7 @@ benchmarks.
 import pytest
 
 from repro.metrics.collapse import SweepPoint, feasible_capacity
-from repro.experiments.scenarios import run_utilization_point
+from repro.experiments.scenarios import run_utilization_point_stats
 from repro.units import kb, mbps, ms
 from tests.conftest import run_one_flow
 
@@ -90,11 +90,12 @@ class TestSafetyOrdering:
         for protocol in ("tcp", "proactive", "jumpstart", "halfback"):
             points = []
             for utilization in utils:
-                col = run_utilization_point(protocol, utilization,
-                                            duration=8.0, seed=3, n_pairs=8)
+                stats = run_utilization_point_stats(
+                    protocol, utilization, duration=8.0, seed=3, n_pairs=8,
+                    penalty=60.0)
                 points.append(SweepPoint(
-                    utilization, col.mean_fct(penalty=60.0),
-                    col.completion_rate(),
+                    utilization, stats.mean_fct(penalized=True),
+                    stats.completion_rate(),
                 ))
             curves[protocol] = points
         return {p: feasible_capacity(c, factor=4.0)

@@ -13,6 +13,7 @@ checks conservation at both enforcement points: the
 
 from hypothesis import given, settings, strategies as st
 
+from repro.audit import AuditSession
 from repro.chaos.impairments import (
     DelayJitter,
     Duplication,
@@ -73,10 +74,10 @@ class TestConservationUnderChaos:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_components_sum_to_fct(self, recipe, protocol, seed):
-        # The session a fan-out gives each cell, around the audited cell.
-        with BreakdownSession() as session:
+        # The sessions a fan-out gives each audited, attributed cell.
+        with AuditSession(), BreakdownSession() as session:
             cell = run_cell(protocol, composed_profile(recipe, seed),
-                            seed=seed, n_flows=2, size=30_000, audit=True)
+                            seed=seed, n_flows=2, size=30_000)
         # Enforcement point 1: the audit checker replays every flow's
         # lineage through its own span builder and flags any breakdown
         # whose components fail to sum to the flow.complete FCT.

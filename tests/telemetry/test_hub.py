@@ -93,7 +93,7 @@ class TestSessionsUnderAHostHub:
             self, session_factory, other_factory, first_out):
         # Out-of-order exits are about the recorder's flags; the slots
         # themselves restore LIFO, so park them around the experiment.
-        with scope(hub=None, attached=(), breakdown=None), \
+        with scope(hub=None, attached=(), audit=None, breakdown=None), \
                 Telemetry(profile=False) as hub:
             hub.trace.lineage = True
             outer, inner = session_factory(), other_factory()
