@@ -2,8 +2,11 @@
 
 Every packet gets a *span* opened by its ``pkt.send`` event and extended
 by each hop event the network layers emit (enqueue, serialization
-start, in-flight loss, queue drop, delivery).  Spans link to causal
-parents:
+start, in-flight loss, queue drop, delivery).  A hop is a plain
+``(time, kind, where)`` tuple: an audited run adds one per lineage
+record, so it costs a tuple rather than a class instance, and copying
+the three fields out (not keeping the record) means a span never pins
+the record's ``detail`` dict.  Spans link to causal parents:
 
 * an ACK's parent is the data packet that triggered it
   (``pkt.ack_gen``'s ``parent`` uid);
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.schema import (
     EV_CHAOS_CLONE,
@@ -34,7 +37,7 @@ from repro.telemetry.schema import (
     LINEAGE_EVENT_KINDS,
 )
 
-__all__ = ["HopEvent", "PacketSpan", "LineageTracer"]
+__all__ = ["PacketSpan", "LineageTracer"]
 
 #: Retained uids per flow for timeline rendering (spans themselves are
 #: bounded separately by ``max_spans``).
@@ -45,16 +48,8 @@ FLOW_INDEX_BOUND = 4096
 MAX_CHAIN_DEPTH = 32
 
 
-@dataclass
-class HopEvent:
-    """One hop in a packet's life."""
-
-    time: float
-    kind: str
-    where: str
-
-    def render(self) -> str:
-        return f"t={self.time:.6f}  {self.kind:<12s} @ {self.where}"
+#: One hop in a packet's life: ``(time, kind, where)``.
+Hop = Tuple[float, str, str]
 
 
 @dataclass
@@ -75,7 +70,7 @@ class PacketSpan:
     #: transmission for retransmits); None for original sends.
     parent: Optional[int] = None
     fate: str = "in-flight"
-    events: List[HopEvent] = field(default_factory=list)
+    events: List[Hop] = field(default_factory=list)
 
     def label(self) -> str:
         """Compact identity, e.g. ``data seq=7 (proactive-rtx)``."""
@@ -91,7 +86,8 @@ class PacketSpan:
     def render(self) -> List[str]:
         """Multi-line rendering: header, hops, fate."""
         lines = [f"uid={self.uid} flow={self.flow} {self.label()}"]
-        lines.extend(f"  {event.render()}" for event in self.events)
+        lines.extend(f"  t={time:.6f}  {kind:<12s} @ {where}"
+                     for time, kind, where in self.events)
         lines.append(f"  fate: {self.fate}")
         return lines
 
@@ -131,11 +127,11 @@ class LineageTracer:
         if kind == EV_PKT_SEND:
             span = self._open_span(record, uid, detail)
             self._link_transmission(span)
-            span.events.append(HopEvent(record.time, kind, record.source))
+            span.events.append((record.time, kind, record.source))
             return
         if kind == EV_CHAOS_CLONE:
             span = self._open_clone_span(record, uid, detail)
-            span.events.append(HopEvent(record.time, kind, record.source))
+            span.events.append((record.time, kind, record.source))
             return
         span = self._spans.get(uid)
         if span is None:
@@ -144,7 +140,7 @@ class LineageTracer:
             span = PacketSpan(uid=uid, flow=detail.get("flow", -1),
                               created=record.time, kind="orphan")
             self._retain(span)
-        span.events.append(HopEvent(record.time, kind, record.source))
+        span.events.append((record.time, kind, record.source))
         if kind == EV_PKT_DELIVER:
             if not span.dst or detail.get("dst") == span.dst:
                 span.fate = "delivered"
@@ -273,9 +269,8 @@ class LineageTracer:
         """Chronological ASCII causal timeline of one flow's packets."""
         entries = []
         for span in self.flow_spans(flow):
-            for event in span.events:
-                entries.append((event.time, span.uid, span.label(),
-                                event.kind, event.where))
+            for time, kind, where in span.events:
+                entries.append((time, span.uid, span.label(), kind, where))
         entries.sort(key=lambda e: (e[0], e[1]))
         shown = entries[-limit:]
         lines = [f"flow {flow} causal timeline "

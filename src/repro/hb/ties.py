@@ -14,8 +14,9 @@ audit checker (:mod:`repro.hb.detect`) and the graph / ``hb races`` CLI
 * :class:`TieGroupScanner` cuts a record stream into tie groups one at a
   time.  Causal edges never go backward in simulated time, so a path
   between two same-timestamp events stays inside their group: the
-  scanner forgets everything at each instant boundary and its memory is
-  bounded by the largest same-instant burst.
+  scanner buffers one instant's records, folds their edges only when
+  the instant holds two or more events, and its memory is bounded by
+  the largest same-instant burst.
 
 Program order is deliberately *not* a causal edge: among same-timestamp
 events it is the tie-break artifact under audit.
@@ -97,14 +98,6 @@ class CausalEdges:
                     return src, "ack"
         return None
 
-    def forget(self) -> None:
-        """Drop every packet endpoint and the executing event (an
-        instant boundary: nothing earlier can pair inside a later tie
-        group)."""
-        self.current = None
-        self._tx.clear()
-        self._deliver.clear()
-
 
 class TieGroup:
     """Same-timestamp events in execution order, with the causal edges
@@ -145,50 +138,57 @@ class TieGroup:
 
 
 class TieGroupScanner:
-    """Cut a record stream into tie groups, one in memory at a time."""
+    """Cut a record stream into tie groups, one in memory at a time.
+
+    :meth:`observe` only buffers the current instant's records and
+    counts its ``sched.exec`` records; the causal edges are folded when
+    the instant closes, and only for a group of two or more events.
+    Almost every instant holds one event, so a lone instant costs an
+    append per record and nothing else.  Replaying the buffer through
+    fresh :class:`CausalEdges` is exact because edge state never
+    crosses an instant boundary.
+    """
 
     def __init__(self) -> None:
-        self._edges = CausalEdges()
         self._time: Optional[float] = None
-        self._events: List[Event] = []
-        self._members: set = set()
-        self._forward: Dict[int, List[int]] = {}
+        self._records: List[Any] = []
+        self._execs = 0
 
     def observe(self, record) -> Optional[TieGroup]:
         """Fold one record in; the group it closed (two or more events
         at one instant), if any."""
         closed = None
-        edges = self._edges
         if record.kind == EV_SCHED_EXEC:
             if record.time != self._time:
                 closed = self.close()
                 self._time = record.time
-            edge = edges.observe(record)
-            seq = edges.current
-            self._events.append((seq, record.source,
-                                 record.detail["callback"]))
-            self._members.add(seq)
-        else:
-            edge = edges.observe(record)
-        if edge is not None and edge[0] in self._members:
-            self._forward.setdefault(edge[0], []).append(edges.current)
+            self._execs += 1
+        self._records.append(record)
         return closed
 
     def close(self) -> Optional[TieGroup]:
         """End the buffered instant (also the end of the stream); the
         group if it had two or more events."""
-        events = self._events
-        self._edges.forget()
-        self._members.clear()
-        if len(events) < 2:
+        execs, self._execs = self._execs, 0
+        records = self._records
+        if execs < 2:
             # The common instant: one event, nothing to hand out.
-            events.clear()
-            self._forward.clear()
+            records.clear()
             return None
-        group = TieGroup(self._time, events, self._forward)
-        self._events = []
-        self._forward = {}
-        return group
+        edges = CausalEdges()
+        events: List[Event] = []
+        members = set()
+        forward: Dict[int, List[int]] = {}
+        for record in records:
+            edge = edges.observe(record)
+            if record.kind == EV_SCHED_EXEC:
+                seq = edges.current
+                events.append((seq, record.source, record.detail["callback"]))
+                members.add(seq)
+            if edge is not None and edge[0] in members:
+                forward.setdefault(edge[0], []).append(edges.current)
+        records.clear()
+        return TieGroup(self._time, events, forward)
 
 
 def _reaches(forward: Dict[int, List[int]], src: int, dst: int) -> bool:

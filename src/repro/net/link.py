@@ -727,7 +727,9 @@ class Link:
             trace.record(self.sim.now, EV_PKT_TX, self.name,
                          ser=transmission_time, uid=packet.uid,
                          flow=packet.flow_id)
-        self.sim.schedule(transmission_time, self._finish_transmission, packet)
+        sim = self.sim
+        sim.schedule_fast(sim._now + transmission_time,
+                          self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
@@ -739,7 +741,8 @@ class Link:
         elif self._impairments:
             self._finish_impaired(packet)
         else:
-            self.sim.schedule(self.delay, self._deliver, packet)
+            sim = self.sim
+            sim.schedule_fast(sim._now + self.delay, self._deliver, packet)
         # Keep the pipe full: start the next packet immediately.
         self._busy = False
         if len(self.queue):

@@ -42,6 +42,7 @@ __all__ = [
     "config_digest",
     "git_revision",
     "peak_rss_kb",
+    "positive_int",
     "positive_seconds",
     "validate_manifest",
 ]
@@ -515,6 +516,14 @@ def positive_seconds(text: str) -> float:
     """argparse type: a duration in seconds, greater than zero."""
     value = float(text)
     if not value > 0:  # NaN too: argparse reports a usage error
+        raise ValueError(text)
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: a count, greater than zero."""
+    value = int(text)
+    if value <= 0:
         raise ValueError(text)
     return value
 

@@ -12,7 +12,7 @@ similar patterns where the same logical timer is re-armed many times.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError, StallError
 from repro.sim.event import Event, EventHandle
@@ -181,6 +181,7 @@ class Simulator:
         self.exec_lpush = 0.0
         self._entity_names: Dict[int, Any] = {}
         self._entity_counts: Dict[str, int] = {}
+        self._stamps: Dict[Tuple[int, Any], Tuple[str, str]] = {}
         #: Number of events executed so far (diagnostic).
         self.events_run = 0
         #: Scheduler events the batched datapath *eliminated*: heap
@@ -295,12 +296,13 @@ class Simulator:
                       *args: Any, lpush: Optional[float] = None) -> None:
         """Handle-free :meth:`schedule_at` for never-cancelled hot events.
 
-        The batched link datapath schedules thousands of delivery events
-        per run that are never cancelled and never inspected; skipping
-        the :class:`EventHandle` allocation and the past-time guard (the
-        caller computes times from ``now`` plus non-negative spans) is a
-        measurable share of per-event cost.  Sequence numbers still come
-        from the global event counter.
+        Both link datapaths schedule per-packet events that are never
+        cancelled and never inspected (the batched path's train-planned
+        deliveries, the reference path's serialization finish and
+        delivery); skipping the :class:`EventHandle` allocation and the
+        past-time guard (the caller computes times from ``now`` plus
+        non-negative spans) is a measurable share of per-event cost.
+        Sequence numbers still come from the global event counter.
 
         ``lpush`` back-dates the event's logical push time to the
         instant the per-packet (unbatched) execution would have
@@ -365,6 +367,23 @@ class Simulator:
         # alias a new object onto this entity.
         self._entity_names[key] = (owner, name)
         return self._partitioned(owner, callback, name)
+
+    def _stamp(self, callback: Callable[..., Any]) -> Tuple[str, str]:
+        """``(entity, callback label)`` for a ``sched.exec`` record.
+
+        Cached per ``(id(owner), function)`` for bound methods: the
+        owner is pinned by :meth:`_event_entity`, so its id cannot
+        alias.  Free functions, closures and partials are named anew.
+        """
+        func = getattr(callback, "__func__", None)
+        if func is None:
+            return self._event_entity(callback), _callback_label(callback)
+        key = (id(callback.__self__), func)
+        stamp = self._stamps.get(key)
+        if stamp is None:
+            stamp = self._stamps[key] = (self._event_entity(callback),
+                                         _callback_label(callback))
+        return stamp
 
     @staticmethod
     def _partitioned(owner: Any, callback: Callable[..., Any],
@@ -443,12 +462,11 @@ class Simulator:
                 callback = event.callback
                 if prov:
                     self._exec_seq = event.seq
+                    stamp = self._stamp(callback)
                     self._trace.record(
-                        time, EV_SCHED_EXEC,
-                        self._event_entity(callback),
+                        time, EV_SCHED_EXEC, stamp[0],
                         seq=event.seq, parent=event.parent,
-                        callback=_callback_label(callback),
-                        prio=event.priority)
+                        callback=stamp[1], prio=event.priority)
                 if profiler is None:
                     callback(*event.args)
                 else:

@@ -140,14 +140,21 @@ class TraceRecorder:
         # observer -> the kinds it declared; the owner's own
         # (lineage, provenance) wish is parked while any are live.
         self._subscriptions: Dict[Callable, Any] = {}
+        # What :meth:`record` iterates: the subscribers, rebuilt by
+        # subscribe / unsubscribe.
+        self._observers: tuple = ()
         self._asked = (lineage, provenance)
-        #: Records evicted from the ring buffer (ring mode only).
-        self.dropped_records = 0
+        self._appended = 0
 
     @property
     def max_records(self) -> Optional[int]:
         """The ring-buffer bound, or None when unbounded."""
         return self._max_records
+
+    @property
+    def dropped_records(self) -> int:
+        """Records evicted from the ring buffer (ring mode only)."""
+        return self._appended - len(self._records)
 
     def subscribe(self, observer: Callable[[TraceRecord], None],
                   kinds) -> None:
@@ -173,6 +180,7 @@ class TraceRecorder:
             self._derive_flags()
 
     def _derive_flags(self) -> None:
+        self._observers = tuple(self._subscriptions)
         lineage, provenance = self._asked
         for kinds in self._subscriptions.values():
             lineage = (lineage or kinds is None
@@ -186,16 +194,14 @@ class TraceRecorder:
         if not self.enabled:
             return
         rec = TraceRecord(time, kind, source, detail)
-        for observer in self._subscriptions:
+        for observer in self._observers:
             observer(rec)
         if self._kinds is not None and not kind.startswith(self._kinds):
             return
         if self.sink is not None:
             self.sink.write(rec)
         if self._keep:
-            if (self._max_records is not None
-                    and len(self._records) == self._max_records):
-                self.dropped_records += 1
+            self._appended += 1
             self._records.append(rec)
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
@@ -213,4 +219,4 @@ class TraceRecorder:
     def clear(self) -> None:
         """Drop all collected records (the drop counter too)."""
         self._records.clear()
-        self.dropped_records = 0
+        self._appended = 0

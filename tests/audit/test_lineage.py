@@ -33,7 +33,7 @@ class TestSpanConstruction:
         tracer.observe(rec(0.4, "pkt.deliver", "r1->d0", uid=7, flow=1,
                            dst="d0"))
         span = tracer.span(7)
-        assert [e.kind for e in span.events] == [
+        assert [e[1] for e in span.events] == [
             "pkt.send", "pkt.enqueue", "pkt.tx", "pkt.deliver", "pkt.deliver"]
         assert span.fate == "delivered"
 

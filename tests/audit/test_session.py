@@ -10,7 +10,7 @@ from repro.audit import AuditSession, iter_trace, replay
 from repro.audit.cli import main as audit_main
 from repro.audit.faults import seed_ropr_misorder
 from repro.audit.invariants import Checker
-from repro.audit.lineage import HopEvent, PacketSpan
+from repro.audit.lineage import PacketSpan
 from repro.audit.session import Auditor
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.scenarios import run_single_path_flow
@@ -86,7 +86,7 @@ class TestDeterministicRelease:
     link <-> node cycle."""
 
     #: What a session accumulates, and the observers that hold it.
-    OBSERVATION_STATE = (TraceRecord, HopEvent, PacketSpan, Auditor,
+    OBSERVATION_STATE = (TraceRecord, PacketSpan, Auditor,
                          Checker, FlowSpanBuilder, BreakdownSession)
 
     @staticmethod
@@ -289,6 +289,28 @@ class TestCli:
                            "--out", str(tmp_path / "none")])
         assert code == 0
         assert "all invariants hold" in capsys.readouterr().out
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("flags", [["--ring", "0"],
+                                       ["--max-spans", "-1"]],
+                             ids=["ring-0", "max-spans-negative"])
+    def test_non_positive_count_is_a_usage_error(self, tmp_path, capsys,
+                                                 flags):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            audit_main(["--replay", str(trace)] + flags)
+        assert exit_info.value.code == 2
+        assert "invalid positive_int value" in capsys.readouterr().err
+
+    def test_missing_replay_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-trace.jsonl")
+        with pytest.raises(SystemExit) as exit_info:
+            audit_main(["--replay", missing,
+                        "--out", str(tmp_path / "none")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "cannot read --replay" in err
         assert not (tmp_path / "none").exists()
 
     def test_experiments_cli_forwards_audit_subcommand(self, tmp_path,

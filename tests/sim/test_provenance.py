@@ -200,6 +200,85 @@ class TestEntityNaming:
         assert sources["Link._deliver"] == "a->b/pipe"
 
 
+class TestStampCache:
+    """Bound-method stamps are cached per (owner, function); the cache
+    must not change a single ``sched.exec`` source or callback."""
+
+    @staticmethod
+    def impaired_flow_stamps(monkeypatch):
+        import dataclasses
+        import itertools
+
+        from repro import chaos
+        from repro.experiments.scenarios import run_single_path_flow
+        from repro.hb.session import ProvenanceSession
+        from repro.planetlab.paths import PathPopulation
+
+        spec = dataclasses.replace(PathPopulation(n_pairs=1, seed=4).paths[0],
+                                   loss_rate=0.03)
+        # Fresh flow ids, so the two runs name their flows alike.
+        monkeypatch.setattr("repro.transport.flow._flow_ids",
+                            itertools.count(1))
+        with ProvenanceSession() as session, \
+                chaos.session("flaky-uplink:1"):
+            record = run_single_path_flow(spec, "halfback", size=100_000,
+                                          seed=4)
+        assert record.extra["drops"] > 0
+        return [(r.source, r.detail["callback"])
+                for r in session.records() if r.kind == EV_SCHED_EXEC]
+
+    def test_impaired_lossy_flow_stamps_as_uncached(self, monkeypatch):
+        from repro.sim.simulator import _callback_label
+
+        cached = self.impaired_flow_stamps(monkeypatch)
+
+        def every_event(sim, callback):
+            return sim._event_entity(callback), _callback_label(callback)
+
+        monkeypatch.setattr(Simulator, "_stamp", every_event)
+        assert cached == self.impaired_flow_stamps(monkeypatch)
+        assert {"LinkFlap._toggle", "Link._deliver"} <= {
+            callback for _, callback in cached}
+
+    def test_link_partitions_stay_distinct(self):
+        from repro.net.link import Link
+        from repro.net.packet import Packet, PacketType
+
+        class Sink:
+            name = "sink"
+
+            def receive(self, packet):
+                pass
+
+        sim, trace = provenance_sim()
+        link = Link(sim, "a->b", Sink(), rate=1e6, delay=0.001)
+        for seq in range(3):
+            link.send(Packet("a", "b", flow_id=1, kind=PacketType.DATA,
+                             size=1000, seq=seq))
+        sim.run()
+        stamps = [(r.detail["callback"], r.source)
+                  for r in trace.records(EV_SCHED_EXEC)]
+        assert len(stamps) == 6
+        assert set(stamps) == {("Link._finish_transmission", "a->b"),
+                               ("Link._deliver", "a->b/pipe")}
+
+    def test_class_attribute_names_suffix_in_first_seen_order(self):
+        class Shared:
+            name = "shared"
+
+            def tick(self):
+                pass
+
+        sim, trace = provenance_sim()
+        a, b, c = Shared(), Shared(), Shared()
+        for at, owner in enumerate([b, a, c, a, b, c], start=1):
+            sim.schedule(float(at), owner.tick)
+        sim.run()
+        assert [r.source for r in trace.records(EV_SCHED_EXEC)] == [
+            "shared", "shared#1", "shared#2", "shared#1", "shared",
+            "shared#2"]
+
+
 class TestTieBreakCounters:
     def test_counts_groups_and_max(self):
         sim = Simulator()
