@@ -9,8 +9,8 @@ record triggers the bundle too, violations or not, so a crashed run
 leaves its last moments on disk.
 
 :class:`AuditSession` is the wiring: as a context manager it subscribes
-the auditor (consuming every kind, so lineage and provenance events
-flow for the duration) to the run's trace stream through
+the auditor (declaring :data:`AUDIT_KINDS`, so lineage and tie-only
+provenance events flow for the duration) to the run's trace stream through
 :func:`repro.telemetry.context.attached` — the ambient hub's recorder
 (composing with ``--telemetry``), or a ring-bounded one of its own.
 Sessions nest like breakdown sessions: :func:`repro.parallel.fanout_map`
@@ -25,16 +25,23 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.audit.invariants import Checker, Violation, default_checkers
 from repro.audit.lineage import LineageTracer
 from repro.audit.recorder import FlightRecorder
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.sim.trace import SCHED_EXEC_TIES, TraceRecord, TraceRecorder
 from repro.telemetry import context
 from repro.telemetry.hub import ring_recorder
-from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
+from repro.telemetry.schema import (EV_SCHED_EXEC, EV_SIM_CRASH,
+                                    LINEAGE_EVENT_KINDS)
 
-__all__ = ["Auditor", "AuditSession"]
+__all__ = ["AUDIT_KINDS", "Auditor", "AuditSession"]
 
 #: Post-mortems render at most this many events of the same-timestamp
 #: group the run was inside when the bundle was written.
 MAX_INSTANT_GROUP = 200
+
+#: What an audit declares it consumes: packet lineage and tie-only
+#: provenance.  A race needs two events at one instant, so the
+#: nondeterminism checker loses nothing, and the post-mortem's instant
+#: group reads a lone event from ``TraceRecorder.parked``.
+AUDIT_KINDS = LINEAGE_EVENT_KINDS | {SCHED_EXEC_TIES}
 
 
 class Auditor:
@@ -62,6 +69,9 @@ class Auditor:
         self.tracer = LineageTracer(max_spans=max_spans)
         self.recorder = FlightRecorder(ring_size=ring_size)
         self.violations: List[Violation] = []
+        #: The recorder observed (set by :class:`AuditSession`); the
+        #: event it parks is the current instant when there is one.
+        self.stream: Optional[TraceRecorder] = None
         self.events_audited = 0
         #: Packet spans retained by absorbed fan-out cells' tracers.
         self.spans_absorbed = 0
@@ -148,14 +158,20 @@ class Auditor:
             self._instant.append(record)
 
     def _render_instant(self) -> List[str]:
-        """The current group as "entity callback (seq N, parent M)"."""
+        """The current group as "entity callback (seq N, parent M)".
+
+        A lone event of a tie-only stream has no record: the stream
+        parks it exactly while it is the last event executed, so it is
+        the whole group then."""
+        parked = self.stream.parked() if self.stream is not None else None
+        group = [parked] if parked is not None else self._instant
         lines = [
             f"t={record.time:.9f} {record.source} "
             f"{record.detail.get('callback', '?')} "
             f"(seq {record.detail.get('seq')}, "
             f"parent {record.detail.get('parent')})"
-            for record in self._instant[:MAX_INSTANT_GROUP]]
-        if len(self._instant) > MAX_INSTANT_GROUP:
+            for record in group[:MAX_INSTANT_GROUP]]
+        if len(group) > MAX_INSTANT_GROUP:
             lines.append("  ... group truncated")
         return lines
 
@@ -219,12 +235,12 @@ class AuditSession:
         self.trace: Optional[TraceRecorder] = None
 
     def __enter__(self) -> "AuditSession":
-        # kinds=None: the auditor counts and rings every record, and
-        # provenance events feed the scheduler-nondeterminism checker
-        # and give post-mortems their same-instant group context.
+        # The auditor counts and rings every record it is handed; what
+        # it declares only switches lineage and tie-only provenance on.
         self._attachment = context.attached(
-            "audit", self.auditor.observe, None, ring_recorder, session=self)
-        self.trace = self._attachment.__enter__()
+            "audit", self.auditor.observe, AUDIT_KINDS, ring_recorder,
+            session=self)
+        self.trace = self.auditor.stream = self._attachment.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:

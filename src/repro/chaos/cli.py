@@ -29,7 +29,8 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.obs.manifest import RunSession, add_run_flags, positive_seconds
+    from repro.obs.manifest import (RunSession, add_run_flags, positive_int,
+                                    positive_seconds)
 
     parser = argparse.ArgumentParser(
         prog="halfback-repro chaos",
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full report (cells + "
                               "fingerprint) as JSON")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                          help="worker processes for the cell fan-out "
                               "(default 1 = serial; results and "
                               "fingerprint are identical either way)")

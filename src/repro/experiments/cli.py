@@ -160,7 +160,8 @@ def main(argv=None) -> int:
 
         return hb_main(raw_argv[1:])
 
-    from repro.obs.manifest import RunSession, add_run_flags
+    from repro.obs.manifest import (RunSession, add_run_flags,
+                                    positive_finite, positive_int)
 
     parser = argparse.ArgumentParser(
         prog="halfback-repro",
@@ -177,12 +178,12 @@ def main(argv=None) -> int:
                              "(happens-before analysis over scheduler "
                              "provenance); for the subcommands the "
                              "remaining arguments are forwarded")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive_finite, default=1.0,
                         help="workload scale factor (1.0 = default laptop "
                              "scale; 10.0 approximates paper scale)")
     parser.add_argument("--seed", type=int, default=42,
                         help="master random seed")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker processes for sweep-cell fan-out "
                              "(figs 5-8, 12, 16; default 1 = serial; "
                              "results are identical either way)")

@@ -23,6 +23,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.obs.manifest import positive_finite
+
 __all__ = ["hb_main"]
 
 
@@ -94,7 +96,7 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
         "--trace", metavar="FILE",
         help="Build the graph from a recorded JSONL trace (must have "
              "been captured with provenance enabled).")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=positive_finite, default=None,
                         help="Scale factor for --run (default quick).")
     parser.add_argument("--seed", type=int, default=17,
                         help="Seed for --run (default 17).")
@@ -133,7 +135,7 @@ def hb_main(argv: Optional[List[str]] = None) -> int:
     perturb.add_argument("--salts", default="1,2,3",
                          help="Comma-separated permutation salts "
                               "(default 1,2,3).")
-    perturb.add_argument("--scale", type=float, default=None,
+    perturb.add_argument("--scale", type=positive_finite, default=None,
                          help="Scale factor (default quick).")
     perturb.add_argument("--seed", type=int, default=17,
                          help="Scenario seed (default 17).")

@@ -156,12 +156,19 @@ class TieGroupScanner:
 
     def observe(self, record) -> Optional[TieGroup]:
         """Fold one record in; the group it closed (two or more events
-        at one instant), if any."""
+        at one instant), if any.
+
+        Any record of another time ends the instant, not only a
+        ``sched.exec``: a tie-only stream has no exec record for most
+        lone events, and their packet records would otherwise pile up
+        behind the last recorded one for as long as no tie comes.  They
+        form an instant without events instead, dropped like any lone
+        one."""
         closed = None
+        if record.time != self._time:
+            closed = self.close()
+            self._time = record.time
         if record.kind == EV_SCHED_EXEC:
-            if record.time != self._time:
-                closed = self.close()
-                self._time = record.time
             self._execs += 1
         self._records.append(record)
         return closed

@@ -42,6 +42,7 @@ __all__ = [
     "config_digest",
     "git_revision",
     "peak_rss_kb",
+    "positive_finite",
     "positive_int",
     "positive_seconds",
     "validate_manifest",
@@ -504,18 +505,54 @@ class RunManifest:
 #: exception's type name is the reason.  A run that ends without one
 #: exits with :attr:`RunSession.status` (the CLI's verdict), outcome
 #: ``ok``.  Anything else (``SystemExit`` ...) is not a run ending and
-#: propagates untouched.
+#: propagates untouched.  A closed standard stream (``... | head``)
+#: interrupts the run: nothing is left to read what it prints, so no
+#: traceback either (one is printed when the broken pipe was not a
+#: standard stream).
 ENDINGS = (
     (KeyboardInterrupt, 130, "interrupted"),
     (StallError, 1, "interrupted"),
+    (BrokenPipeError, 1, "interrupted"),
     (Exception, 1, "error"),
 )
+
+
+def _silence_closed_streams() -> bool:
+    """Point every standard stream nobody reads any more (``| head``,
+    ``2>&1 | head``) at ``os.devnull``, so what is left to print to it
+    goes nowhere, the interpreter's final flush included.  False when
+    none was closed: the broken pipe was another one."""
+    import select
+
+    closed = False
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError, ValueError):
+            continue
+        poller = select.poll()
+        poller.register(fd, select.POLLOUT)
+        if any(mask & (select.POLLERR | select.POLLHUP)
+               for _, mask in poller.poll(0)):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+            closed = True
+    return closed
 
 
 def positive_seconds(text: str) -> float:
     """argparse type: a duration in seconds, greater than zero."""
     value = float(text)
     if not value > 0:  # NaN too: argparse reports a usage error
+        raise ValueError(text)
+    return value
+
+
+def positive_finite(text: str) -> float:
+    """argparse type: a factor greater than zero and finite."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # NaN too
         raise ValueError(text)
     return value
 
@@ -607,16 +644,14 @@ class RunSession:
         self._journal = self._lineage = None
 
     def __enter__(self) -> "RunSession":
-        from repro.parallel import (
-            FanoutPolicy,
-            reset_fanout_stats,
-            supervision,
-        )
         from repro.sim.simulator import reset_tie_break_stats
+        from repro.telemetry import context
 
         args = self.args
         with ExitStack() as stack:
-            stack.enter_context(supervision(FanoutPolicy(
+            # The policy's fields: ``fanout_map`` builds the policy, so
+            # a run that never fans out never imports repro.parallel.
+            stack.enter_context(context.scope(policy=dict(
                 max_attempts=max(1, args.retries),
                 heartbeat_timeout=args.heartbeat_timeout, **self._policy)))
             if args.resume is not None:
@@ -642,7 +677,7 @@ class RunSession:
                 self.hub, self.profile = WorkerEnv(**self._env).enter(stack)
             self._stack = stack.pop_all()
         reset_tie_break_stats()
-        reset_fanout_stats()
+        context.enter(fanout=None)
         return self
 
     def stage(self, name: str):
@@ -692,18 +727,23 @@ class RunSession:
                     if self._journal is not None else
                     "use --resume DIR to make the run resumable"),
                     file=sys.stderr)
-            else:
+            elif not (issubclass(exc_type, BrokenPipeError)
+                      and _silence_closed_streams()):
                 import traceback
 
                 traceback.print_exception(exc_type, exc, tb)
-        from repro.parallel import fanout_stats
         from repro.sim.simulator import tie_break_stats
+        from repro.telemetry import context
 
         ties = tie_break_stats()
         print(f"[scheduler tie-breaks: {ties['groups']} same-timestamp "
               f"group(s), max size {ties['max_group']}]")
-        stats = fanout_stats()
-        if any(stats[key] for key in ("retries", "reaped", "hedges",
+        stats: Dict[str, Any] = {}
+        if context.ambient.fanout is not None or self._journal is not None:
+            from repro.parallel import fanout_stats
+
+            stats = fanout_stats()
+        if any(stats.get(key) for key in ("retries", "reaped", "hedges",
                                       "pool_respawns", "replayed")):
             print(f"[supervisor: {stats['attempts']} attempts, "
                   f"{stats['retries']} retries, {stats['reaped']} reaped, "

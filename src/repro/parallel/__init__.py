@@ -45,10 +45,11 @@ of opaque and brittle:
   interrupted sweep resumes instead of restarting.  The default policy
   is the legacy behavior: one attempt, first failure propagates.
 
-Importing this package costs :mod:`~repro.parallel.policy` only (every
-run declares a policy and reads the stats); the worker plumbing, the
-journal and the supervisor — and with it ``multiprocessing`` — load
-when a fan-out first needs them.
+Importing this package costs :mod:`~repro.parallel.policy` only, and a
+run that never fans out imports neither: it declares the policy's
+fields and finds its counters in the ambient run context.  The worker
+plumbing, the journal and the supervisor — and with it
+``multiprocessing`` — load when a fan-out first needs them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.parallel.policy import (
     journaling,
     supervision,
 )
-from repro.telemetry.context import ambient, current_plane
+from repro.telemetry.context import ambient, current_plane, enter
 
 if TYPE_CHECKING:
     from repro.obs.progress import ProgressPlane
@@ -98,22 +99,26 @@ _Result = TypeVar("_Result")
 _DEFAULT_POLICY = FanoutPolicy()
 
 # ----------------------------------------------------------------------
-# Run-level supervision accounting
+# Run-level supervision accounting (the ``fanout`` slot of the run
+# context)
 # ----------------------------------------------------------------------
-
-_run_stats = SupervisorStats()
 
 
 def fanout_stats() -> dict:
     """Supervision counters accumulated since the last reset (every
     ``fanout_map`` call merges in; CLIs record this in the manifest)."""
-    return _run_stats.to_dict()
+    return (ambient.fanout or SupervisorStats()).to_dict()
 
 
 def reset_fanout_stats() -> None:
     """Zero the run-level supervision counters."""
-    global _run_stats
-    _run_stats = SupervisorStats()
+    enter(fanout=None)
+
+
+def _account(stats: SupervisorStats) -> None:
+    if ambient.fanout is None:
+        enter(fanout=SupervisorStats())
+    ambient.fanout.merge(stats)
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +289,7 @@ def fanout_map(
                                  on_result=on_result, results=replayed,
                                  stats=stats)
         finally:
-            _run_stats.merge(stats)
+            _account(stats)
     else:
         from repro.parallel.supervisor import ShardSupervisor
 
@@ -295,7 +300,7 @@ def fanout_map(
         try:
             results = supervisor.run()
         finally:
-            _run_stats.merge(supervisor.stats)
+            _account(supervisor.stats)
     if plane is not None:
         plane.tick(force=True)
     if observe:

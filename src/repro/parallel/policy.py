@@ -6,7 +6,7 @@ accounting recorded in run manifests), plus the ambient declarations a
 CLI makes once instead of passing arguments through every experiment
 module: :func:`supervision` and :func:`journaling`.
 
-Import-light on purpose: every run declares a policy and reads the
+Import-light on purpose: ``fanout_map`` builds a policy and merges the
 stats, but only a real ``--jobs N`` fan-out needs the supervisor and its
 worker processes, and only ``--resume`` needs the journal.
 """
@@ -14,7 +14,7 @@ worker processes, and only ``--resume`` needs the journal.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.telemetry.context import ambient, scope
@@ -144,13 +144,18 @@ class SupervisorStats:
 
 
 def current_policy() -> Optional[FanoutPolicy]:
-    """The ambient supervision policy, or None (legacy semantics)."""
-    return ambient.policy
+    """The ambient supervision policy, or None (legacy semantics).
+
+    The slot holds the policy's keyword fields, so a CLI declares them
+    without importing this package, and a run that never fans out
+    never does."""
+    fields = ambient.policy
+    return None if fields is None else FanoutPolicy(**fields)
 
 
 def supervision(policy: Optional[FanoutPolicy]):
     """Apply ``policy`` to every ``fanout_map`` in the block."""
-    return scope(policy=policy)
+    return scope(policy=None if policy is None else asdict(policy))
 
 
 def current_journal() -> Optional[CellJournal]:

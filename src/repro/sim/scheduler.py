@@ -191,6 +191,13 @@ class EventScheduler:
             return None
         return heap[0][0]
 
+    def head_time(self) -> Optional[float]:
+        """The firing time of the heap's head, cancelled or not (None
+        when empty).  Unlike :meth:`peek_time` it sheds nothing, so
+        asking never changes the queue."""
+        heap = self._heap
+        return heap[0][0] if heap else None
+
     def note_cancelled(self) -> None:
         """Record that one queued event was cancelled (for __len__ and
         the backlog accounting); may trigger compaction."""

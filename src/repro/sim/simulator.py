@@ -19,7 +19,7 @@ from repro.sim.event import Event, EventHandle
 from repro.sim.scheduler import (EventScheduler, PermutedEventScheduler,
                                  current_tiebreak_salt)
 from repro.sim.randomness import RandomStreams
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import AFTER_TIE, LONE_RECORDED, TraceRecorder
 from repro.telemetry.context import current_hub
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
@@ -385,6 +385,24 @@ class Simulator:
                                          _callback_label(callback))
         return stamp
 
+    def _settle_lone(self, time: float) -> None:
+        """Tie-only provenance, before a tied event's record: empty the
+        :attr:`TraceRecorder.lone_exec` slot, recording what it holds
+        first when that is this instant's first event.
+
+        An event that shares its instant with the event before it is
+        always recorded, so only an instant's first event can go
+        unrecorded, and only when nothing else was due at its pop: a
+        zero-delay child of it, or an event scheduled from outside
+        :meth:`run`, joined the instant afterwards.  Recording it late,
+        ahead of the second, keeps every tie group whole.
+        """
+        trace = self._trace
+        parked = trace.parked() if self._stall_count == 2 else None
+        trace.lone_exec = AFTER_TIE
+        if parked is not None and parked.time == time:
+            trace.record(time, EV_SCHED_EXEC, parked.source, **parked.detail)
+
     @staticmethod
     def _partitioned(owner: Any, callback: Callable[..., Any],
                      name: str) -> str:
@@ -410,6 +428,14 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue drains earlier, so back-to-back ``run`` calls
         compose predictably.
+
+        With provenance on, every executed event is stamped; under
+        tie-only provenance (``trace.ties_only``) an event gets a
+        ``sched.exec`` record when it shares its instant with the event
+        before it or with the heap's head, or when it is the first lone
+        event after a tie group (that record ends the group where a full
+        stream's would); any other is parked in ``trace.lone_exec``
+        instead (see :meth:`_settle_lone`).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -419,6 +445,13 @@ class Simulator:
         profiler = self.profiler
         stall_limit = self.stall_event_limit
         prov = self._refresh_provenance()
+        full = not self._trace.ties_only
+        if prov and (full or not self.events_run):
+            # A full stream keeps no slot, and a simulator's first run
+            # starts as if after a tie group: what it records must not
+            # depend on what ran on the recorder before it (a fan-out
+            # cell runs on the run's recorder or on a worker's).
+            self._trace.lone_exec = AFTER_TIE
         queue = self._queue
         if profiler is not None:
             profiler.begin_run()
@@ -462,11 +495,29 @@ class Simulator:
                 callback = event.callback
                 if prov:
                     self._exec_seq = event.seq
+                    # Stamped even when not recorded: entity names are
+                    # handed out in first-execution order.
                     stamp = self._stamp(callback)
-                    self._trace.record(
-                        time, EV_SCHED_EXEC, stamp[0],
-                        seq=event.seq, parent=event.parent,
-                        callback=stamp[1], prio=event.priority)
+                    trace = self._trace
+                    emit = True
+                    if (full or self._stall_count > 1
+                            or queue.head_time() == time):
+                        if not full:
+                            self._settle_lone(time)
+                    elif trace.lone_exec is AFTER_TIE:
+                        # The first lone event after a tie group: its
+                        # record ends the group where a full stream's
+                        # would, ahead of anything it records itself.
+                        trace.lone_exec = LONE_RECORDED
+                    else:
+                        trace.lone_exec = event
+                        trace.lone_stamp = stamp
+                        emit = False
+                    if emit:
+                        trace.record(
+                            time, EV_SCHED_EXEC, stamp[0],
+                            seq=event.seq, parent=event.parent,
+                            callback=stamp[1], prio=event.priority)
                 if profiler is None:
                     callback(*event.args)
                 else:

@@ -27,7 +27,12 @@ Two extension points serve the observation planes (:mod:`repro.audit`,
   (``sched.exec`` scheduler stamps) are emitted only when the
   recorder's owner asked for them or a live subscription consumes
   them; emission sites guard on the two plain attributes, so the
-  default tracing cost is unchanged when nobody is watching.
+  default tracing cost is unchanged when nobody is watching;
+* provenance comes in two forms: *full* (a stamp per executed event)
+  and *tie-only* (:data:`SCHED_EXEC_TIES`: stamps for events that
+  share their instant with another, plus the first lone event after
+  each tie group), which is all a race check needs.  Tie-only is used only while nothing persists or replays the
+  stream (no sink, no owner wish, no full consumer).
 
 The documented event-kind/detail-key contract lives in
 :mod:`repro.telemetry.schema`.
@@ -36,11 +41,27 @@ The documented event-kind/detail-key contract lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from repro.telemetry.schema import EV_SCHED_EXEC, LINEAGE_EVENT_KINDS
 
-__all__ = ["TraceRecord", "TraceRecorder"]
+__all__ = ["AFTER_TIE", "LONE_RECORDED", "SCHED_EXEC_TIES", "TraceRecord",
+           "TraceRecorder"]
+
+#: The pseudo-kind a subscription declares to consume ``sched.exec``
+#: records only around ties: for events that share their timestamp with
+#: another executed event (the only ones a race can involve), and for
+#: the first lone event after each tie group; see
+#: :meth:`repro.sim.simulator.Simulator.run`.
+SCHED_EXEC_TIES = "sched.exec@ties"
+
+#: ``TraceRecorder.lone_exec`` when nothing is parked: the last executed
+#: event was recorded in a tie group (or none has run) ...
+AFTER_TIE = None
+#: ... or it was lone and recorded all the same.  Both are falsy; a
+#: parked event is not.
+LONE_RECORDED = False
 
 
 class TraceRecord:
@@ -121,6 +142,11 @@ class TraceRecorder:
     subscribed, that wish *or* what a subscription consumes while one
     is — recomputed by :meth:`subscribe` / :meth:`unsubscribe`, and back
     to the owner's wish when the last subscriber leaves.
+    :attr:`ties_only` is derived the same way: True when the only
+    provenance consumers declared :data:`SCHED_EXEC_TIES` and there is
+    no sink.  In that mode the simulator parks the last executed event
+    it did not record in :attr:`lone_exec`; :meth:`parked` is its
+    record.
     """
 
     def __init__(self, enabled: bool = True, kinds: Optional[List[str]] = None,
@@ -132,6 +158,14 @@ class TraceRecorder:
         self.enabled = enabled
         self.lineage = lineage
         self.provenance = provenance
+        self.ties_only = False
+        #: Tie-only mode: the last executed ``Event`` when it went
+        #: unrecorded (:meth:`parked` renders it), else
+        #: :data:`AFTER_TIE` or :data:`LONE_RECORDED`.
+        self.lone_exec: Any = AFTER_TIE
+        #: ``(entity, callback label)`` of the parked event, as the
+        #: simulator stamped it.
+        self.lone_stamp: Tuple[str, str] = ("", "")
         self._kinds = tuple(kinds) if kinds else None
         self._max_records = max_records
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
@@ -164,9 +198,11 @@ class TraceRecorder:
         audit subsystem) see events the user's filter would discard.
         ``kinds`` declares the exact kinds the observer consumes (None =
         every record): consuming a ``pkt.*`` lineage kind turns
-        :attr:`lineage` on, consuming ``sched.exec`` :attr:`provenance`.
-        It is a declaration, not a filter — the observer still sees
-        every record and routes for itself.
+        :attr:`lineage` on, consuming ``sched.exec`` :attr:`provenance`
+        (:data:`SCHED_EXEC_TIES`: tie-only provenance, unless another
+        declaration or a sink wants every stamp).  It is a declaration,
+        not a filter — the observer still sees every record and routes
+        for itself.
         """
         if not self._subscriptions:
             self._asked = (self.lineage, self.provenance)
@@ -181,13 +217,19 @@ class TraceRecorder:
 
     def _derive_flags(self) -> None:
         self._observers = tuple(self._subscriptions)
-        lineage, provenance = self._asked
+        lineage, full = self._asked
+        ties = False
         for kinds in self._subscriptions.values():
-            lineage = (lineage or kinds is None
-                       or not LINEAGE_EVENT_KINDS.isdisjoint(kinds))
-            provenance = provenance or kinds is None or EV_SCHED_EXEC in kinds
+            if kinds is None:
+                lineage = full = True
+                continue
+            lineage = lineage or not LINEAGE_EVENT_KINDS.isdisjoint(kinds)
+            full = full or EV_SCHED_EXEC in kinds
+            ties = ties or SCHED_EXEC_TIES in kinds
         self.lineage = lineage
-        self.provenance = provenance
+        self.provenance = full or ties
+        # A sink persists the stream, so it gets every stamp.
+        self.ties_only = ties and not full and self.sink is None
 
     def record(self, time: float, kind: str, source: str, **detail: Any) -> None:
         """Record one event (no-op when disabled or filtered out)."""
@@ -203,6 +245,17 @@ class TraceRecorder:
         if self._keep:
             self._appended += 1
             self._records.append(rec)
+
+    def parked(self) -> Optional[TraceRecord]:
+        """The ``sched.exec`` record a full stream would carry for the
+        parked event (None when :attr:`lone_exec` holds none)."""
+        event = self.lone_exec
+        if not event:
+            return None
+        entity, callback = self.lone_stamp
+        return TraceRecord(event.time, EV_SCHED_EXEC, entity,
+                           {"seq": event.seq, "parent": event.parent,
+                            "callback": callback, "prio": event.priority})
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         """All in-memory records, optionally restricted to a kind prefix."""

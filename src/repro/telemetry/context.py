@@ -39,7 +39,7 @@ class RunContext:
 
     __slots__ = ("hub", "attached", "audit", "breakdown", "plane",
                  "reporter", "chaos", "procfault", "worker_env", "policy",
-                 "journal", "tiebreak_salt")
+                 "journal", "fanout", "tiebreak_salt")
 
     def __init__(self) -> None:
         #: Telemetry hub (``trace`` / ``metrics`` / ``profiler``) every
@@ -61,9 +61,13 @@ class RunContext:
         self.procfault = None
         #: ``WorkerEnv`` worker processes must mirror.
         self.worker_env = None
-        #: Supervision policy and cell journal of every ``fanout_map``.
+        #: Supervision policy (the keyword fields of a ``FanoutPolicy``)
+        #: and cell journal of every ``fanout_map``.
         self.policy = None
         self.journal = None
+        #: Run-level supervision counters every ``fanout_map`` merges
+        #: into (a ``SupervisorStats``; None = no fan-out since reset).
+        self.fanout = None
         #: Tie-break permutation salt of Simulators built now.
         self.tiebreak_salt = None
 

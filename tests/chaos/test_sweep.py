@@ -158,6 +158,13 @@ class TestCli:
         assert ended.value.code == 2
         assert "invalid positive_seconds value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_jobs_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as ended:
+            chaos_main(["sweep", "--jobs", value])
+        assert ended.value.code == 2
+        assert "invalid positive_int value" in capsys.readouterr().err
+
 
 SWEEP = ["sweep", "--protocols", "tcp,halfback",
          "--profiles", "wifi-bursty,dead-air", "--flows", "2",

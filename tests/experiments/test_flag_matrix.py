@@ -72,3 +72,17 @@ def test_heartbeat_timeout_must_be_positive(value, capsys):
               "--heartbeat-timeout", value])
     assert ended.value.code == 2
     assert "invalid positive_seconds value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"),
+    ("--scale", "inf"), ("--jobs", "0"), ("--jobs", "-3"),
+])
+def test_scale_and_jobs_must_be_positive(flag, value, capsys):
+    # Before, these hung (inf), crashed (0) or quietly ran at the
+    # figure's floor size or serial.
+    with pytest.raises(SystemExit) as ended:
+        main(["fig6", flag, value])
+    assert ended.value.code == 2
+    kind = "positive_finite" if flag == "--scale" else "positive_int"
+    assert f"invalid {kind} value" in capsys.readouterr().err

@@ -9,7 +9,11 @@ resume lineage.
 
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,72 @@ def test_every_ending_writes_one_valid_manifest(cli, ending, tmp_path,
         assert doc["result"] is None
     if ending == "interrupt":
         assert "re-run with --resume to continue" in err
+
+
+@pytest.mark.parametrize("cli", list(CLIS))
+def test_closed_stdout_interrupts_the_run_quietly(cli, tmp_path):
+    # The read end is closed before the child starts, so its first
+    # write to stdout fails whatever the timing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    manifest_path = tmp_path / "manifest.json"
+    args = ([] if cli == "experiments" else ["chaos"]) + CLIS[cli][1]
+    src = Path(__file__).resolve().parents[2] / "src"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *args,
+             "--manifest", str(manifest_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "(interrupted)]" in done.stderr
+    doc = json.loads(manifest_path.read_text())
+    assert validate_manifest(doc) == []
+    assert (doc["exit_status"], doc["outcome"], doc["interrupt_reason"]) \
+        == (1, "interrupted", "BrokenPipeError")
+
+
+@pytest.mark.parametrize("cli", list(CLIS))
+def test_closed_stderr_too_still_ends_the_run(cli, tmp_path, monkeypatch):
+    # ``2>&1 | head``: the closing lines on stderr hit the closed pipe
+    # as well, and must not raise out of the session.
+    # Two descriptors on one pipe, as a shell's ``2>&1`` makes them.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = open(write_end, "w", buffering=1)
+    err = open(os.dup(write_end), "w", buffering=1)
+    manifest_path = tmp_path / "manifest.json"
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        status = CLIS[cli][0](CLIS[cli][1]
+                              + ["--manifest", str(manifest_path)])
+    finally:
+        monkeypatch.undo()
+        out.close()
+        err.close()
+    assert status == 1
+    doc = json.loads(manifest_path.read_text())
+    assert validate_manifest(doc) == []
+    assert (doc["exit_status"], doc["outcome"], doc["interrupt_reason"]) \
+        == (1, "interrupted", "BrokenPipeError")
+
+
+@pytest.mark.parametrize("cli", list(CLIS))
+def test_a_broken_pipe_elsewhere_keeps_its_traceback(cli, tmp_path,
+                                                     monkeypatch, capsys):
+    # Both standard streams are fine: the pipe that broke is one the
+    # run opened, and the traceback is all there is to say what it was.
+    module, name = BODY[cli]
+    monkeypatch.setattr(importlib.import_module(module), name,
+                        _raising(BrokenPipeError()))
+    status = CLIS[cli][0](CLIS[cli][1] + ["--no-manifest"])
+    assert status == 1
+    assert "Traceback" in capsys.readouterr().err
 
 
 def test_no_manifest_ending_still_exits_by_the_table(tmp_path, monkeypatch,

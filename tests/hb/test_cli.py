@@ -150,3 +150,13 @@ class TestPerturb:
     def test_bad_salts_exit_2(self, capsys):
         assert hb_main(["perturb", "fig3", "--salts", "x,y"]) == 2
         assert "bad --salts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["races", "--run", "fig3"],
+                                     ["perturb", "fig3"]])
+def test_scale_must_be_positive_and_finite(command, value, capsys):
+    with pytest.raises(SystemExit) as ended:
+        hb_main(command + ["--scale", value])
+    assert ended.value.code == 2
+    assert "invalid positive_finite value" in capsys.readouterr().err

@@ -4,7 +4,8 @@
 folds their causal edges only when the instant closes with two or more
 events.  :class:`EagerScanner` below is the scanner as it was before:
 it folds every record into :class:`~repro.hb.ties.CausalEdges` as it
-arrives and forgets the edge state at each instant boundary.  Both are
+arrives and forgets the edge state at each instant boundary (any record
+of another time, as in the scanner).  Both are
 fed the same streams — hypothesis-drawn ones and real simulator
 provenance streams — and must close the same groups (time, events,
 in-group edges) with the same races, record by record.
@@ -45,10 +46,10 @@ class EagerScanner:
 
     def observe(self, record):
         closed = None
+        if record.time != self._time:
+            closed = self.close()
+            self._time = record.time
         if record.kind == EV_SCHED_EXEC:
-            if record.time != self._time:
-                closed = self.close()
-                self._time = record.time
             edge = self._edges.observe(record)
             seq = self._edges.current
             self._events.append((seq, record.source,

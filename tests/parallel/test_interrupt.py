@@ -56,9 +56,11 @@ def test_sigint_leaves_no_worker_behind(tmp_path):
     with open(tmp_path / "out.txt", "w") as out, \
             open(tmp_path / "err.txt", "w") as err:
         proc = subprocess.Popen(
-            # Scale 0.5: a fan-out of several seconds, so the signal
-            # lands mid-fan-out.
-            [sys.executable, "-m", "repro", "fig6", "--scale", "0.5",
+            # Scale 1.0: a fan-out of a few seconds even on a quiet
+            # 2-vCPU box (scale 0.5 ends there ~1.2 s after start, so
+            # the signal below could land after the run), so the
+            # signal lands mid-fan-out.
+            [sys.executable, "-m", "repro", "fig6", "--scale", "1.0",
              "--jobs", "2", "--no-manifest"],
             cwd=tmp_path, env=env, stdout=out, stderr=err,
             start_new_session=True,

@@ -9,13 +9,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Module globals rebound at run time that are *not* run sessions: the
-#: equivalence suite's datapath reference switch, the process-wide
-#: fan-out accumulator, and the flow-id / packet-uid counters (skipped
-#: forward past the ids a fan-out's workers allocated).
+#: equivalence suite's datapath reference switch and the flow-id /
+#: packet-uid counters (skipped forward past the ids a fan-out's workers
+#: allocated).  The fan-out accumulator is the run context's ``fanout``
+#: slot.
 PROCESS_GLOBALS = {
     "net/link.py": {"_BATCHING"},
     "net/packet.py": {"_packet_ids"},
-    "parallel/__init__.py": {"_run_stats"},
     "transport/flow.py": {"_flow_ids"},
 }
 
@@ -61,6 +61,23 @@ def test_no_module_keeps_its_own_ambient_registry():
                for g in node.names}
         for name, tree in MODULES.items()}
     assert {k: v for k, v in rebound.items() if v} == PROCESS_GLOBALS
+
+
+def test_only_scope_and_enter_write_a_slot():
+    # ``ambient.<slot> = ...`` anywhere else would skip the save/restore
+    # discipline (DESIGN.md §6, "Who may write").
+    writes = [
+        name for name, tree in MODULES.items()
+        if name != "telemetry/context.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, (ast.Name, ast.Attribute))
+        and getattr(target.value, "id",
+                    getattr(target.value, "attr", None)) == "ambient"]
+    assert writes == []
 
 
 def test_only_the_recorder_sets_its_lineage_and_provenance():
