@@ -29,8 +29,7 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.obs.manifest import (RunSession, add_run_flags, positive_int,
-                                    positive_seconds)
+    from repro.obs.manifest import RunSession, add_run_flags, positive_int
 
     parser = argparse.ArgumentParser(
         prog="halfback-repro chaos",
@@ -49,9 +48,9 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--profiles", default=None, metavar="NAMES",
                          help="comma-separated profile subset "
                               "(default: every registered profile)")
-    p_sweep.add_argument("--flows", type=int, default=4,
+    p_sweep.add_argument("--flows", type=positive_int, default=4,
                          help="flows per cell (default 4)")
-    p_sweep.add_argument("--size", type=int, default=60_000,
+    p_sweep.add_argument("--size", type=positive_int, default=60_000,
                          help="payload bytes per flow (default 60000)")
     p_sweep.add_argument("--seed", type=int, default=42,
                          help="master sweep seed")
@@ -71,13 +70,6 @@ def main(argv=None) -> int:
                          help="worker processes for the cell fan-out "
                               "(default 1 = serial; results and "
                               "fingerprint are identical either way)")
-    p_sweep.add_argument("--hedge-after", type=positive_seconds,
-                         default=None,
-                         metavar="SECONDS",
-                         help="duplicate a straggler cell onto an idle "
-                              "worker after this many seconds; first "
-                              "finisher wins (results are bit-identical "
-                              "either way)")
     p_sweep.add_argument("--quarantine", action="store_true",
                          help="degrade instead of dying: cells that "
                               "exhaust their retry budget are reported "
@@ -102,7 +94,6 @@ def main(argv=None) -> int:
               "audit": args.audit, "jobs": args.jobs,
               "breakdown": args.breakdown}
     with RunSession("chaos:sweep", args, config,
-                    hedge_after=args.hedge_after,
                     quarantine=args.quarantine) as run:
         audit = AuditSession() if args.audit else None
         attribution = BreakdownSession() if args.breakdown else None

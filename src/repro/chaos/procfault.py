@@ -2,9 +2,9 @@
 
 PR 4's chaos engine impairs the *network under test*; this module
 impairs the *execution plane* that runs it — worker kills, silent
-hangs, raised exceptions, slow starts — so the shard supervisor's
-recovery machinery can be exercised deterministically in tests and CI
-instead of waiting for a real OOM kill to find the bugs.
+hangs, raised exceptions — so the shard supervisor's recovery
+machinery can be exercised deterministically in tests and CI instead
+of waiting for a real OOM kill to find the bugs.
 
 A plan is a seeded, declarative schedule parsed from a compact spec::
 
@@ -12,7 +12,6 @@ A plan is a seeded, declarative schedule parsed from a compact spec::
     kill@2.1            ... on its second attempt instead
     hang@5/20           shard 5 goes heartbeat-silent for 20s
     raise@3             shard 3 raises ProcFaultError
-    slow@0/1.5          shard 0 sleeps 1.5s before starting work
     kill%10             every shard: 10% seeded chance of a kill
     seed=7              reseed the probabilistic terms
 
@@ -44,11 +43,10 @@ from repro.telemetry import context
 __all__ = ["ProcFaultPlan", "activate", "activated", "current_plan",
            "parse_procfault"]
 
-FAULT_KINDS = ("kill", "hang", "raise", "slow")
+FAULT_KINDS = ("kill", "hang", "raise")
 
-#: Default durations for timed faults (seconds).
+#: Default duration of a ``hang`` (seconds).
 HANG_SECONDS = 60.0
-SLOW_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,7 @@ class ProcFaultPlan:
 
         ``kill`` SIGKILLs the calling process (no cleanup — that is the
         point), ``hang`` sleeps heartbeat-silent, ``raise`` raises
-        :class:`~repro.errors.ProcFaultError`, ``slow`` sleeps then
-        returns so the cell proceeds.
+        :class:`~repro.errors.ProcFaultError`.
         """
         fault = self.fault_for(shard, attempt)
         if fault is None:
@@ -106,8 +103,6 @@ class ProcFaultPlan:
         elif kind == "raise":
             raise ProcFaultError(
                 f"injected fault: shard {shard} attempt {attempt}")
-        elif kind == "slow":
-            time.sleep(seconds)
 
     def describe(self) -> Dict[str, object]:
         return {"spec": self.spec, "seed": self.seed,
@@ -138,7 +133,7 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
         KIND%PCT                         seeded per-shard rate
         seed=N                           seed for % terms (default 0)
 
-    with KIND one of ``kill``, ``hang``, ``raise``, ``slow``.
+    with KIND one of ``kill``, ``hang``, ``raise``.
     """
     terms: List[_Term] = []
     seed = 0
@@ -191,8 +186,7 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
                 raise ChaosError(
                     f"procfault: negative duration in {part!r}")
         else:
-            seconds = HANG_SECONDS if kind == "hang" else (
-                SLOW_SECONDS if kind == "slow" else 0.0)
+            seconds = HANG_SECONDS if kind == "hang" else 0.0
         terms.append(_Term(kind=kind, shard=shard, attempt=attempt,
                            rate=rate, seconds=seconds))
     if not terms:

@@ -9,11 +9,10 @@ the lossy tail, both far below the TCP family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import cdf_points, ccdf_points, mean, percentile
-from repro.obs.aggregate import StreamingFlowAggregator
 from repro.experiments.planetlab_runs import PlanetlabTrials, run_planetlab_trials
 from repro.experiments.report import render_ascii_curves, render_table
 from repro.experiments.scenarios import PROTOCOLS_MAIN
@@ -30,10 +29,6 @@ class Fig6Result:
     ccdf: Dict[str, List[Tuple[float, float]]]    # Fig. 6(b)
     mean_fct: Dict[str, float]
     p99_fct: Dict[str, float]
-    #: Streamed per-protocol stats over the same trials (mergeable
-    #: sketches; what a sharded full-scale run reports from).
-    aggregate: StreamingFlowAggregator = field(
-        default_factory=StreamingFlowAggregator)
 
     def reduction_vs(self, protocol: str, baseline: str) -> float:
         """Fractional mean-FCT reduction of ``protocol`` vs ``baseline``."""
@@ -60,7 +55,6 @@ def run(
         ccdf={p: ccdf_points(v) for p, v in fcts.items()},
         mean_fct={p: mean(v) for p, v in fcts.items() if v},
         p99_fct={p: percentile(v, 99) for p, v in fcts.items() if v},
-        aggregate=trials.aggregate(),
     )
 
 
@@ -100,10 +94,4 @@ def format_report(result: Fig6Result) -> str:
         title="Fig. 6(a) — FCT CDF",
         x_label="latency ms", y_label="percent of trials",
     )
-    parts = [table] + extras + [plot]
-    if result.aggregate.groups:
-        parts.append(result.aggregate.render(
-            title="Fig. 6 — streamed FCT quantiles"))
-        parts.append(f"aggregate fingerprint: "
-                     f"{result.aggregate.fingerprint()}")
-    return "\n".join(parts)
+    return "\n".join([table] + extras + [plot])

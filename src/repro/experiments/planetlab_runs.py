@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.fct import FctCollector
-from repro.obs.aggregate import StreamingFlowAggregator
 from repro.experiments.scenarios import (
     PROTOCOLS_MAIN,
     SHORT_FLOW_BYTES,
@@ -42,19 +41,6 @@ class PlanetlabTrials:
     def collector(self, protocol: str) -> FctCollector:
         """Trials for one protocol."""
         return self.by_protocol[protocol]
-
-    def aggregate(self) -> StreamingFlowAggregator:
-        """The trial set folded into per-protocol streaming stats.
-
-        Figures 5-8 post-process the full record lists (CDFs need every
-        value); this view is the mergeable-sketch summary of the same
-        trials — what a sharded full-scale (2.6 K path) run ships back
-        instead of records.
-        """
-        agg = StreamingFlowAggregator()
-        for protocol in self.by_protocol:
-            agg.group(protocol).observe_all(self.by_protocol[protocol].records)
-        return agg
 
 
 def _run_path_task(task) -> FlowRecord:

@@ -1,24 +1,19 @@
-"""Streaming run observatory: sketches, aggregation, progress, manifests.
+"""Run observatory: sketches, aggregation, progress, manifests.
 
-The observability substrate the million-flow roadmap sits on::
-
-    from repro import obs
-
-    agg = obs.StreamingFlowAggregator()
-    with obs.progress.plane(out_dir="out") as plane:   # live status table
-        stats = run_sharded_sweep(...)                 # workers heartbeat
-    print(agg.render())                                # p50/p90/p99/p99.9
-
-Four parts (see the module docstrings for detail):
+What a run reports about itself beyond its figure (see the module
+docstrings for detail):
 
 * :mod:`~repro.obs.sketch` — mergeable DDSketch-style quantile sketches
   and exact count histograms with bit-identical serialization
-  regardless of merge order;
-* :mod:`~repro.obs.aggregate` — :class:`StreamingFlowAggregator` /
-  :class:`FlowStats`, folding flow records one at a time so sweeps keep
-  no per-flow lists;
+  regardless of merge order: chaos sweep's per-cell FCT sketches,
+  ``--breakdown``'s per-component sketches, Fig. 12's cell statistics;
+* :mod:`~repro.obs.aggregate` — :class:`FlowStats`, folding flow
+  records one at a time so Fig. 12's cells ship constant-size
+  statistics instead of record lists, and
+  :class:`StreamingFlowAggregator`, Fig. 12's per-protocol merge of
+  them;
 * :mod:`~repro.obs.progress` — the live multi-shard progress plane
-  (heartbeats over a multiprocessing queue, refreshing status table,
+  (heartbeats over each worker's pipe, refreshing status table,
   Prometheus-text + JSONL snapshot export);
 * :mod:`~repro.obs.manifest` — schema-validated ``run_manifest.json``
   writers tracing every figure to exactly how it was produced.

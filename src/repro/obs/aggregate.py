@@ -1,12 +1,13 @@
 """Streaming flow aggregation: figure statistics without record lists.
 
-Today every sweep accumulates :class:`~repro.transport.flow.FlowRecord`
-objects and post-processes the lists; at a million flows that is both
-memory-unbounded and unwatchable.  :class:`FlowStats` folds one record
-at a time into constant-size state (counters, a
-:class:`~repro.obs.sketch.QuantileSketch` of FCTs, exact retransmit
-histograms), and :class:`StreamingFlowAggregator` keys those groups the
-way figures do (by protocol, or any caller-supplied key).
+:class:`FlowStats` folds one flow record at a time into constant-size
+state (counters, a :class:`~repro.obs.sketch.QuantileSketch` of FCTs,
+exact retransmit histograms).  Each Fig. 12 cell returns one instead
+of its record list (``run_utilization_point_stats``), so a cell's
+pickled payload and the parent's memory stay flat however many flows
+the cell ran.  :class:`StreamingFlowAggregator` keys the
+merged cells by protocol and renders the sweep's streamed FCT quantile
+table and fingerprint.
 
 Exactness contract
 ------------------
@@ -22,7 +23,7 @@ so a streamed figure table equals the record-list one.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.sketch import (
@@ -215,30 +216,21 @@ class FlowStats:
 
 
 class StreamingFlowAggregator:
-    """Routes a stream of flow records into keyed :class:`FlowStats`.
-
-    The default key is the flow's protocol — the grouping every figure
-    table uses — but any ``key_fn(record) -> str`` works (flow kind,
-    path class, shard label).  Groups are created on first sight, so the
-    aggregator needs no upfront schema.
+    """Keyed :class:`FlowStats` groups, created on first sight.
 
     ::
 
-        agg = StreamingFlowAggregator()
-        for record in runner.drain_records():   # memory stays flat
-            agg.observe(record)
-        print(agg.render())                      # p50/p90/p99/p99.9 table
+        agg = StreamingFlowAggregator(penalty=INCOMPLETE_PENALTY)
+        for protocol, stats in cells:              # in serial cell order
+            agg.group(protocol).merge(stats)
+        print(agg.render())                        # p50/p90/p99/p99.9 table
     """
 
     def __init__(self, relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                 penalty: Optional[float] = None,
-                 key_fn: Optional[Callable[[FlowRecord], str]] = None) -> None:
+                 penalty: Optional[float] = None) -> None:
         self.relative_accuracy = relative_accuracy
         self.penalty = penalty
-        self._key_fn = key_fn or (lambda record: record.spec.protocol)
         self.groups: Dict[str, FlowStats] = {}
-
-    # ------------------------------------------------------------------
 
     def group(self, key: str) -> FlowStats:
         """The (created-on-demand) stats group for ``key``."""
@@ -247,37 +239,6 @@ class StreamingFlowAggregator:
             stats = FlowStats(self.relative_accuracy, penalty=self.penalty)
             self.groups[key] = stats
         return stats
-
-    def observe(self, record: FlowRecord) -> None:
-        """Fold one record into its group."""
-        self.group(self._key_fn(record)).observe(record)
-
-    def observe_all(self, records: Iterable[FlowRecord]
-                    ) -> "StreamingFlowAggregator":
-        """Fold an iterable of records (returns self)."""
-        for record in records:
-            self.observe(record)
-        return self
-
-    def merge(self, other: "StreamingFlowAggregator"
-              ) -> "StreamingFlowAggregator":
-        """Fold another shard's aggregator in, group by group."""
-        for key, stats in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                # Adopt a copy via round-trip so later merges into this
-                # aggregator never mutate the donor shard's state.
-                self.groups[key] = FlowStats.from_dict(stats.to_dict())
-            else:
-                mine.merge(stats)
-        return self
-
-    # ------------------------------------------------------------------
-
-    @property
-    def flows(self) -> int:
-        """Total flows observed across every group."""
-        return sum(stats.flows for stats in self.groups.values())
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON shape: groups sorted by key."""
@@ -289,29 +250,14 @@ class StreamingFlowAggregator:
                        for key in sorted(self.groups)},
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object],
-                  key_fn: Optional[Callable[[FlowRecord], str]] = None
-                  ) -> "StreamingFlowAggregator":
-        """Rebuild from :meth:`to_dict` output."""
-        agg = cls(float(doc["relative_accuracy"]),
-                  penalty=(None if doc["penalty"] is None
-                           else float(doc["penalty"])),
-                  key_fn=key_fn)
-        agg.groups = {key: FlowStats.from_dict(sub)
-                      for key, sub in doc["groups"].items()}
-        return agg
-
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON of every group."""
         return hashlib.sha256(
             canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
-    def render(self, title: str = "streamed FCT quantiles",
-               unit: float = 1e3, unit_label: str = "ms") -> str:
-        """The p50/p90/p99/p99.9 table every streamed run reports."""
-        lines = [f"{title} (sketch alpha="
-                 f"{self.relative_accuracy}, {unit_label})"]
+    def render(self, title: str = "streamed FCT quantiles") -> str:
+        """The per-group p50/p90/p99/p99.9 FCT table, in ms."""
+        lines = [f"{title} (sketch alpha={self.relative_accuracy}, ms)"]
         if not self.groups:
             lines.append("  (no flows observed)")
             return "\n".join(lines)
@@ -324,13 +270,10 @@ class StreamingFlowAggregator:
             stats = self.groups[key]
             if stats.completed:
                 cells = "".join(
-                    f"{stats.quantile(q) * unit:>10.1f}"
+                    f"{stats.quantile(q) * 1e3:>10.1f}"
                     for q in REPORT_QUANTILES)
             else:
                 cells = "".join(f"{'-':>10s}" for _ in REPORT_QUANTILES)
             lines.append(f"  {key:<{width}s} {stats.flows:>7d} "
                          f"{stats.completed:>7d} {cells}")
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.groups)

@@ -48,7 +48,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-MANIFEST_SCHEMA_ID = "repro.obs.manifest/1"
+MANIFEST_SCHEMA_ID = "repro.obs.manifest/2"
 
 #: JSON-schema-style description of the manifest document.  Kept a
 #: plain dict (usable by ``jsonschema`` where installed) while
@@ -154,15 +154,12 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "interrupt_reason": {"type": ["string", "null"]},
         "supervisor": {
             "type": ["object", "null"],
-            "required": ["shards", "attempts", "retries", "hedges",
-                         "hedges_won", "reaped", "pool_respawns",
-                         "replayed", "quarantined"],
+            "required": ["shards", "attempts", "retries", "reaped",
+                         "pool_respawns", "replayed", "quarantined"],
             "properties": {
                 "shards": {"type": "integer"},
                 "attempts": {"type": "integer"},
                 "retries": {"type": "integer"},
-                "hedges": {"type": "integer"},
-                "hedges_won": {"type": "integer"},
                 "reaped": {"type": "integer"},
                 "pool_respawns": {"type": "integer"},
                 "replayed": {"type": "integer"},
@@ -390,7 +387,7 @@ class RunManifest:
     def record_supervisor(self, stats: Dict[str, Any],
                           resume: Optional[Dict[str, Any]] = None) -> None:
         """Record shard-supervision provenance: attempts, retries,
-        hedges won, reaped workers, pool respawns, quarantined cells —
+        reaped workers, pool respawns, quarantined cells —
         plus resume lineage (the journal and its content digest) when
         the run replayed a previous run's cells.
 
@@ -579,7 +576,8 @@ def add_run_flags(parser) -> None:
                              "(default: run_manifest.json)")
     parser.add_argument("--no-manifest", action="store_true",
                         help="skip writing the run manifest")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
+    parser.add_argument("--retries", type=positive_int, default=1,
+                        metavar="N",
                         help="total attempts per sweep cell before it "
                              "fails (default 1 = no retry; applies to the "
                              "fan-out, with deterministic backoff)")
@@ -617,9 +615,9 @@ class RunSession:
     Construction creates the :class:`RunManifest` (unless
     ``args.no_manifest``) and digests ``config``.  Entry declares, through
     the ambient run context, the supervision policy (``args.retries``,
-    ``args.heartbeat_timeout`` plus any ``FanoutPolicy`` field given as a
-    keyword), the ``--resume`` cell journal, the ``--progress`` plane and
-    the ``WorkerEnv`` (``args.procfault`` plus the ``env`` fields), then
+    ``args.heartbeat_timeout`` and ``quarantine``, which only ``chaos
+    sweep`` sets), the ``--resume`` cell journal, the ``--progress``
+    plane and the ``WorkerEnv`` (``args.procfault`` plus the ``env`` fields), then
     zeroes the tie-break and supervision accumulators.  Exit leaves those
     scopes (closing the journal), applies :data:`ENDINGS`, prints the
     tie-break and supervisor lines, and writes the manifest with every
@@ -628,7 +626,8 @@ class RunSession:
     """
 
     def __init__(self, command: str, args: Any, config: Dict[str, Any], *,
-                 env: Optional[Dict[str, Any]] = None, **policy: Any) -> None:
+                 env: Optional[Dict[str, Any]] = None,
+                 quarantine: bool = False) -> None:
         self.args = args
         #: Exit code; the CLI sets 1 when its own verdict fails.
         self.status = 0
@@ -640,7 +639,7 @@ class RunSession:
                                         seed=args.seed)
             self.manifest.record_config(config)
         self._env = dict(env or {}, procfault_spec=args.procfault)
-        self._policy = policy
+        self._quarantine = quarantine
         self._journal = self._lineage = None
 
     def __enter__(self) -> "RunSession":
@@ -652,8 +651,9 @@ class RunSession:
             # The policy's fields: ``fanout_map`` builds the policy, so
             # a run that never fans out never imports repro.parallel.
             stack.enter_context(context.scope(policy=dict(
-                max_attempts=max(1, args.retries),
-                heartbeat_timeout=args.heartbeat_timeout, **self._policy)))
+                max_attempts=args.retries,
+                heartbeat_timeout=args.heartbeat_timeout,
+                quarantine=self._quarantine)))
             if args.resume is not None:
                 from repro.parallel import CellJournal, journaling
 
@@ -743,11 +743,10 @@ class RunSession:
             from repro.parallel import fanout_stats
 
             stats = fanout_stats()
-        if any(stats.get(key) for key in ("retries", "reaped", "hedges",
+        if any(stats.get(key) for key in ("retries", "reaped",
                                       "pool_respawns", "replayed")):
             print(f"[supervisor: {stats['attempts']} attempts, "
                   f"{stats['retries']} retries, {stats['reaped']} reaped, "
-                  f"{stats['hedges_won']}/{stats['hedges']} hedges won, "
                   f"{stats['pool_respawns']} pool respawns, "
                   f"{stats['replayed']} cells replayed from journal]")
         manifest = self.manifest

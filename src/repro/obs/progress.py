@@ -1,15 +1,15 @@
 """The live multi-shard progress plane.
 
-Long fan-outs (`--jobs N` sweeps, the million-flow roadmap) were black
+Long fan-outs (`--jobs N` figure sweeps, ``chaos sweep``) were black
 boxes: nothing printed until every worker finished.  This module gives
 each shard a heartbeat channel and the parent a live, exportable view:
 
 * worker side — a :class:`ShardReporter` posts ``start`` / ``update`` /
   ``done`` events (flows done, simulator events, wall clock).  Updates
-  are wall-clock throttled so a million-flow shard costs a few queue
-  messages per second, not one per flow.  Deep code reaches the
-  ambient reporter through :func:`heartbeat` without signature changes
-  (the same pattern as the telemetry/chaos contexts).
+  are wall-clock throttled so a many-flow shard (a Fig. 12 cell) costs
+  a few pipe messages per second, not one per flow.  Deep code reaches
+  the ambient reporter through :func:`heartbeat` without signature
+  changes (the same pattern as the telemetry/chaos contexts).
 * parent side — a :class:`ProgressPlane` aggregates shard states,
   renders a refreshing status line/table to a terminal, and exports the
   same state as Prometheus text (``progress.prom``) plus periodic JSONL

@@ -1,9 +1,11 @@
 """Mergeable, bounded-error distribution sketches.
 
-The paper's headline results are FCT *distributions* (Figs. 3/6/12/16),
-and the million-flow roadmap needs per-shard results that can be
-combined without shipping per-flow records.  Two structures cover every
-figure metric:
+The paper's headline results are FCT *distributions*, and a fan-out
+cell should hand back a summary that merges, not its per-flow records.
+Chaos sweep's cells each carry an FCT sketch (merged into the report's
+quantile line), ``--breakdown`` keeps one sketch per critical-path
+component, and Fig. 12's cells ship
+:class:`~repro.obs.aggregate.FlowStats`, built on both structures:
 
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile
   sketch with a configured *relative* accuracy ``alpha``: a quantile

@@ -39,8 +39,8 @@ of opaque and brittle:
   The observation is part of each cell's journal digest.
 * **supervision & journaling** — :func:`supervision` declares a
   :class:`FanoutPolicy` (retries with deterministic backoff,
-  heartbeat-deadline reaping of hung workers, hedged straggler
-  duplication, poison-cell quarantine) and :func:`journaling` a
+  heartbeat-deadline reaping of hung workers, poison-cell
+  quarantine) and :func:`journaling` a
   :class:`CellJournal` that records each completed cell durably so an
   interrupted sweep resumes instead of restarting.  The default policy
   is the legacy behavior: one attempt, first failure propagates.
@@ -136,7 +136,7 @@ def run_serial(
     stats: Optional[SupervisorStats] = None,
 ) -> List[Any]:
     """The in-process twin of :class:`ShardSupervisor`: same retry /
-    quarantine semantics, no pool (so no reaping or hedging — a hang
+    quarantine semantics, no pool (so no reaping — a hang
     here hangs the caller, which is what serial means)."""
     from repro.parallel.pool import _item_label, _run_shard
 
@@ -206,7 +206,7 @@ def fanout_map(
     items and results.  Under the default policy a worker exception
     propagates to the caller, matching the serial path's behavior;
     ``policy`` (or an ambient :func:`supervision` block) buys retries,
-    hung-shard reaping, hedging, and quarantine — see
+    hung-shard reaping and quarantine — see
     :class:`FanoutPolicy`.  With quarantine on, failed slots hold
     :class:`ShardFailure` records instead of raising.
 

@@ -31,8 +31,8 @@ class FanoutPolicy:
     """Supervision knobs for one fan-out.
 
     The defaults are the legacy semantics: one attempt per shard, no
-    deadline, no hedging, failures propagate.  Every field is
-    deterministic by construction — backoff has no jitter, and retry
+    deadline, failures propagate.  Every field is deterministic by
+    construction — backoff has no jitter, and retry
     schedules never touch cell results (cells are pure functions of
     their seeds, so *when* a cell runs cannot change *what* it
     returns).
@@ -49,9 +49,6 @@ class FanoutPolicy:
     #: not the submission — a shard that keeps completing flows keeps
     #: itself alive.
     heartbeat_timeout: Optional[float] = None
-    #: Duplicate a still-running shard onto an idle worker after this
-    #: many seconds (None = never hedge); first finisher wins.
-    hedge_after: Optional[float] = None
     #: Convert a shard that exhausts its budget into a
     #: :class:`ShardFailure` result instead of raising.
     quarantine: bool = False
@@ -99,11 +96,9 @@ class SupervisorStats:
     accumulator by ``fanout_map``; recorded in run manifests)."""
 
     shards: int = 0
-    #: Task submissions, including retries and hedges.
+    #: Task submissions, including retries.
     attempts: int = 0
     retries: int = 0
-    hedges: int = 0
-    hedges_won: int = 0
     #: Hung workers SIGKILLed by the heartbeat deadline.
     reaped: int = 0
     pool_respawns: int = 0
@@ -116,8 +111,6 @@ class SupervisorStats:
             "shards": self.shards,
             "attempts": self.attempts,
             "retries": self.retries,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
             "reaped": self.reaped,
             "pool_respawns": self.pool_respawns,
             "replayed": self.replayed,
@@ -128,8 +121,6 @@ class SupervisorStats:
         self.shards += other.shards
         self.attempts += other.attempts
         self.retries += other.retries
-        self.hedges += other.hedges
-        self.hedges_won += other.hedges_won
         self.reaped += other.reaped
         self.pool_respawns += other.pool_respawns
         self.replayed += other.replayed

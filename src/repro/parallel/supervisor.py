@@ -13,11 +13,6 @@ salvaged.  The supervisor replaces it with per-shard control:
   hand-off if the shard never started) is SIGKILLed and replaced, and
   its shard charged a ``hang`` (the recovery-timer idea from T-RACKs,
   applied to the harness);
-* **hedged execution** — with a hedge threshold set, a straggler shard
-  is handed to an idle worker too and the first finisher wins
-  (RepFlow's replicate-and-take-first, applied to cells; results are
-  bit-identical because cells are deterministic functions of their
-  seeds);
 * **quarantine** — a shard that exhausts its budget becomes a
   structured :class:`ShardFailure` in its result slot instead of an
   exception, so a sweep degrades to a report that names exactly which
@@ -25,13 +20,13 @@ salvaged.  The supervisor replaces it with per-shard control:
 
 The supervisor starts its workers itself, one duplex pipe each
 (:func:`repro.parallel.pool._worker_main`), and hands a shard only to
-an idle worker, so it always knows which worker holds which shard and
-every failure has exactly one owner.  A winning reply's scheduler
+an idle worker, so a shard is held by at most one worker at a time and
+every failure has exactly one owner.  A successful reply's scheduler
 tie-break counts fold into this process's, as if the cell had run here.
 
 Everything is policy-gated: the default :class:`FanoutPolicy` (one
-attempt, no deadline, no hedging, no quarantine) reproduces the old
-``pool.map`` semantics — first failure propagates.
+attempt, no deadline, no quarantine) reproduces the old ``pool.map``
+semantics — first failure propagates.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ class _Task:
     """Parent-side state for one shard."""
 
     __slots__ = ("index", "item", "label", "submissions", "failures",
-                 "next_eligible", "submitted_at", "hedged", "holders")
+                 "next_eligible")
 
     def __init__(self, index: int, item: Any) -> None:
         self.index = index
@@ -71,15 +66,12 @@ class _Task:
         self.submissions = 0        # attempt numbers handed to workers
         self.failures = 0           # consumed retry budget
         self.next_eligible = 0.0    # backoff gate (perf_counter clock)
-        self.submitted_at = 0.0
-        self.hedged = False
-        self.holders = 0            # workers running an attempt of it
 
 
 class _Worker:
     """One worker process, its end of the pipe, and the shard it holds."""
 
-    __slots__ = ("process", "conn", "task", "hedge", "started", "heard_at")
+    __slots__ = ("process", "conn", "task", "started", "heard_at")
 
     def __init__(self, env: Optional[WorkerEnv], shard: int) -> None:
         self.conn, child = multiprocessing.Pipe()
@@ -89,7 +81,6 @@ class _Worker:
         self.process.start()
         child.close()
         self.task: Optional[_Task] = None
-        self.hedge = False
         self.started = False   # a heartbeat arrived for the held shard
         self.heard_at = 0.0    # last message, or the hand-off
 
@@ -137,12 +128,9 @@ class ShardSupervisor:
         self.on_result = on_result
         self.results: Dict[int, Any] = dict(results or {})
         self.stats = SupervisorStats(shards=len(self.items))
-        self.tasks: Dict[int, _Task] = {
-            i: _Task(i, item) for i, item in enumerate(self.items)
-            if i not in self.results
-        }
-        self._pending: List[_Task] = sorted(self.tasks.values(),
-                                            key=lambda t: t.index)
+        self._pending: List[_Task] = [
+            _Task(i, item) for i, item in enumerate(self.items)
+            if i not in self.results]
         self._pool: List[_Worker] = []
         self._spawned = 0  # the next worker's shard number
 
@@ -167,9 +155,6 @@ class ShardSupervisor:
             _terminate([worker.process for worker in self._pool])
             raise
         for worker in self._pool:
-            if worker.task is not None:
-                worker.process.kill()  # a hedge loser, still mid-cell
-                continue
             try:
                 worker.conn.send(None)  # closes its sessions, then exits
             except OSError:
@@ -202,7 +187,6 @@ class ShardSupervisor:
         while len(self.results) < total:
             now = time.perf_counter()
             self._hand_eligible(now)
-            self._hedge_stragglers(now)
             if not any(worker.task for worker in self._pool):
                 # Everything left is backing off.
                 soonest = min(t.next_eligible for t in self._pending)
@@ -220,26 +204,20 @@ class ShardSupervisor:
     def _hand_eligible(self, now: float) -> None:
         still_waiting: List[_Task] = []
         for task in self._pending:
-            if task.index in self.results:
-                continue
             if task.next_eligible > now or not self._hand(task):
                 still_waiting.append(task)
         self._pending = still_waiting
 
-    def _hand(self, task: _Task, hedge: bool = False) -> bool:
+    def _hand(self, task: _Task) -> bool:
         """Hand ``task`` to an idle worker; False when none is free."""
         worker = self._idle_worker()
         if worker is None:
             return False
         attempt = task.submissions
         task.submissions += 1
-        task.holders += 1
         self.stats.attempts += 1
-        now = time.perf_counter()
-        if not hedge:
-            task.submitted_at = now
-        worker.task, worker.hedge = task, hedge
-        worker.started, worker.heard_at = False, now
+        worker.task = task
+        worker.started, worker.heard_at = False, time.perf_counter()
         try:
             worker.conn.send((self.worker, task.index, task.item, attempt))
         except OSError:
@@ -271,25 +249,16 @@ class ShardSupervisor:
                 self.plane.apply(message)
             return
         ok, value, ties = message
-        task, hedge = worker.task, worker.hedge
-        worker.task = None
-        task.holders -= 1
-        if task.index in self.results:
-            return  # hedge loser / late duplicate
+        task, worker.task = worker.task, None
         if ok:
             fold_tie_break_stats(ties)
-            self._record_result(task, value, hedge)
+            self.results[task.index] = value
+            if self.on_result is not None:
+                self.on_result(task.index, value)
             return
         error, remote_traceback = value
         error.__cause__ = _RemoteTraceback(remote_traceback)
         self._attempt_failed(task, "exception", error)
-
-    def _record_result(self, task: _Task, value: Any, is_hedge: bool) -> None:
-        self.results[task.index] = value
-        if is_hedge:
-            self.stats.hedges_won += 1
-        if self.on_result is not None:
-            self.on_result(task.index, value)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -301,18 +270,10 @@ class ShardSupervisor:
         self._pool.remove(worker)
         worker.conn.close()
         self.stats.pool_respawns += 1
-        task = worker.task
-        if task is not None:
-            task.holders -= 1
-            if task.index not in self.results:
-                self._attempt_failed(task, kind, error)
+        if worker.task is not None:
+            self._attempt_failed(worker.task, kind, error)
 
     def _attempt_failed(self, task: _Task, kind: str, error: Any) -> None:
-        if task.holders:
-            # A duplicate of this shard is still running; it may yet
-            # win.  The failed attempt is only charged when the shard
-            # has no other iron in the fire.
-            return
         task.failures += 1
         if task.failures >= self.policy.max_attempts:
             self._finalize_failure(task, kind, error)
@@ -320,7 +281,6 @@ class ShardSupervisor:
         self.stats.retries += 1
         task.next_eligible = (time.perf_counter()
                               + self.policy.backoff(task.failures))
-        task.hedged = False
         self._pending.append(task)
         if self.plane is not None:
             self.plane.apply(_progress.ProgressEvent(
@@ -347,7 +307,7 @@ class ShardSupervisor:
         raise error
 
     # ------------------------------------------------------------------
-    # Liveness and hedging
+    # Liveness
     # ------------------------------------------------------------------
 
     def _reap_hung(self, now: float) -> None:
@@ -364,17 +324,3 @@ class ShardSupervisor:
                 f"heartbeat-silent for more than {timeout:g}s; "
                 + ("" if worker.started else "never started, ")
                 + f"worker pid {worker.process.pid} reaped"))
-
-    def _hedge_stragglers(self, now: float) -> None:
-        threshold = self.policy.hedge_after
-        if threshold is None:
-            return
-        for task in sorted(self.tasks.values(), key=lambda t: t.index):
-            if (not task.holders or task.hedged
-                    or task.index in self.results
-                    or now - task.submitted_at <= threshold):
-                continue
-            if not self._hand(task, hedge=True):
-                return  # no idle worker to hedge onto
-            task.hedged = True
-            self.stats.hedges += 1

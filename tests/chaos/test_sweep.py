@@ -151,12 +151,11 @@ class TestCli:
         assert validate_manifest(manifest) == []
         assert manifest["result"]["fingerprint"] == payload["fingerprint"]
 
-    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
-    def test_hedge_after_must_be_positive(self, value, capsys):
+    def test_hedge_after_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as ended:
-            chaos_main(["sweep", "--hedge-after", value])
+            chaos_main(["sweep", "--hedge-after", "1"])
         assert ended.value.code == 2
-        assert "invalid positive_seconds value" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_jobs_must_be_positive(self, value, capsys):
@@ -164,6 +163,23 @@ class TestCli:
             chaos_main(["sweep", "--jobs", value])
         assert ended.value.code == 2
         assert "invalid positive_int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_retries_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as ended:
+            chaos_main(["sweep", "--retries", value])
+        assert ended.value.code == 2
+        assert "invalid positive_int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--flows", "--size"])
+    def test_cell_shape_must_be_positive(self, flag, capsys):
+        with pytest.raises(SystemExit) as ended:
+            chaos_main(["sweep", "--protocols", "tcp",
+                        "--profiles", "blackhole", flag, "0"])
+        assert ended.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "invalid positive_int value: '0'" in err
 
 
 SWEEP = ["sweep", "--protocols", "tcp,halfback",

@@ -86,3 +86,12 @@ def test_scale_and_jobs_must_be_positive(flag, value, capsys):
     assert ended.value.code == 2
     kind = "positive_finite" if flag == "--scale" else "positive_int"
     assert f"invalid {kind} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_retries_must_be_positive(value, capsys):
+    # Before, a figure ran with ``--retries -5`` and exited 0.
+    with pytest.raises(SystemExit) as ended:
+        main(["fig3", "--retries", value, "--no-manifest"])
+    assert ended.value.code == 2
+    assert "invalid positive_int value" in capsys.readouterr().err

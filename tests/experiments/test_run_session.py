@@ -188,7 +188,7 @@ OPTIONS = {
         "--trace-viewer", "--trace-viewer-max"}),
     "chaos": (chaos_main, ["sweep"], {
         "--audit", "--breakdown", "--flows", "--heartbeat-timeout",
-        "--hedge-after", "--help", "--jobs", "--json", "--manifest",
+        "--help", "--jobs", "--json", "--manifest",
         "--no-manifest", "--procfault", "--profiles", "--progress",
         "--protocols", "--quarantine", "--resume", "--retries", "--seed",
         "--size"}),

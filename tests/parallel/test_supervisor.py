@@ -287,22 +287,6 @@ class TestQuarantine:
         assert "boom" in results[2].error
 
 
-class TestHedging:
-    def test_straggler_is_hedged_and_first_finisher_wins(self):
-        # slow@1/5 delays shard 1's first attempt; after 0.4s the
-        # supervisor hedges a duplicate (attempt 1, no fault) onto an
-        # idle worker, which wins immediately.  (Kept to seconds: the
-        # losing worker finishes its sleep before interpreter exit.)
-        policy = FanoutPolicy(max_attempts=1, hedge_after=0.4,
-                              check_interval=0.02)
-        with _pool_env("slow@1/5"):
-            results = fanout_map(_square, [0, 1], jobs=2, policy=policy)
-        assert results == [0, 1]
-        stats = fanout_stats()
-        assert stats["hedges"] == 1
-        assert stats["hedges_won"] == 1
-
-
 class TestAmbientSupervision:
     def test_supervision_context_applies_policy(self):
         with supervision(FanoutPolicy(max_attempts=2, backoff_base=0.01,
