@@ -44,22 +44,36 @@ Two mechanisms compose:
   plan would break FIFO order, so marked links keep a high-water mark
   of planned arrivals and refuse (loudly) if an admission arrives
   before it — unreachable when the mark is applied to genuinely
-  sole-feeder links.
+  sole-feeder links.  Where a packet may go is resolved once per
+  (link, destination host) into a *compiled forwarding chain*: the
+  downstream ``cut_through`` links in order, then the terminal — the
+  first link that is not marked, or a delivery to a node that does not
+  forward.  Planning walks that tuple with no route lookup per hop;
+  a routing loop among marked links is refused when the chain is
+  compiled, and ``Topology.compute_routes`` clears every chain.
 
 **One selector.**  "Does anything need per-packet control on this
 link?" is answered by one cached boolean, ``self._fast``, recomputed by
 :meth:`Link.refresh_fast_path` whenever the answer can change;
-:meth:`Link.send` is the one place that picks a path for an offered
-packet.  Any of tracing (lineage/provenance), an attached impairment, a
-non-drop-tail queue discipline, a sampling monitor on the link or its
-queue, a tie-break salt, or the :func:`set_batching` reference switch
-(tests and probes only) forces the per-packet path, which is the
-pre-batching code and the reference the equivalence suite compares
-against.  Bernoulli loss *is* batchable: draws come from the link's
-private RNG stream in serialization order either way.  A flip while the
-other path still holds the serializer takes effect at the instant it
-frees (``_busy`` and :meth:`Link._leave_fast_path`), so the two never
-serialize at once.
+:meth:`Link.send` picks a path for an offered packet by it, and so do
+the two hot callers that skip that frame (``Host.send`` and the fused
+forward step, :meth:`Link._deliver_forward`).  Any of tracing
+(lineage/provenance), an attached impairment, a non-drop-tail queue
+discipline, a sampling monitor on the link or its queue, a tie-break
+salt, or the :func:`set_batching` reference switch (tests and probes
+only) forces the per-packet path, which is the pre-batching code and
+the reference the equivalence suite compares against.  Bernoulli loss
+*is* batchable: draws come from the link's private RNG stream in
+serialization order either way.  A flip while the other path still
+holds the serializer takes effect at the instant it frees (``_busy``
+and :meth:`Link._leave_fast_path`), so the two never serialize at
+once.
+
+**Telemetry binding.**  The aggregate ``link.*`` / ``queue.*`` /
+``scheduler.events_absorbed`` counters are bound at construction, and
+so is ``_metered`` (the registry's ``enabled``): with telemetry off
+the datapath makes no counter call at all, and with it on every
+counter reads what per-packet increments would have summed to.
 
 ``events_absorbed`` accounting keeps benchmarks honest: every event the
 plan eliminated increments :attr:`Simulator.events_absorbed` (and the
@@ -212,6 +226,9 @@ class Link:
         #: Marked by topology builders asserting this link has a single
         #: structural feeder, enabling cut-through planning into it.
         self.cut_through = False
+        #: Compiled forwarding chains, one per destination host (see
+        #: :meth:`_compile_chain`); ``Topology.compute_routes`` clears it.
+        self._chains = {}
         #: Real admissions planned analytically but not yet delivered
         #: toward this link (racing-admission bookkeeping for cut-through
         #: eligibility).
@@ -229,9 +246,11 @@ class Link:
         # attribute check when tracing is off.
         self._trace = sim.trace
         sim.watch_trace(self._rebind_trace)
-        # Aggregate (all-links) telemetry; instruments resolve to no-ops
-        # when the registry is disabled.
+        # Aggregate (all-links) telemetry, bound once: with the registry
+        # disabled the instruments are no-ops and ``_metered`` keeps the
+        # datapath from calling them at all.
         metrics = sim.metrics
+        self._metered = metrics.enabled
         self._m_tx_packets = metrics.counter("link.tx_packets")
         self._m_tx_bytes = metrics.counter("link.tx_bytes")
         self._m_delivered_bytes = metrics.counter("link.delivered_bytes")
@@ -290,7 +309,8 @@ class Link:
             sim.schedule_fast(start, self._release_pending, self._queue, size,
                               lpush=dq_push)
         sim.events_absorbed -= len(self._pending)
-        self._m_absorbed.inc(-len(self._pending))
+        if self._metered:
+            self._m_absorbed.inc(-len(self._pending))
         self._pending.clear()
         if now < self._busy_until and not self._busy:
             self._schedule_restart()
@@ -323,11 +343,6 @@ class Link:
         self.refresh_fast_path()
 
     # ------------------------------------------------------------------
-
-    @property
-    def busy(self) -> bool:
-        """True while a packet is being serialized."""
-        return self._busy or self.sim.now < self._busy_until
 
     def set_loss(self, loss_rate: float) -> None:
         """Install (or change) this link's random in-flight loss rate."""
@@ -401,8 +416,9 @@ class Link:
 
     def _record_queue_drop(self, packet: Packet) -> None:
         self.sim.note_drop(packet.flow_id)
-        self._m_queue_drops.inc()
-        self._m_queue_drop_bytes.inc(packet.size)
+        if self._metered:
+            self._m_queue_drops.inc()
+            self._m_queue_drop_bytes.inc(packet.size)
         self._trace.record(
             self.sim.now, EV_QUEUE_DROP, self.name,
             packet=packet.describe(), uid=packet.uid,
@@ -410,7 +426,8 @@ class Link:
 
     def _record_inflight_loss(self, packet: Packet) -> None:
         self.stats.packets_lost_inflight += 1
-        self._m_inflight_loss.inc()
+        if self._metered:
+            self._m_inflight_loss.inc()
         self.sim.note_drop(packet.flow_id)
 
     def _admit(self, packet: Packet) -> None:
@@ -466,58 +483,60 @@ class Link:
         if self._pending:
             self._prune_pending(now, sim.exec_lpush)
         queue = self._queue
-        if (not queue._packets and not self._busy
-                and now >= self._busy_until):
-            # Idle admission — the overwhelmingly common case on edge
-            # links — plans the packet as a train of one without the
-            # enqueue/drain round-trip.  The queue counters below are
-            # exactly what enqueue-then-drain would have recorded.
-            # Priced and kept: falling through to enqueue + _start_train
-            # costs paths_clean +8.8..11.1 % wall_s (EXPERIMENTS.md).
-            size = packet.size
-            occupancy = queue.pending_bytes + size
-            qstats = queue.stats
-            if occupancy > queue.capacity_bytes:
-                qstats.dropped += 1
-                qstats.bytes_dropped += size
-                self._record_queue_drop(packet)
-                return
-            qstats.enqueued += 1
-            qstats.bytes_enqueued += size
-            if occupancy > qstats.peak_bytes:
-                qstats.peak_bytes = occupancy
-            qstats.dequeued += 1
-            # Inline train-of-one plan: the same arithmetic and the same
-            # counter/RNG order as _start_train, minus its loop setup.
-            finish = now + size / self.rate
-            self._pending.append((now, size, sim.exec_lpush))
-            queue.pending_bytes += size
-            stats = self.stats
-            stats.packets_sent += 1
-            stats.bytes_sent += size
-            self._m_tx_packets.inc()
-            self._m_tx_bytes.inc(size)
-            self._busy_until = finish
-            self._last_start = now
-            absorbed = 1  # the finish_transmission event this replaces
-            loss_rng = self._loss_rng
-            if loss_rng is not None and loss_rng.random() < self.loss_rate:
-                self._record_inflight_loss(packet)
-            else:
-                absorbed += self._plan_delivery(packet, size,
-                                                finish + self.delay, finish)
-            sim.events_absorbed += absorbed
-            self._m_absorbed.inc(absorbed)
-            return
-        if not queue.enqueue(packet):
+        # DropTailQueue.enqueue, inlined (the fast-path predicate admits
+        # exact drop-tail queues only); ``_bytes`` is 0 when idle.
+        size = packet.size
+        occupancy = queue._bytes + queue.pending_bytes + size
+        qstats = queue.stats
+        if occupancy > queue.capacity_bytes:
+            qstats.dropped += 1
+            qstats.bytes_dropped += size
             self._record_queue_drop(packet)
             return
-        if self._busy:
+        qstats.enqueued += 1
+        qstats.bytes_enqueued += size
+        if occupancy > qstats.peak_bytes:
+            qstats.peak_bytes = occupancy
+        if queue._packets or self._busy or now < self._busy_until:
+            queue._packets.append(packet)
+            queue._bytes += size
+            if self._busy:
+                return
+            if now >= self._busy_until:
+                self._start_train()
+            else:
+                self._schedule_restart()
             return
-        if now >= self._busy_until:
-            self._start_train()
+        # Idle admission — the overwhelmingly common case on edge links
+        # — plans the packet as a train of one without the drain
+        # round-trip.  The queue counters are exactly what
+        # enqueue-then-drain would have recorded.  Priced and kept:
+        # falling through to _start_train costs paths_clean
+        # +8.8..11.1 % wall_s (EXPERIMENTS.md).
+        qstats.dequeued += 1
+        # Inline train-of-one plan: the same arithmetic and the same
+        # counter/RNG order as _start_train, minus its loop setup and
+        # the head's pending entry — the unbatched run dequeues this
+        # packet inside the admitting event, so every later observer
+        # (same instant, lpush at least this event's) prunes it anyway.
+        finish = now + size / self.rate
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        self._busy_until = finish
+        self._last_start = now
+        absorbed = 1  # the finish_transmission event this replaces
+        loss_rng = self._loss_rng
+        if loss_rng is not None and loss_rng.random() < self.loss_rate:
+            self._record_inflight_loss(packet)
         else:
-            self._schedule_restart()
+            absorbed += self._plan_delivery(packet, size,
+                                            finish + self.delay, finish)
+        sim.events_absorbed += absorbed
+        if self._metered:
+            self._m_tx_packets.inc()
+            self._m_tx_bytes.inc(size)
+            self._m_absorbed.inc(absorbed)
 
     def _schedule_restart(self) -> None:
         """Lazy continuation: one event at the instant the unbatched
@@ -527,7 +546,8 @@ class Link:
         self._busy = True
         sim = self.sim
         sim.events_absorbed -= 1
-        self._m_absorbed.inc(-1)
+        if self._metered:
+            self._m_absorbed.inc(-1)
         # Back-date to the instant the unbatched finish(last) event was
         # pushed (the last planned packet's start), so same-instant
         # races against queued arrivals order identically.
@@ -594,10 +614,11 @@ class Link:
         queue.pending_bytes = pend_bytes
         stats.packets_sent += count
         stats.bytes_sent += sent_bytes
-        self._m_tx_packets.inc(count)
-        self._m_tx_bytes.inc(sent_bytes)
         sim.events_absorbed += absorbed
-        self._m_absorbed.inc(absorbed)
+        if self._metered:
+            self._m_tx_packets.inc(count)
+            self._m_tx_bytes.inc(sent_bytes)
+            self._m_absorbed.inc(absorbed)
 
     def _plan_delivery(self, p: Packet, size: int, arrival: float,
                        push_t: float) -> int:
@@ -611,19 +632,12 @@ class Link:
         virtual hop).
         """
         schedule_fast = self.sim.schedule_fast
+        hops, terminal = (self._chains.get(p.dst)
+                          or self._compile_chain(p.dst))
         absorbed = 0
         cur = self
-        hop_dst = self.dst
-        while True:
-            nxt = (hop_dst.routes.get(p.dst)
-                   if getattr(hop_dst, "FORWARDS", False) else None)
-            if nxt is None:
-                schedule_fast(arrival, cur._deliver, p, lpush=push_t)
-                break
-            if not (nxt.cut_through and nxt._fast):
-                # Delivery into a router whose next hop cannot be
-                # planned (e.g. the shared bottleneck): fuse the
-                # forwarding dispatch into the delivery callback.
+        for nxt in hops:
+            if not nxt._fast:
                 schedule_fast(arrival, cur._deliver_forward, p, nxt,
                               lpush=push_t)
                 break
@@ -642,12 +656,8 @@ class Link:
             # Virtual hop: the unbatched run's deliver -> forward ->
             # enqueue -> start -> finish collapses into arithmetic.
             p.hops += 1
-            if p.hops > 64:
-                raise TopologyError(
-                    f"routing loop detected for {p.describe()}")
             cur.stats.packets_delivered += 1
             cur.stats.bytes_delivered += size
-            cur._m_delivered_bytes.inc(size)
             qstats = queue2.stats
             qstats.enqueued += 1
             qstats.bytes_enqueued += size
@@ -662,8 +672,6 @@ class Link:
             nstats = nxt.stats
             nstats.packets_sent += 1
             nstats.bytes_sent += size
-            nxt._m_tx_packets.inc()
-            nxt._m_tx_bytes.inc(size)
             # cur's deliver event + nxt's finish event, both absorbed.
             absorbed += 2
             rng2 = nxt._loss_rng
@@ -672,8 +680,46 @@ class Link:
                 break
             arrival = finish2 + nxt.delay
             cur = nxt
-            hop_dst = nxt.dst
+        else:
+            if terminal is None:
+                schedule_fast(arrival, cur._deliver, p, lpush=push_t)
+            else:
+                # Delivery into a router whose next hop cannot be
+                # planned (e.g. the shared bottleneck): fuse the
+                # forwarding dispatch into the delivery callback.
+                schedule_fast(arrival, cur._deliver_forward, p, terminal,
+                              lpush=push_t)
+        if absorbed and self._metered:
+            crossed = absorbed >> 1
+            self._m_delivered_bytes.inc(crossed * size)
+            self._m_tx_packets.inc(crossed)
+            self._m_tx_bytes.inc(crossed * size)
         return absorbed
+
+    def _compile_chain(self, dst: str) -> tuple:
+        """Resolve once where a packet for host ``dst`` goes after this
+        link: ``(hops, terminal)``, where ``hops`` are the downstream
+        ``cut_through`` links a plan may cross in order and ``terminal``
+        is the first link past them that is not ``cut_through`` — or
+        None when the chain ends in a delivery to a node that does not
+        forward (or has no route).  Routes and marks are read at the
+        first plan toward ``dst``; they are static once
+        :meth:`Topology.compute_routes` has run, which clears the cache.
+        """
+        hops, node = [], self.dst
+        while getattr(node, "FORWARDS", False) and dst in node.routes:
+            nxt = node.routes[dst]
+            if not nxt.cut_through:
+                break
+            if nxt in hops:
+                raise TopologyError(
+                    f"routing loop detected toward {dst!r} at {nxt.name!r}")
+            hops.append(nxt)
+            node = nxt.dst
+        else:
+            nxt = None
+        chain = self._chains[dst] = (tuple(hops), nxt)
+        return chain
 
     def _deliver_forward(self, packet: Packet, next_link: "Link") -> None:
         """Delivery into a forwarding node, fused with the forward step.
@@ -681,7 +727,7 @@ class Link:
         Behaviourally identical to ``_deliver`` followed by
         ``Router.receive`` -> ``forward``: the routing-table lookup was
         done at plan time (routes are static after topology build), and
-        ``next_link.send`` re-dispatches at fire time so a link whose
+        the next link's ``_fast`` is read at fire time, so a link whose
         fast-path predicate flipped since planning still takes its
         current datapath.  Scheduled only from train plans, so lineage
         tracing is off at plan time; the guard stays for a recorder
@@ -691,13 +737,17 @@ class Link:
         stats = self.stats
         stats.packets_delivered += 1
         stats.bytes_delivered += size
-        self._m_delivered_bytes.inc(size)
+        if self._metered:
+            self._m_delivered_bytes.inc(size)
         if self._trace.lineage:
             self._trace_delivery(packet)
         packet.hops += 1
         if packet.hops > 64:
             raise TopologyError(f"routing loop detected for {packet.describe()}")
-        next_link.send(packet)
+        if next_link._fast:
+            next_link._admit_fast(packet)
+        else:
+            next_link.send(packet)
 
     def _deliver_tracked(self, packet: Packet, next_link: "Link") -> None:
         """Delivery into a router whose marked next hop could not be cut
@@ -784,7 +834,8 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += packet.size
-        self._m_delivered_bytes.inc(packet.size)
+        if self._metered:
+            self._m_delivered_bytes.inc(packet.size)
         if self._trace.lineage:
             self._trace_delivery(packet)
         self.dst.receive(packet)

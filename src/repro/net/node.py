@@ -131,7 +131,13 @@ class Host(Node):
                 retransmit=packet.retransmit,
                 proactive=packet.proactive, **packet.lineage_detail(),
             )
-        self.forward(packet)
+        # Node.forward and Link.send in one frame; route_for only raises.
+        link = self.routes.get(packet.dst) or self.route_for(packet.dst)
+        packet.hops += 1
+        if link._fast:
+            link._admit_fast(packet)
+        else:
+            link.send(packet)
 
     def receive(self, packet: Packet) -> None:
         if packet.dst != self.name:

@@ -104,15 +104,19 @@ class Topology:
     def compute_routes(self) -> None:
         """Fill every node's next-hop table with shortest-path (hop count)
         routes toward every *host*.  Ties break on neighbor insertion
-        order, keeping the computation deterministic."""
+        order, keeping the computation deterministic.  Links' compiled
+        forwarding chains are cleared, so the next plan sees the new
+        routes."""
+        for link in self.links.values():
+            link._chains.clear()
         hosts = [n for n in self.nodes.values() if isinstance(n, Host)]
         for target in hosts:
+            # parents[] points toward the target (BFS rooted there), so a
+            # node's next hop is simply its parent in that tree.
             parents = self._bfs_parents(target.name)
             for node in self.nodes.values():
-                if node.name == target.name:
-                    continue
-                next_hop = self._first_hop(parents, node.name, target.name)
-                if next_hop is not None:
+                next_hop = parents.get(node.name)
+                if next_hop is not None and node is not target:
                     node.routes[target.name] = self.links[(node.name, next_hop)]
 
     def _bfs_parents(self, root: str) -> Dict[str, str]:
@@ -125,14 +129,6 @@ class Topology:
                     parents[neighbor] = here
                     frontier.append(neighbor)
         return parents
-
-    @staticmethod
-    def _first_hop(parents: Dict[str, str], src: str, dst: str) -> Optional[str]:
-        # parents[] points toward dst (BFS rooted at dst), so the next hop
-        # from src is simply its parent in that tree.
-        if src not in parents:
-            return None
-        return parents[src]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,6 +21,7 @@ default ``python -m repro fig3`` imports this module anyway.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -45,6 +46,7 @@ __all__ = [
     "positive_finite",
     "positive_int",
     "positive_seconds",
+    "procfault_spec",
     "validate_manifest",
 ]
 
@@ -562,6 +564,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def procfault_spec(text: str) -> str:
+    """argparse type: a ``--procfault`` spec that parses.  The text is
+    kept, since each fan-out worker parses it again."""
+    from repro.chaos.procfault import parse_procfault
+    from repro.errors import ChaosError
+
+    try:
+        parse_procfault(text)
+    except ChaosError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def add_run_flags(parser) -> None:
     """Add the flags :class:`RunSession` reads to an argparse parser."""
     parser.add_argument("--progress", nargs="?", const="-", default=None,
@@ -587,7 +602,8 @@ def add_run_flags(parser) -> None:
                         help="reap (SIGKILL) a fan-out worker after this "
                              "many seconds of heartbeat silence and retry "
                              "its cell (default: never)")
-    parser.add_argument("--procfault", default=None, metavar="SPEC",
+    parser.add_argument("--procfault", type=procfault_spec, default=None,
+                        metavar="SPEC",
                         help="inject harness process faults into the "
                              "fan-out, e.g. 'kill@1,hang@2/20,raise@3,"
                              "kill%%10,seed=7' (deterministic; exercises "

@@ -132,7 +132,7 @@ class HalfbackSender(SenderBase):
                 ) - self.config.header_size
                 for seq in newly_acked
             )
-            self.bandwidth.observe(self.sim.now, acked_bytes)
+            self.bandwidth.observe(self.sim._now, acked_bytes)
         if self.phase == HalfbackPhase.ROPR_WAIT:
             self.phase = HalfbackPhase.ROPR
             self._trace_phase(order=self.halfback.ropr_order)

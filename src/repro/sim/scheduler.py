@@ -46,7 +46,6 @@ from typing import List, Optional, Tuple
 
 from repro.sim.event import Event
 from repro.telemetry.context import ambient, scope
-from repro.telemetry.metrics import NULL_METRIC
 
 __all__ = ["EventScheduler", "PermutedEventScheduler",
            "tiebreak_permutation", "current_tiebreak_salt"]
@@ -121,10 +120,10 @@ class EventScheduler:
         #: Number of compaction passes performed (diagnostic).
         self.compactions = 0
         #: Telemetry gauge for the cancelled backlog; the simulator
-        #: rebinds this to ``scheduler.cancelled_backlog`` when a metrics
-        #: registry is enabled.  The default no-op keeps the hot path an
-        #: empty call when telemetry is off.
-        self.backlog_gauge = NULL_METRIC
+        #: binds ``scheduler.cancelled_backlog`` here when a metrics
+        #: registry is enabled.  None (telemetry off) makes the churn
+        #: path call nothing.
+        self.backlog_gauge = None
 
     def push(self, event: Event) -> None:
         """Insert an event into the queue."""
@@ -204,7 +203,8 @@ class EventScheduler:
         if self._live > 0:
             self._live -= 1
         self._cancelled += 1
-        self.backlog_gauge.set(self._cancelled)
+        if self.backlog_gauge is not None:
+            self.backlog_gauge.set(self._cancelled)
         self._maybe_compact()
 
     def clear(self) -> None:
@@ -212,7 +212,8 @@ class EventScheduler:
         self._heap.clear()
         self._live = 0
         self._cancelled = 0
-        self.backlog_gauge.set(0)
+        if self.backlog_gauge is not None:
+            self.backlog_gauge.set(0)
 
     # ------------------------------------------------------------------
     # Cancelled-backlog accounting and compaction
@@ -221,7 +222,8 @@ class EventScheduler:
     def _note_discarded(self, n: int) -> None:
         """Account ``n`` cancelled entries leaving the heap via pop/peek."""
         self._cancelled = max(0, self._cancelled - n)
-        self.backlog_gauge.set(self._cancelled)
+        if self.backlog_gauge is not None:
+            self.backlog_gauge.set(self._cancelled)
 
     def _maybe_compact(self) -> None:
         if self.compact_min <= 0 or self._cancelled < self.compact_min:
@@ -233,7 +235,8 @@ class EventScheduler:
         heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
-        self.backlog_gauge.set(0)
+        if self.backlog_gauge is not None:
+            self.backlog_gauge.set(0)
 
     @staticmethod
     def render_event(event) -> str:

@@ -146,9 +146,10 @@ class Simulator:
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         # Publish the lazily-cancelled backlog so telemetry can see timer
-        # churn; a disabled registry hands back the no-op metric.
-        self._queue.backlog_gauge = self.metrics.gauge(
-            "scheduler.cancelled_backlog")
+        # churn; with the registry disabled the scheduler calls nothing.
+        if self.metrics.enabled:
+            self._queue.backlog_gauge = self.metrics.gauge(
+                "scheduler.cancelled_backlog")
         self.profiler = profiler
         #: No-progress watchdog: when this many events fire at a single
         #: simulated instant, :meth:`run` raises

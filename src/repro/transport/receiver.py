@@ -139,7 +139,7 @@ class Receiver:
             sack=self.tracker.sack_blocks(),
             echo_time=packet.echo_time,
         )
-        trace = self.sim.trace
+        trace = self.sim._trace
         if trace.lineage:
             # The causal edge data packet -> ACK: ``parent`` is the data
             # packet that triggered this ACK.

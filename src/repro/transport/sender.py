@@ -247,7 +247,8 @@ class SenderBase:
         if self.state != SenderState.ESTABLISHED:
             return
         if packet.echo_time >= 0:
-            self.rtt.sample(self.sim.now - packet.echo_time)
+            # ``_now``, not the ``now`` property: one frame less per ACK.
+            self.rtt.sample(self.sim._now - packet.echo_time)
         scoreboard = self.scoreboard
         newly = scoreboard.on_ack(packet.ack, packet.sack)
         # A pure cumulative ACK on a clean connection — no SACK blocks on
@@ -339,6 +340,7 @@ class SenderBase:
         size = self.config.segment_wire_size(
             seq, self.flow.n_segments, self.flow.size
         )
+        now = self.sim._now
         packet = Packet(
             src=self.host.name,
             dst=self.flow.dst,
@@ -346,14 +348,14 @@ class SenderBase:
             kind=PacketType.DATA,
             size=size,
             seq=seq,
-            echo_time=-1.0 if retransmit else self.sim.now,
+            echo_time=-1.0 if retransmit else now,
             retransmit=retransmit,
             proactive=proactive,
             # Fast-open data may race (or outlive) the SYN, so it
             # carries the content length itself.
             flow_bytes=self.flow.size if self.config.fast_open else -1,
         )
-        self.scoreboard.mark_sent(seq, time=self.sim.now)
+        self.scoreboard.mark_sent(seq, time=now)
         if retransmit and proactive:
             self.record.proactive_retransmissions += 1
             self._m_retx_proactive.inc()

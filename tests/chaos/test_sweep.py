@@ -181,6 +181,14 @@ class TestCli:
         assert err.startswith("usage:")
         assert "invalid positive_int value: '0'" in err
 
+    def test_procfault_spec_is_parsed_with_the_arguments(self, capsys):
+        with pytest.raises(SystemExit) as ended:
+            chaos_main(["sweep", "--procfault", "explode@1"])
+        assert ended.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "unknown fault kind 'explode'" in err
+
 
 SWEEP = ["sweep", "--protocols", "tcp,halfback",
          "--profiles", "wifi-bursty,dead-air", "--flows", "2",

@@ -95,3 +95,17 @@ def test_retries_must_be_positive(value, capsys):
         main(["fig3", "--retries", value, "--no-manifest"])
     assert ended.value.code == 2
     assert "invalid positive_int value" in capsys.readouterr().err
+
+
+def test_procfault_spec_is_parsed_with_the_arguments(tmp_path, capsys):
+    # Before, a bad spec ended in a ChaosError traceback, exit 1 and no
+    # manifest at all.
+    manifest = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as ended:
+        main(["fig3", "--procfault", "explode@1", "--manifest",
+              str(manifest)])
+    assert ended.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unknown fault kind 'explode'" in err
+    assert not manifest.exists()

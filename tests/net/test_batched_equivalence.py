@@ -123,36 +123,102 @@ class TestChaosEquivalence:
         assert batched == unbatched
 
 
+def _counters(sim, net):
+    counters = {
+        name: ({s: getattr(link.stats, s) for s in LinkStats.__slots__},
+               {s: getattr(link.queue.stats, s)
+                for s in QueueStats.__slots__})
+        for name, link in net.topology.links.items()
+    }
+    return sim.events_run, sim.events_absorbed, counters
+
+
+def _dumbbell(metrics=None):
+    from repro.experiments.runner import TrafficRunner
+    from repro.experiments.scenarios import build_emulab, short_flow_schedule
+    from repro.sim.simulator import Simulator
+
+    sim = Simulator(seed=3, metrics=metrics)
+    net = build_emulab(sim, n_pairs=4, buffer_bytes=30_000)
+    runner = TrafficRunner(sim, net, drain_time=5.0)
+    runner.schedule(short_flow_schedule("halfback", 0.8, 3.0, seed=3))
+    runner.run()
+    return _counters(sim, net)
+
+
+def _lossy_path(metrics=None):
+    """One single-pair path, lossy in both directions: both bottleneck
+    directions are cut-through, so a segment planned at the sender's
+    edge crosses two virtual hops."""
+    from repro.experiments.runner import launch_flow
+    from repro.planetlab.paths import PathSpec, build_path
+    from repro.sim.simulator import Simulator
+
+    sim = Simulator(seed=5, metrics=metrics)
+    spec = PathSpec(pair_id=1, rtt=0.08, bottleneck_rate=1_250_000,
+                    buffer_bytes=60_000, loss_rate=0.1)
+    net = build_path(sim, spec)
+    assert net.bottleneck.cut_through
+    assert net.reverse_bottleneck.cut_through
+    for index, protocol in enumerate(("tcp", "halfback")):
+        launch_flow(sim, net, protocol, 150_000,
+                    start_time=0.01 + 2.0 * index)
+    sim.run(until=30.0)
+    return _counters(sim, net)
+
+
 class TestEventAccounting:
     """``events_absorbed`` keeps event-rate figures honest: fired plus
     absorbed must be the per-packet event count exactly, with every
     link and queue counter untouched by the planning."""
 
-    def _dumbbell(self):
-        from repro.experiments.runner import TrafficRunner
-        from repro.experiments.scenarios import (build_emulab,
-                                                 short_flow_schedule)
-        from repro.sim.simulator import Simulator
-
-        sim = Simulator(seed=3)
-        net = build_emulab(sim, n_pairs=4, buffer_bytes=30_000)
-        runner = TrafficRunner(sim, net, drain_time=5.0)
-        runner.schedule(short_flow_schedule("halfback", 0.8, 3.0, seed=3))
-        runner.run()
-        counters = {
-            name: ({s: getattr(link.stats, s) for s in LinkStats.__slots__},
-                   {s: getattr(link.queue.stats, s)
-                    for s in QueueStats.__slots__})
-            for name, link in net.topology.links.items()
-        }
-        return sim.events_run, sim.events_absorbed, counters
-
     def test_fired_plus_absorbed_is_the_per_packet_event_count(self):
-        fired, absorbed, counters = self._dumbbell()
+        fired, absorbed, counters = _dumbbell()
         with batching_disabled():
-            ref_fired, ref_absorbed, ref_counters = self._dumbbell()
+            ref_fired, ref_absorbed, ref_counters = _dumbbell()
         assert absorbed > 0 and ref_absorbed == 0
         assert fired + absorbed == ref_fired
         # The bottleneck overflows in this run, so drops are compared too.
         assert sum(queue["dropped"] for __, queue in counters.values()) > 0
         assert counters == ref_counters
+
+    def test_two_virtual_hops_on_a_lossy_single_pair_path(self):
+        fired, absorbed, counters = _lossy_path()
+        with batching_disabled():
+            ref_fired, ref_absorbed, ref_counters = _lossy_path()
+        assert absorbed > 0 and ref_absorbed == 0
+        assert fired + absorbed == ref_fired
+        # One virtual hop per packet absorbs two of every six per-packet
+        # events; firing under a third of them takes chains of two.
+        assert 3 * fired < ref_fired
+        lost = {name: link["packets_lost_inflight"]
+                for name, (link, __) in counters.items()}
+        assert lost[("r1", "r2")] > 0 and lost[("r2", "r1")] > 0
+        assert counters == ref_counters
+
+
+class TestMetricsEquivalence:
+    """An enabled registry without a trace keeps links batched; every
+    link, queue and sender counter must read what the per-packet run
+    reads.  ``scheduler.events_absorbed`` differs by design."""
+
+    @staticmethod
+    def _snapshot(scenario):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        fired, absorbed, __ = scenario(metrics=metrics)
+        snap = {name: value for name, value in metrics.snapshot().items()
+                if name.startswith(("link.", "queue.", "sender."))}
+        return fired + absorbed, absorbed, snap
+
+    @pytest.mark.parametrize("scenario", (_dumbbell, _lossy_path),
+                             ids=("dumbbell", "lossy_path"))
+    def test_counters_match_the_reference(self, scenario):
+        logical, absorbed, snap = self._snapshot(scenario)
+        with batching_disabled():
+            ref_logical, ref_absorbed, ref_snap = self._snapshot(scenario)
+        assert absorbed > 0 and ref_absorbed == 0
+        assert logical == ref_logical
+        assert snap["link.tx_packets"] > 0
+        assert snap == ref_snap
