@@ -72,8 +72,8 @@ def main(argv=None) -> int:
                               "fingerprint are identical either way)")
     p_sweep.add_argument("--quarantine", action="store_true",
                          help="degrade instead of dying: cells that "
-                              "exhaust their retry budget are reported "
-                              "as MISSING and the sweep completes")
+                              "fail are reported as MISSING and the "
+                              "sweep completes")
     add_run_flags(p_sweep)
     args = parser.parse_args(argv)
 

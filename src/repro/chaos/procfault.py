@@ -8,19 +8,17 @@ of waiting for a real OOM kill to find the bugs.
 
 A plan is a seeded, declarative schedule parsed from a compact spec::
 
-    kill@2              SIGKILL the worker running shard 2 (attempt 0)
-    kill@2.1            ... on its second attempt instead
+    kill@2              SIGKILL the worker running shard 2
     hang@5/20           shard 5 goes heartbeat-silent for 20s
     raise@3             shard 3 raises ProcFaultError
     kill%10             every shard: 10% seeded chance of a kill
     seed=7              reseed the probabilistic terms
 
-Terms are comma-separated and explicit terms target first attempts by
-default, so a supervised retry of the faulted shard succeeds — which is
-exactly the retry-then-recover path the supervisor tests need to see.
-Probabilistic (``%``) terms fire only on attempt 0 for the same reason,
-and derive per-shard coin flips from ``sha256(seed:kind:shard)`` — the
-same schedule in every process that parses the same spec.
+Terms are comma-separated.  Each shard runs once, so a faulted shard
+fails: the run ends, or the shard is quarantined and a later
+``--resume`` without the fault fills its slot.  Probabilistic (``%``)
+terms derive per-shard coin flips from ``sha256(seed:kind:shard)`` —
+the same schedule in every process that parses the same spec.
 
 Faults fire *inside the worker*, between the shard's start heartbeat
 and its cell body (see :func:`repro.parallel.pool._run_shard`), so a
@@ -52,9 +50,8 @@ HANG_SECONDS = 60.0
 @dataclass(frozen=True)
 class _Term:
     kind: str
-    #: Explicit target (shard, attempt), or None for probabilistic.
+    #: Explicit target shard, or None for probabilistic.
     shard: Optional[int]
-    attempt: int
     #: Probabilistic fire rate in percent (None for explicit terms).
     rate: Optional[float]
     seconds: float
@@ -69,30 +66,28 @@ class ProcFaultPlan:
         #: The original spec string (re-parsed identically in workers).
         self.spec = spec
 
-    def fault_for(self, shard: int, attempt: int) -> Optional[Tuple[str, float]]:
-        """The (kind, seconds) fault scheduled for this execution, or
-        None.  First matching term wins."""
+    def fault_for(self, shard: int) -> Optional[Tuple[str, float]]:
+        """The (kind, seconds) fault scheduled for ``shard``, or None.
+        First matching term wins."""
         for term in self.terms:
             if term.shard is not None:
-                if term.shard == shard and term.attempt == attempt:
+                if term.shard == shard:
                     return (term.kind, term.seconds)
                 continue
-            if attempt != 0:
-                continue  # probabilistic faults never dog-pile retries
             coin = hashlib.sha256(
                 f"{self.seed}:{term.kind}:{shard}".encode("ascii")).digest()
             if (int.from_bytes(coin[:8], "big") % 10_000) < term.rate * 100:
                 return (term.kind, term.seconds)
         return None
 
-    def inject(self, shard: int, attempt: int) -> None:
-        """Execute the scheduled fault for ``(shard, attempt)``, if any.
+    def inject(self, shard: int) -> None:
+        """Execute the scheduled fault for ``shard``, if any.
 
         ``kill`` SIGKILLs the calling process (no cleanup — that is the
         point), ``hang`` sleeps heartbeat-silent, ``raise`` raises
         :class:`~repro.errors.ProcFaultError`.
         """
-        fault = self.fault_for(shard, attempt)
+        fault = self.fault_for(shard)
         if fault is None:
             return
         kind, seconds = fault
@@ -101,27 +96,24 @@ class ProcFaultPlan:
         elif kind == "hang":
             time.sleep(seconds)
         elif kind == "raise":
-            raise ProcFaultError(
-                f"injected fault: shard {shard} attempt {attempt}")
+            raise ProcFaultError(f"injected fault: shard {shard}")
 
     def describe(self) -> Dict[str, object]:
         return {"spec": self.spec, "seed": self.seed,
                 "terms": len(self.terms)}
 
 
-def _parse_target(text: str, kind: str) -> Tuple[int, int]:
-    """Parse ``SHARD[.ATTEMPT]`` after an ``@``."""
-    shard_text, _, attempt_text = text.partition(".")
+def _parse_target(text: str, kind: str) -> int:
+    """Parse ``SHARD`` after an ``@``."""
     try:
-        shard = int(shard_text)
-        attempt = int(attempt_text) if attempt_text else 0
+        shard = int(text)
     except ValueError:
         raise ChaosError(
             f"procfault: bad target {text!r} for {kind!r} "
-            f"(expected SHARD[.ATTEMPT])") from None
-    if shard < 0 or attempt < 0:
+            f"(expected KIND@SHARD[/SECONDS])") from None
+    if shard < 0:
         raise ChaosError(f"procfault: negative target in {text!r}")
-    return shard, attempt
+    return shard
 
 
 def parse_procfault(spec: str) -> ProcFaultPlan:
@@ -129,9 +121,9 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
 
     Grammar (comma-separated terms)::
 
-        KIND@SHARD[.ATTEMPT][/SECONDS]   explicit fault
-        KIND%PCT                         seeded per-shard rate
-        seed=N                           seed for % terms (default 0)
+        KIND@SHARD[/SECONDS]   explicit fault
+        KIND%PCT               seeded per-shard rate
+        seed=N                 seed for % terms (default 0)
 
     with KIND one of ``kill``, ``hang``, ``raise``.
     """
@@ -155,7 +147,7 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
             if kind not in FAULT_KINDS:
                 raise ChaosError(f"procfault: unknown fault kind {kind!r} "
                                  f"(expected one of {', '.join(FAULT_KINDS)})")
-            shard, attempt = _parse_target(target.strip(), kind)
+            shard = _parse_target(target.strip(), kind)
             rate = None
         elif "%" in body:
             kind, _, rate_text = body.partition("%")
@@ -171,11 +163,11 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
             if not 0.0 <= rate <= 100.0:
                 raise ChaosError(
                     f"procfault: rate must be 0..100, got {rate!r}")
-            shard, attempt = None, 0
+            shard = None
         else:
             raise ChaosError(
                 f"procfault: cannot parse term {part!r} "
-                f"(expected KIND@SHARD[.ATTEMPT][/SECONDS] or KIND%PCT)")
+                f"(expected KIND@SHARD[/SECONDS] or KIND%PCT)")
         if slash:
             try:
                 seconds = float(seconds_text)
@@ -187,8 +179,8 @@ def parse_procfault(spec: str) -> ProcFaultPlan:
                     f"procfault: negative duration in {part!r}")
         else:
             seconds = HANG_SECONDS if kind == "hang" else 0.0
-        terms.append(_Term(kind=kind, shard=shard, attempt=attempt,
-                           rate=rate, seconds=seconds))
+        terms.append(_Term(kind=kind, shard=shard, rate=rate,
+                           seconds=seconds))
     if not terms:
         raise ChaosError(f"procfault: empty spec {spec!r}")
     return ProcFaultPlan(terms, seed, spec)

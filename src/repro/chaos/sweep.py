@@ -142,8 +142,8 @@ class CellResult:
 class SweepReport:
     """All cells of one sweep plus the determinism fingerprint.
 
-    ``failures`` lists quarantined cells (poison cells that exhausted
-    their supervision retry budget) as structured records naming the
+    ``failures`` lists quarantined cells (cells that raised, crashed
+    or hung under supervision) as structured records naming the
     protocol/profile coordinates lost — a degraded sweep reports what
     is missing instead of dying.  The fingerprint hashes *completed*
     cells only, so a resumed run that fills the holes is byte-identical
@@ -153,7 +153,7 @@ class SweepReport:
     cells: List[CellResult]
     seed: int
     audited: bool
-    #: Quarantined-cell records: protocol, profile, kind, error, attempts.
+    #: Quarantined-cell records: protocol, profile, kind, error.
     failures: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -232,8 +232,7 @@ class SweepReport:
             for failure in self.failures:
                 lines.append(
                     f"  LOST {failure['protocol']} x {failure['profile']}: "
-                    f"{failure['kind']} after {failure['attempts']} "
-                    f"attempt(s): {failure['error']}")
+                    f"{failure['kind']}: {failure['error']}")
             lines.append("re-run with --resume to fill the missing cells")
         verdict = ("liveness contract held for every cell"
                    if self.live else "LIVENESS CONTRACT BROKEN")
@@ -365,7 +364,6 @@ def run_sweep(
                 "profile": task[1].spec,
                 "kind": outcome.kind,
                 "error": outcome.error,
-                "attempts": outcome.attempts,
             })
         else:
             cells.append(outcome)

@@ -73,7 +73,7 @@ class ProcFaultError(ChaosError):
 
     Raised *inside a shard* by the :mod:`repro.chaos.procfault`
     injector; the shard supervisor treats it like any other worker
-    exception (retry, then quarantine or propagate).
+    exception (quarantine or propagate).
     """
 
 
@@ -82,8 +82,8 @@ class ParallelError(ReproError):
 
 
 class WorkerCrashError(ParallelError):
-    """A pool worker died (SIGKILL / hard crash) and the shard ran out
-    of retry budget.  ``shards`` names the cell indices lost."""
+    """A pool worker died (SIGKILL / hard crash) while running a shard.
+    ``shards`` names the cell indices lost."""
 
     def __init__(self, message: str, shards: "list[int]" = ()) -> None:
         self.shards = list(shards)
@@ -91,8 +91,8 @@ class WorkerCrashError(ParallelError):
 
 
 class ShardHungError(ParallelError):
-    """A shard went heartbeat-silent past its deadline, was reaped, and
-    ran out of retry budget.  ``shards`` names the cell indices lost."""
+    """A shard went heartbeat-silent past its deadline and was reaped.
+    ``shards`` names the cell indices lost."""
 
     def __init__(self, message: str, shards: "list[int]" = ()) -> None:
         self.shards = list(shards)

@@ -26,7 +26,7 @@ order, so the ``== audit ==`` and ``== breakdown ==`` sections and the
 trace-viewer export are the same for any ``--jobs``.
 
 The run lifecycle — ``--progress``, ``--manifest`` / ``--no-manifest``,
-``--retries``, ``--heartbeat-timeout``, ``--procfault``, ``--resume``,
+``--heartbeat-timeout``, ``--procfault``, ``--resume``,
 the schema-validated ``run_manifest.json`` and how each ending maps to
 an exit code — is :class:`repro.obs.manifest.RunSession`, shared with
 ``chaos sweep``.
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
                         help="master random seed")
     parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker processes for sweep-cell fan-out "
-                             "(figs 5-8, 12, 16; default 1 = serial; "
+                             "(figs 1, 5-8, 12, 16, 17; default 1 = serial; "
                              "results are identical either way)")
     parser.add_argument("--telemetry", nargs="?", const=DEFAULT_TELEMETRY_DIR,
                         default=None, metavar="DIR",
@@ -253,7 +253,8 @@ def main(argv=None) -> int:
     config = {"experiments": names, "scale": args.scale, "seed": args.seed,
               "jobs": args.jobs, "chaos": args.chaos, "breakdown": breakdown}
     # Experiments never quarantine: a figure with holes is not a figure.
-    # Retries and reaping still apply to the --jobs fan-out.
+    # Reaping still applies to the --jobs fan-out: a failed cell ends
+    # the run.
     with RunSession("experiments:" + args.experiment, args, config,
                     env={"telemetry_dir": args.telemetry,
                          "telemetry_format": args.telemetry_format,

@@ -51,11 +51,13 @@ def run(
     seed: int = 0,
     n_pairs: int = 16,
     sweep: Optional[UtilizationSweep] = None,
+    jobs: int = 1,
 ) -> Fig1Result:
     """Derive the tradeoff scatter (reuses a Fig. 12 sweep if given)."""
     if sweep is None:
         sweep = sweep_protocols(protocols, utilizations=utilizations,
-                                duration=duration, seed=seed, n_pairs=n_pairs)
+                                duration=duration, seed=seed, n_pairs=n_pairs,
+                                jobs=jobs)
     points = {
         protocol: (sweep.feasible[protocol], sweep.low_load_fct(protocol))
         for protocol in sweep.points

@@ -44,11 +44,12 @@ def run(
     seed: int = 0,
     n_pairs: int = 16,
     collapse_factor: float = 4.0,
+    jobs: int = 1,
 ) -> UtilizationSweep:
     """The Fig. 17 sweep (same machinery as Fig. 12, ablation schemes)."""
     return sweep_protocols(protocols, utilizations=utilizations,
                            duration=duration, seed=seed, n_pairs=n_pairs,
-                           collapse_factor=collapse_factor)
+                           collapse_factor=collapse_factor, jobs=jobs)
 
 
 def format_report(result: UtilizationSweep) -> str:

@@ -50,7 +50,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-MANIFEST_SCHEMA_ID = "repro.obs.manifest/2"
+MANIFEST_SCHEMA_ID = "repro.obs.manifest/3"
 
 #: JSON-schema-style description of the manifest document.  Kept a
 #: plain dict (usable by ``jsonschema`` where installed) while
@@ -156,12 +156,10 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "interrupt_reason": {"type": ["string", "null"]},
         "supervisor": {
             "type": ["object", "null"],
-            "required": ["shards", "attempts", "retries", "reaped",
-                         "pool_respawns", "replayed", "quarantined"],
+            "required": ["shards", "reaped", "pool_respawns", "replayed",
+                         "quarantined"],
             "properties": {
                 "shards": {"type": "integer"},
-                "attempts": {"type": "integer"},
-                "retries": {"type": "integer"},
                 "reaped": {"type": "integer"},
                 "pool_respawns": {"type": "integer"},
                 "replayed": {"type": "integer"},
@@ -388,8 +386,8 @@ class RunManifest:
 
     def record_supervisor(self, stats: Dict[str, Any],
                           resume: Optional[Dict[str, Any]] = None) -> None:
-        """Record shard-supervision provenance: attempts, retries,
-        reaped workers, pool respawns, quarantined cells —
+        """Record shard-supervision provenance: shards, reaped
+        workers, pool respawns, quarantined cells —
         plus resume lineage (the journal and its content digest) when
         the run replayed a previous run's cells.
 
@@ -486,8 +484,9 @@ class RunManifest:
         for key in ("started_at", "finished_at", "wall_s", "peak_rss_kb",
                     "stages", "git", "platform", "python",
                     # Supervision is scheduling, not results: how many
-                    # retries a run needed depends on injected faults
-                    # and machine weather, never on what it computed.
+                    # workers a run reaped or respawned depends on
+                    # injected faults and machine weather, never on
+                    # what it computed.
                     # Likewise who watched: observers must not change
                     # what they observe.
                     "supervisor", "observers", "interrupt_reason"):
@@ -591,17 +590,12 @@ def add_run_flags(parser) -> None:
                              "(default: run_manifest.json)")
     parser.add_argument("--no-manifest", action="store_true",
                         help="skip writing the run manifest")
-    parser.add_argument("--retries", type=positive_int, default=1,
-                        metavar="N",
-                        help="total attempts per sweep cell before it "
-                             "fails (default 1 = no retry; applies to the "
-                             "fan-out, with deterministic backoff)")
     parser.add_argument("--heartbeat-timeout", type=positive_seconds,
                         default=None,
                         metavar="SECONDS",
                         help="reap (SIGKILL) a fan-out worker after this "
-                             "many seconds of heartbeat silence and retry "
-                             "its cell (default: never)")
+                             "many seconds of heartbeat silence; its cell "
+                             "fails (default: never)")
     parser.add_argument("--procfault", type=procfault_spec, default=None,
                         metavar="SPEC",
                         help="inject harness process faults into the "
@@ -630,8 +624,8 @@ class RunSession:
 
     Construction creates the :class:`RunManifest` (unless
     ``args.no_manifest``) and digests ``config``.  Entry declares, through
-    the ambient run context, the supervision policy (``args.retries``,
-    ``args.heartbeat_timeout`` and ``quarantine``, which only ``chaos
+    the ambient run context, the supervision policy
+    (``args.heartbeat_timeout`` and ``quarantine``, which only ``chaos
     sweep`` sets), the ``--resume`` cell journal, the ``--progress``
     plane and the ``WorkerEnv`` (``args.procfault`` plus the ``env`` fields), then
     zeroes the tie-break and supervision accumulators.  Exit leaves those
@@ -667,7 +661,6 @@ class RunSession:
             # The policy's fields: ``fanout_map`` builds the policy, so
             # a run that never fans out never imports repro.parallel.
             stack.enter_context(context.scope(policy=dict(
-                max_attempts=args.retries,
                 heartbeat_timeout=args.heartbeat_timeout,
                 quarantine=self._quarantine)))
             if args.resume is not None:
@@ -759,10 +752,9 @@ class RunSession:
             from repro.parallel import fanout_stats
 
             stats = fanout_stats()
-        if any(stats.get(key) for key in ("retries", "reaped",
-                                      "pool_respawns", "replayed")):
-            print(f"[supervisor: {stats['attempts']} attempts, "
-                  f"{stats['retries']} retries, {stats['reaped']} reaped, "
+        if any(stats.get(key) for key in ("reaped", "pool_respawns",
+                                          "replayed")):
+            print(f"[supervisor: {stats['reaped']} reaped, "
                   f"{stats['pool_respawns']} pool respawns, "
                   f"{stats['replayed']} cells replayed from journal]")
         manifest = self.manifest

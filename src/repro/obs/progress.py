@@ -19,8 +19,8 @@ each shard a heartbeat channel and the parent a live, exportable view:
 
 The same heartbeats double as the *liveness* signal for the shard
 supervisor (:mod:`repro.parallel.supervisor`): a worker whose heartbeats
-go silent past the policy deadline gets reaped and its shard retried,
-and supervision verdicts surface as ``retry``/``fail`` events.
+go silent past the policy deadline gets reaped and its shard charged a
+``hang``, and a quarantined shard surfaces as a ``fail`` event.
 
 The plane is wall-clock-driven and advisory by design: it never touches
 simulation state, so enabling it cannot change a result or fingerprint.
@@ -74,7 +74,7 @@ NONTTY_REFRESH_INTERVAL = 10.0
 #: Default seconds between Prometheus/JSONL snapshot writes.
 SNAPSHOT_INTERVAL = 5.0
 
-SNAPSHOT_SCHEMA = "repro.obs.progress/1"
+SNAPSHOT_SCHEMA = "repro.obs.progress/2"
 
 #: JSONL snapshots retained in memory (the file is rewritten atomically
 #: per export): first snapshot + this many recent ones ≈ an hour of
@@ -85,8 +85,8 @@ MAX_SNAPSHOTS = 720
 class ProgressEvent:
     """One heartbeat from a shard (picklable, pipe-friendly).
 
-    ``retry`` and ``fail`` are parent-side supervision verdicts (a shard requeued after a failed attempt; a
-    shard quarantined after exhausting its budget).
+    ``fail`` is the parent-side supervision verdict on a quarantined
+    shard.
     """
 
     __slots__ = ("shard", "kind", "label", "flows_done", "flows_total",
@@ -97,7 +97,7 @@ class ProgressEvent:
                  events: int = 0, wall_s: float = 0.0,
                  ts: Optional[float] = None) -> None:
         self.shard = shard
-        self.kind = kind  # "start" | "update" | "done" | "retry" | "fail"
+        self.kind = kind  # "start" | "update" | "done" | "fail"
         self.label = label
         self.flows_done = flows_done
         self.flows_total = flows_total
@@ -114,7 +114,7 @@ class ShardState:
     """Parent-side view of one shard's latest heartbeat."""
 
     __slots__ = ("shard", "label", "state", "flows_done", "flows_total",
-                 "events", "wall_s", "updated_at", "retries")
+                 "events", "wall_s", "updated_at")
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
@@ -125,7 +125,6 @@ class ShardState:
         self.events = 0
         self.wall_s = 0.0
         self.updated_at = 0.0
-        self.retries = 0
 
     def apply(self, event: ProgressEvent) -> None:
         """Fold one heartbeat in (monotonic per shard)."""
@@ -135,11 +134,6 @@ class ShardState:
             self.state = "running"
         elif event.kind == "done":
             self.state = "done"
-        elif event.kind == "retry":
-            # The supervisor requeued this shard: back to waiting, with
-            # the attempt recorded.  A ``start`` follows when it re-runs.
-            self.retries += 1
-            self.state = "pending"
         elif event.kind == "fail":
             self.state = "failed"
         elif self.state == "pending":
@@ -159,7 +153,6 @@ class ShardState:
             "flows_done": self.flows_done,
             "flows_total": self.flows_total,
             "events": self.events,
-            "retries": self.retries,
             "wall_s": round(self.wall_s, 6),
         }
 
@@ -298,7 +291,6 @@ class ProgressPlane:
         done = sum(1 for s in states if s.state == "done")
         running = sum(1 for s in states if s.state == "running")
         failed = sum(1 for s in states if s.state == "failed")
-        retries = sum(s.retries for s in states)
         flows = sum(s.flows_done for s in states)
         events = sum(s.events for s in states)
         elapsed = time.perf_counter() - self._started_mono
@@ -309,7 +301,6 @@ class ProgressPlane:
             "shards_done": done,
             "shards_running": running,
             "shards_failed": failed,
-            "shard_retries": retries,
             "flows_done": flows,
             "events": events,
             "elapsed_s": elapsed,
@@ -322,9 +313,8 @@ class ProgressPlane:
         t = self.totals()
         eta = f"{t['eta_s']:.0f}s" if t["eta_s"] is not None else "?"
         trouble = ""
-        if t["shards_failed"] or t["shard_retries"]:
-            trouble = (f" [{t['shards_failed']} failed, "
-                       f"{t['shard_retries']} retries]")
+        if t["shards_failed"]:
+            trouble = f" [{t['shards_failed']} failed]"
         return (f"[obs] shards {t['shards_done']}/{t['shards_total']} "
                 f"({t['shards_running']} running){trouble} | "
                 f"flows {t['flows_done']} | "
@@ -360,11 +350,7 @@ class ProgressPlane:
             ("repro_progress_shards_running", "gauge",
              "Shards currently executing", t["shards_running"]),
             ("repro_progress_shards_failed", "gauge",
-             "Shards quarantined after exhausting their retry budget",
-             t["shards_failed"]),
-            ("repro_progress_shard_retries_total", "counter",
-             "Shard attempts requeued by the supervisor",
-             t["shard_retries"]),
+             "Shards quarantined by the supervisor", t["shards_failed"]),
             ("repro_progress_flows_done_total", "counter",
              "Flows completed across all shards", t["flows_done"]),
             ("repro_progress_sim_events_total", "counter",

@@ -38,12 +38,13 @@ of opaque and brittle:
   ``--breakdown`` and ``--trace-viewer`` are the same for any ``jobs``.
   The observation is part of each cell's journal digest.
 * **supervision & journaling** — :func:`supervision` declares a
-  :class:`FanoutPolicy` (retries with deterministic backoff,
-  heartbeat-deadline reaping of hung workers, poison-cell
-  quarantine) and :func:`journaling` a
+  :class:`FanoutPolicy` (heartbeat-deadline reaping of hung workers,
+  failed-cell quarantine) and :func:`journaling` a
   :class:`CellJournal` that records each completed cell durably so an
-  interrupted sweep resumes instead of restarting.  The default policy
-  is the legacy behavior: one attempt, first failure propagates.
+  interrupted or degraded sweep resumes instead of restarting.  Each
+  cell runs once: a deterministic cell that failed would fail again,
+  so there is no retry.  The default policy is the legacy behavior:
+  first failure propagates.
 
 Importing this package costs :mod:`~repro.parallel.policy` only, and a
 run that never fans out imports neither: it declares the policy's
@@ -54,7 +55,6 @@ plumbing, the journal and the supervisor — and with it
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, TypeVar)
@@ -135,9 +135,9 @@ def run_serial(
     results: Optional[Dict[int, Any]] = None,
     stats: Optional[SupervisorStats] = None,
 ) -> List[Any]:
-    """The in-process twin of :class:`ShardSupervisor`: same retry /
-    quarantine semantics, no pool (so no reaping — a hang
-    here hangs the caller, which is what serial means)."""
+    """The in-process twin of :class:`ShardSupervisor`: same quarantine
+    semantics, no pool (so no reaping — a hang here hangs the caller,
+    which is what serial means)."""
     from repro.parallel.pool import _item_label, _run_shard
 
     if plane is not None:
@@ -151,33 +151,21 @@ def run_serial(
     for index, item in enumerate(items):
         if index in results:
             continue
-        label = _item_label(item)
-        failures = 0
-        while True:
-            stats.attempts += 1
-            try:
-                value = _run_shard(worker, index, item, failures, post)
-            except Exception as exc:
-                failures += 1
-                if failures >= policy.max_attempts:
-                    if not policy.quarantine:
-                        raise
-                    failure = ShardFailure(index, label, "exception",
-                                           str(exc), failures)
-                    stats.quarantined.append(failure.to_dict())
-                    results[index] = failure
-                    if plane is not None:
-                        plane.apply(ProgressEvent(index, "fail", label=label))
-                    break
-                stats.retries += 1
-                if plane is not None:
-                    plane.apply(ProgressEvent(index, "retry", label=label))
-                time.sleep(policy.backoff(failures))
-                continue
-            results[index] = value
-            if on_result is not None:
-                on_result(index, value)
-            break
+        try:
+            value = _run_shard(worker, index, item, post)
+        except Exception as exc:
+            if not policy.quarantine:
+                raise
+            label = _item_label(item)
+            failure = ShardFailure(index, label, "exception", str(exc))
+            stats.quarantined.append(failure.to_dict())
+            results[index] = failure
+            if plane is not None:
+                plane.apply(ProgressEvent(index, "fail", label=label))
+            continue
+        results[index] = value
+        if on_result is not None:
+            on_result(index, value)
     return [results[i] for i in range(len(items))]
 
 
@@ -203,10 +191,10 @@ def fanout_map(
     serial runs.
 
     ``worker`` must be picklable (a module-level function), as must the
-    items and results.  Under the default policy a worker exception
-    propagates to the caller, matching the serial path's behavior;
-    ``policy`` (or an ambient :func:`supervision` block) buys retries,
-    hung-shard reaping and quarantine — see
+    items and results.  Each item runs once.  Under the default policy a
+    worker exception propagates to the caller, matching the serial
+    path's behavior; ``policy`` (or an ambient :func:`supervision`
+    block) buys hung-shard reaping and quarantine — see
     :class:`FanoutPolicy`.  With quarantine on, failed slots hold
     :class:`ShardFailure` records instead of raising.
 

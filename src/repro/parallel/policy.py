@@ -30,43 +30,26 @@ __all__ = ["FanoutPolicy", "ShardFailure", "SupervisorStats",
 class FanoutPolicy:
     """Supervision knobs for one fan-out.
 
-    The defaults are the legacy semantics: one attempt per shard, no
-    deadline, failures propagate.  Every field is deterministic by
-    construction — backoff has no jitter, and retry
-    schedules never touch cell results (cells are pure functions of
-    their seeds, so *when* a cell runs cannot change *what* it
-    returns).
+    The defaults are the legacy semantics: no deadline, the first
+    failure propagates.  Each cell is handed out exactly once: cells
+    are deterministic functions of their seeds, so a cell that raises,
+    crashes or hangs does the same on every attempt.
     """
 
-    #: Total attempts allowed per shard (1 = no retry).
-    max_attempts: int = 1
-    #: First-retry backoff in seconds; attempt ``n`` waits
-    #: ``backoff_base * 2**(n-1)``, capped at :attr:`backoff_cap`.
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
     #: Reap a started shard after this many seconds of heartbeat
     #: silence (None = never reap).  Measured from the last heartbeat,
     #: not the submission — a shard that keeps completing flows keeps
     #: itself alive.
     heartbeat_timeout: Optional[float] = None
-    #: Convert a shard that exhausts its budget into a
-    #: :class:`ShardFailure` result instead of raising.
+    #: Convert a failed shard into a :class:`ShardFailure` result
+    #: instead of raising.
     quarantine: bool = False
-    #: Supervisor wake-up interval (scheduling granularity), seconds.
-    check_interval: float = 0.05
-
-    def backoff(self, failures: int) -> float:
-        """Deterministic backoff before retry number ``failures``."""
-        if failures <= 0:
-            return 0.0
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** (failures - 1)))
 
 
 @dataclass
 class ShardFailure:
     """A quarantined shard: the structured tombstone left in the result
-    slot when a cell exhausted its retry budget."""
+    slot when a cell failed."""
 
     index: int
     label: str
@@ -74,7 +57,6 @@ class ShardFailure:
     #: or ``hang`` (heartbeat-silent past the deadline, reaped).
     kind: str
     error: str
-    attempts: int
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -82,12 +64,10 @@ class ShardFailure:
             "label": self.label,
             "kind": self.kind,
             "error": self.error,
-            "attempts": self.attempts,
         }
 
     def __str__(self) -> str:
-        return (f"shard {self.index} [{self.label}] {self.kind} after "
-                f"{self.attempts} attempt(s): {self.error}")
+        return f"shard {self.index} [{self.label}] {self.kind}: {self.error}"
 
 
 @dataclass
@@ -96,9 +76,6 @@ class SupervisorStats:
     accumulator by ``fanout_map``; recorded in run manifests)."""
 
     shards: int = 0
-    #: Task submissions, including retries.
-    attempts: int = 0
-    retries: int = 0
     #: Hung workers SIGKILLed by the heartbeat deadline.
     reaped: int = 0
     pool_respawns: int = 0
@@ -109,8 +86,6 @@ class SupervisorStats:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "shards": self.shards,
-            "attempts": self.attempts,
-            "retries": self.retries,
             "reaped": self.reaped,
             "pool_respawns": self.pool_respawns,
             "replayed": self.replayed,
@@ -119,8 +94,6 @@ class SupervisorStats:
 
     def merge(self, other: "SupervisorStats") -> None:
         self.shards += other.shards
-        self.attempts += other.attempts
-        self.retries += other.retries
         self.reaped += other.reaped
         self.pool_respawns += other.pool_respawns
         self.replayed += other.replayed
@@ -129,8 +102,8 @@ class SupervisorStats:
 
 # ----------------------------------------------------------------------
 # Ambient declarations (the ``policy`` / ``journal`` slots of the run
-# context): a CLI enables retries or resume without passing arguments
-# through every experiment module
+# context): a CLI enables reaping, quarantine or resume without passing
+# arguments through every experiment module
 # ----------------------------------------------------------------------
 
 

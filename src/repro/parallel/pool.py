@@ -5,8 +5,9 @@ boundary: the picklable :class:`WorkerEnv` that workers mirror,
 :func:`_worker_main`, the body of every supervised worker process,
 :func:`_run_shard`, the per-item body (shard heartbeats, the ambient
 process-fault injector, the worker call) that workers and the serial
-fan-out share, and :func:`_observed`, the worker wrapper that gives
-each cell its own audit and breakdown sessions.
+fan-out share and run once per shard, and :func:`_observed`, the
+worker wrapper that gives each cell its own audit and breakdown
+sessions.
 
 The supervisor (:mod:`repro.parallel.supervisor`) owns scheduling;
 this module owns what runs *inside* a worker.
@@ -108,10 +109,9 @@ def _item_label(item) -> str:
     return label[:48]
 
 
-def _run_shard(worker, index: int, item, attempt: int,
-               post: Optional[Callable] = None):
-    """One attempt at one shard — the per-item body of the serial
-    fan-out and of every worker process.
+def _run_shard(worker, index: int, item, post: Optional[Callable] = None):
+    """One shard — the per-item body of the serial fan-out and of every
+    worker process.
 
     With a progress channel (``post``: the plane's ``apply`` in-process,
     the worker pipe's ``send`` in a worker) the shard's ``start``
@@ -127,7 +127,7 @@ def _run_shard(worker, index: int, item, attempt: int,
         reporter.started(label=_item_label(item))
     plan = ambient.procfault
     if plan is not None:
-        plan.inject(index, attempt)
+        plan.inject(index)
     if reporter is None:
         return worker(item)
     with reporting(reporter):
@@ -171,7 +171,7 @@ def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
     """The body of one supervised worker process.
 
     Mirrors ``env`` (telemetry files suffixed ``-shard<shard>``), then
-    runs each ``(worker, index, item, attempt)`` the parent sends through
+    runs each ``(worker, index, item)`` the parent sends through
     :func:`_run_shard`, posting heartbeats on the same pipe, and replies
     ``(True, value, tie-break counts)`` or ``(False, (error, traceback
     text), None)``.  ``None`` dismisses it: its sessions close the

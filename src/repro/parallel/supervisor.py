@@ -2,10 +2,11 @@
 
 ``pool.map`` dies with its first casualty: one crashed worker, one
 poison cell, or one hung shard aborts the whole fan-out with nothing
-salvaged.  The supervisor replaces it with per-shard control:
+salvaged.  The supervisor replaces it with per-shard control.  Each
+cell is handed out exactly once — a cell is a deterministic function
+of its seed, so a second attempt would fail the same way — and a
+failure is charged to the one cell that caused it:
 
-* **bounded deterministic retries** — a failed attempt requeues with
-  exponential backoff (no jitter: retry timing never feeds results);
 * **crash recovery** — a worker that dies while holding a shard charges
   that shard a ``crash``; only that worker is replaced;
 * **hung-shard reaping** — with a heartbeat deadline set, a worker
@@ -13,10 +14,10 @@ salvaged.  The supervisor replaces it with per-shard control:
   hand-off if the shard never started) is SIGKILLed and replaced, and
   its shard charged a ``hang`` (the recovery-timer idea from T-RACKs,
   applied to the harness);
-* **quarantine** — a shard that exhausts its budget becomes a
-  structured :class:`ShardFailure` in its result slot instead of an
-  exception, so a sweep degrades to a report that names exactly which
-  cells are missing.
+* **quarantine** — a failed shard becomes a structured
+  :class:`ShardFailure` in its result slot instead of an exception, so
+  a sweep degrades to a report that names exactly which cells are
+  missing, and a later ``--resume`` runs just those.
 
 The supervisor starts its workers itself, one duplex pipe each
 (:func:`repro.parallel.pool._worker_main`), and hands a shard only to
@@ -24,15 +25,16 @@ an idle worker, so a shard is held by at most one worker at a time and
 every failure has exactly one owner.  A successful reply's scheduler
 tie-break counts fold into this process's, as if the cell had run here.
 
-Everything is policy-gated: the default :class:`FanoutPolicy` (one
-attempt, no deadline, no quarantine) reproduces the old ``pool.map``
-semantics — first failure propagates.
+Everything is policy-gated: the default :class:`FanoutPolicy` (no
+deadline, no quarantine) reproduces the old ``pool.map`` semantics —
+first failure propagates.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import deque
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -44,6 +46,9 @@ from repro.sim.simulator import fold_tie_break_stats
 
 __all__ = ["ShardSupervisor"]
 
+#: Supervisor wake-up interval (the reaping granularity), seconds.
+CHECK_INTERVAL = 0.05
+
 
 class _RemoteTraceback(Exception):
     """A worker's formatted traceback, chained as the ``__cause__`` of
@@ -53,25 +58,10 @@ class _RemoteTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-class _Task:
-    """Parent-side state for one shard."""
-
-    __slots__ = ("index", "item", "label", "submissions", "failures",
-                 "next_eligible")
-
-    def __init__(self, index: int, item: Any) -> None:
-        self.index = index
-        self.item = item
-        self.label = _item_label(item)
-        self.submissions = 0        # attempt numbers handed to workers
-        self.failures = 0           # consumed retry budget
-        self.next_eligible = 0.0    # backoff gate (perf_counter clock)
-
-
 class _Worker:
     """One worker process, its end of the pipe, and the shard it holds."""
 
-    __slots__ = ("process", "conn", "task", "started", "heard_at")
+    __slots__ = ("process", "conn", "held", "started", "heard_at")
 
     def __init__(self, env: Optional[WorkerEnv], shard: int) -> None:
         self.conn, child = multiprocessing.Pipe()
@@ -80,7 +70,7 @@ class _Worker:
             name=f"shard-worker-{shard}")
         self.process.start()
         child.close()
-        self.task: Optional[_Task] = None
+        self.held: Optional[int] = None  # the index of the shard it holds
         self.started = False   # a heartbeat arrived for the held shard
         self.heard_at = 0.0    # last message, or the hand-off
 
@@ -128,9 +118,8 @@ class ShardSupervisor:
         self.on_result = on_result
         self.results: Dict[int, Any] = dict(results or {})
         self.stats = SupervisorStats(shards=len(self.items))
-        self._pending: List[_Task] = [
-            _Task(i, item) for i, item in enumerate(self.items)
-            if i not in self.results]
+        self._pending = deque(i for i in range(len(self.items))
+                              if i not in self.results)
         self._pool: List[_Worker] = []
         self._spawned = 0  # the next worker's shard number
 
@@ -168,7 +157,7 @@ class ShardSupervisor:
         """An idle worker, spawning one while fewer than ``workers``
         are alive; None when every worker holds a shard."""
         for worker in self._pool:
-            if worker.task is None:
+            if worker.held is None:
                 return worker
         if len(self._pool) >= self.workers:
             return None
@@ -182,47 +171,29 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def _loop(self) -> None:
-        policy = self.policy
         total = len(self.items)
         while len(self.results) < total:
-            now = time.perf_counter()
-            self._hand_eligible(now)
-            if not any(worker.task for worker in self._pool):
-                # Everything left is backing off.
-                soonest = min(t.next_eligible for t in self._pending)
-                time.sleep(max(0.0, min(policy.check_interval,
-                                        soonest - now)) or 0.005)
-                continue
+            self._hand_pending()
             handles = [worker.conn for worker in self._pool] \
                 + [worker.process.sentinel for worker in self._pool]
-            ready = set(wait(handles, timeout=policy.check_interval))
+            ready = set(wait(handles, timeout=CHECK_INTERVAL))
             for worker in list(self._pool):
                 if worker.conn in ready or worker.process.sentinel in ready:
                     self._service(worker, ready)
             self._reap_hung(time.perf_counter())
 
-    def _hand_eligible(self, now: float) -> None:
-        still_waiting: List[_Task] = []
-        for task in self._pending:
-            if task.next_eligible > now or not self._hand(task):
-                still_waiting.append(task)
-        self._pending = still_waiting
-
-    def _hand(self, task: _Task) -> bool:
-        """Hand ``task`` to an idle worker; False when none is free."""
-        worker = self._idle_worker()
-        if worker is None:
-            return False
-        attempt = task.submissions
-        task.submissions += 1
-        self.stats.attempts += 1
-        worker.task = task
-        worker.started, worker.heard_at = False, time.perf_counter()
-        try:
-            worker.conn.send((self.worker, task.index, task.item, attempt))
-        except OSError:
-            pass  # it died idle; its sentinel charges the shard a crash
-        return True
+    def _hand_pending(self) -> None:
+        """Hand pending shards, in item order, to idle workers."""
+        while self._pending:
+            worker = self._idle_worker()
+            if worker is None:
+                return
+            index = worker.held = self._pending.popleft()
+            worker.started, worker.heard_at = False, time.perf_counter()
+            try:
+                worker.conn.send((self.worker, index, self.items[index]))
+            except OSError:
+                pass  # it died idle; its sentinel charges the shard a crash
 
     def _service(self, worker: _Worker, ready: set) -> None:
         """Read what ``worker`` sent; retire it if it has ended."""
@@ -249,16 +220,16 @@ class ShardSupervisor:
                 self.plane.apply(message)
             return
         ok, value, ties = message
-        task, worker.task = worker.task, None
+        index, worker.held = worker.held, None
         if ok:
             fold_tie_break_stats(ties)
-            self.results[task.index] = value
+            self.results[index] = value
             if self.on_result is not None:
-                self.on_result(task.index, value)
+                self.on_result(index, value)
             return
         error, remote_traceback = value
         error.__cause__ = _RemoteTraceback(remote_traceback)
-        self._attempt_failed(task, "exception", error)
+        self._failed(index, "exception", error)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -270,40 +241,29 @@ class ShardSupervisor:
         self._pool.remove(worker)
         worker.conn.close()
         self.stats.pool_respawns += 1
-        if worker.task is not None:
-            self._attempt_failed(worker.task, kind, error)
+        if worker.held is not None:
+            self._failed(worker.held, kind, error)
 
-    def _attempt_failed(self, task: _Task, kind: str, error: Any) -> None:
-        task.failures += 1
-        if task.failures >= self.policy.max_attempts:
-            self._finalize_failure(task, kind, error)
-            return
-        self.stats.retries += 1
-        task.next_eligible = (time.perf_counter()
-                              + self.policy.backoff(task.failures))
-        self._pending.append(task)
-        if self.plane is not None:
-            self.plane.apply(_progress.ProgressEvent(
-                task.index, "retry", label=task.label))
-
-    def _finalize_failure(self, task: _Task, kind: str, error: Any) -> None:
-        failure = ShardFailure(task.index, task.label, kind, str(error),
-                               task.failures)
+    def _failed(self, index: int, kind: str, error: Any) -> None:
+        """Charge shard ``index`` its one failure: quarantine it, or
+        raise."""
+        label = _item_label(self.items[index])
+        failure = ShardFailure(index, label, kind, str(error))
         if self.policy.quarantine:
             self.stats.quarantined.append(failure.to_dict())
             # Deliberately NOT routed through on_result: the journal
             # only ever holds real cell results, so a resumed run
-            # re-attempts quarantined cells instead of replaying their
+            # runs quarantined cells again instead of replaying their
             # tombstones.
-            self.results[task.index] = failure
+            self.results[index] = failure
             if self.plane is not None:
                 self.plane.apply(_progress.ProgressEvent(
-                    task.index, "fail", label=task.label))
+                    index, "fail", label=label))
             return
         if kind == "crash":
-            raise WorkerCrashError(str(failure), shards=[task.index])
+            raise WorkerCrashError(str(failure), shards=[index])
         if kind == "hang":
-            raise ShardHungError(str(failure), shards=[task.index])
+            raise ShardHungError(str(failure), shards=[index])
         raise error
 
     # ------------------------------------------------------------------
@@ -315,7 +275,7 @@ class ShardSupervisor:
         if timeout is None:
             return
         for worker in list(self._pool):
-            if worker.task is None or now - worker.heard_at <= timeout:
+            if worker.held is None or now - worker.heard_at <= timeout:
                 continue
             worker.process.kill()
             worker.process.join()

@@ -22,7 +22,9 @@ FLAGS = {
     "trace_viewer": lambda tmp: ["--trace-viewer", str(tmp / "spans.json")],
     "progress": lambda tmp: ["--progress"],
     "resume": lambda tmp: ["--resume", str(tmp / "state")],
-    "procfault": lambda tmp: ["--procfault", "raise@0", "--retries", "2"],
+    # A fault aimed past the last cell: the plan is parsed, entered and
+    # consulted by every shard, and fires on none of them.
+    "procfault": lambda tmp: ["--procfault", "raise@99999"],
     "jobs": lambda tmp: ["--jobs", "2"],
 }
 
@@ -88,13 +90,36 @@ def test_scale_and_jobs_must_be_positive(flag, value, capsys):
     assert f"invalid {kind} value" in capsys.readouterr().err
 
 
+def test_retries_is_not_an_option(capsys):
+    # Each cell runs once: a deterministic cell fails the same way on
+    # every attempt, so there is nothing to retry.
+    with pytest.raises(SystemExit) as ended:
+        main(["fig3", "--retries", "2", "--no-manifest"])
+    assert ended.value.code == 2
+    assert "unrecognized arguments: --retries 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])
 def test_retries_must_be_positive(value, capsys):
-    # Before, a figure ran with ``--retries -5`` and exited 0.
+    # The values a bounded ``--retries`` once refused are still refused,
+    # now because no ``--retries`` value is accepted at all.
     with pytest.raises(SystemExit) as ended:
         main(["fig3", "--retries", value, "--no-manifest"])
     assert ended.value.code == 2
-    assert "invalid positive_int value" in capsys.readouterr().err
+    assert (f"unrecognized arguments: --retries {value}"
+            in capsys.readouterr().err)
+
+
+def test_attempt_qualified_procfault_is_refused(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as ended:
+        main(["fig3", "--procfault", "kill@1.1", "--manifest",
+              str(manifest)])
+    assert ended.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "KIND@SHARD[/SECONDS]" in err
+    assert not manifest.exists()
 
 
 def test_procfault_spec_is_parsed_with_the_arguments(tmp_path, capsys):

@@ -161,3 +161,37 @@ def test_breakdown_stdout_is_the_same_for_any_jobs(name, capsys,
     assert serial.count("== breakdown ==") == 1
     assert sum(line.startswith("breakdown fingerprint:")
                for line in serial) == 1
+
+
+#: The figures that reuse Fig. 12's sweep, through registry rows shrunk
+#: to a 2 x 2 cell matrix the same way.
+SWEEP_REUSERS = {
+    "fig1": ("fig01_tradeoff", dict(
+        protocols=("tcp", "halfback"), utilizations=(0.2, 0.4),
+        duration=2.0, n_pairs=4)),
+    "fig17": ("fig17_ablation", dict(
+        protocols=("halfback-forward", "halfback"), utilizations=(0.2, 0.4),
+        duration=2.0, n_pairs=4)),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_REUSERS))
+def test_sweep_reusers_fan_out_and_match_serial(name, capsys, monkeypatch):
+    from repro.experiments import cli
+    from repro.parallel.supervisor import ShardSupervisor
+
+    module, kwargs = SWEEP_REUSERS[name]
+    description, _ = cli.EXPERIMENTS[name]
+    monkeypatch.setitem(cli.EXPERIMENTS, name, cli._experiment(
+        description, module, lambda scale: dict(kwargs)))
+    fanouts = []
+    supervise = ShardSupervisor.run
+    monkeypatch.setattr(ShardSupervisor, "run", lambda self: (
+        fanouts.append(self.workers) or supervise(self)))
+    argv = [name, "--scale", "0.02", "--no-manifest"]
+    serial = _stdout(argv + ["--jobs", "1"], capsys)
+    assert fanouts == []
+    fanned = _stdout(argv + ["--jobs", "2"], capsys)
+    # --jobs reached the sweep: one fan-out over two workers.
+    assert fanouts == [2]
+    assert fanned == serial

@@ -92,12 +92,14 @@ class TestCli:
 
 def _wrappers(scale, seed, jobs):
     """What the per-figure wrapper functions the registry table replaced
-    passed to each module's ``run``: ``name -> (module, kwargs)``."""
+    passed to each module's ``run``: ``name -> (module, kwargs)``, plus
+    ``jobs`` for fig1 and fig17, whose Fig. 12 sweep the wrappers ran
+    serial."""
     paths = {"n_paths": int(260 * scale), "seed": seed, "jobs": jobs}
     return {
         "fig1": ("fig01_tradeoff", {
             "utilizations": tuple(round(0.1 * i, 2) for i in range(1, 10)),
-            "duration": max(5.0, 10 * scale), "seed": seed}),
+            "duration": max(5.0, 10 * scale), "seed": seed, "jobs": jobs}),
         "fig2": ("fig02_traffic_cdf", {}),
         "fig3": ("fig03_example", {"seed": seed}),
         "table1": ("table1_taxonomy", {}),
@@ -121,7 +123,7 @@ def _wrappers(scale, seed, jobs):
         "fig16": ("fig16_web", {
             "duration": max(15.0, 40 * scale), "seed": seed, "jobs": jobs}),
         "fig17": ("fig17_ablation", {
-            "duration": max(5.0, 15 * scale), "seed": seed}),
+            "duration": max(5.0, 15 * scale), "seed": seed, "jobs": jobs}),
     }
 
 

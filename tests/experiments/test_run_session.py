@@ -178,23 +178,41 @@ def test_no_manifest_ending_still_exits_by_the_table(tmp_path, monkeypatch,
     assert not (tmp_path / "run_manifest.json").exists()
 
 
+def test_a_killed_worker_ends_a_figure_once(tmp_path, capsys):
+    # A figure never quarantines: the one crash charged to shard 1 ends
+    # the run through the ending table.
+    manifest_path = tmp_path / "manifest.json"
+    status = experiments_main([
+        "fig6", "--scale", "0.02", "--jobs", "2", "--procfault", "kill@1",
+        "--heartbeat-timeout", "5", "--manifest", str(manifest_path)])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "WorkerCrashError: shard 1 " in err
+    doc = json.loads(manifest_path.read_text())
+    assert validate_manifest(doc) == []
+    assert (doc["exit_status"], doc["outcome"], doc["interrupt_reason"]) \
+        == (1, "error", "WorkerCrashError")
+    assert doc["supervisor"]["pool_respawns"] == 1
+    assert doc["supervisor"]["quarantined"] == []
+
+
 #: The option set each CLI exposed before the lifecycle was shared.
 OPTIONS = {
     "experiments": (experiments_main, [], {
         "--audit", "--breakdown", "--chaos", "--heartbeat-timeout", "--help",
         "--jobs", "--manifest", "--no-manifest", "--procfault", "--progress",
-        "--resume", "--retries", "--scale", "--seed", "--telemetry",
+        "--resume", "--scale", "--seed", "--telemetry",
         "--telemetry-format", "--telemetry-kinds", "--timeline-flows",
         "--trace-viewer", "--trace-viewer-max"}),
     "chaos": (chaos_main, ["sweep"], {
         "--audit", "--breakdown", "--flows", "--heartbeat-timeout",
         "--help", "--jobs", "--json", "--manifest",
         "--no-manifest", "--procfault", "--profiles", "--progress",
-        "--protocols", "--quarantine", "--resume", "--retries", "--seed",
+        "--protocols", "--quarantine", "--resume", "--seed",
         "--size"}),
 }
 
-SHARED = {"--progress", "--manifest", "--no-manifest", "--retries",
+SHARED = {"--progress", "--manifest", "--no-manifest",
           "--heartbeat-timeout", "--procfault", "--resume"}
 
 

@@ -163,23 +163,22 @@ class TestRunManifest:
     def test_record_supervisor_skips_runs_that_never_fanned_out(self):
         manifest = RunManifest("experiments:fig3")
         manifest.record_supervisor(
-            {"shards": 0, "attempts": 0, "retries": 0, "reaped": 0,
-             "pool_respawns": 0, "replayed": 0, "quarantined": []})
+            {"shards": 0, "reaped": 0, "pool_respawns": 0, "replayed": 0,
+             "quarantined": []})
         assert manifest.to_dict()["supervisor"] is None
 
     def test_record_supervisor_with_resume_lineage(self):
         manifest = RunManifest("chaos:sweep")
-        stats = {"shards": 4, "attempts": 6, "retries": 2, "reaped": 1,
-                 "pool_respawns": 1, "replayed": 0,
+        stats = {"shards": 4, "reaped": 1, "pool_respawns": 1,
+                 "replayed": 0,
                  "quarantined": [{"index": 1, "label": "tcp",
-                                  "kind": "crash", "error": "x",
-                                  "attempts": 2}]}
+                                  "kind": "crash", "error": "x"}]}
         manifest.record_supervisor(
             stats, resume={"journal": "j/cells.jsonl",
                            "journal_digest": "ab" * 32})
         doc = manifest.to_dict()
         assert validate_manifest(doc) == []
-        assert doc["supervisor"]["retries"] == 2
+        assert doc["supervisor"]["reaped"] == 1
         assert doc["supervisor"]["resume"]["journal"] == "j/cells.jsonl"
 
     def test_supervisor_section_type_errors_are_caught(self):
@@ -195,9 +194,10 @@ class TestRunManifest:
 
     def test_previous_schema_version_is_refused(self):
         doc = RunManifest("x").to_dict()
-        assert doc["schema"] == "repro.obs.manifest/2"
-        doc["schema"] = "repro.obs.manifest/1"
-        assert validate_manifest(doc) != []
+        assert doc["schema"] == "repro.obs.manifest/3"
+        for previous in ("repro.obs.manifest/1", "repro.obs.manifest/2"):
+            doc["schema"] = previous
+            assert validate_manifest(doc) != []
 
     def test_observers_section_follows_the_run_context(self):
         from repro.chaos.profiles import session as chaos_session

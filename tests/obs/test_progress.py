@@ -81,17 +81,6 @@ class TestShardState:
         assert state.state == "done"
         assert state.label == "cell"
 
-    def test_retry_event_requeues_and_counts(self):
-        state = ShardState(1)
-        state.apply(ProgressEvent(1, "start", label="cell"))
-        state.apply(ProgressEvent(1, "retry"))
-        assert state.state == "pending"
-        assert state.retries == 1
-        # The re-run starts like any other attempt.
-        state.apply(ProgressEvent(1, "start"))
-        assert state.state == "running"
-        assert state.to_dict()["retries"] == 1
-
     def test_fail_event_marks_the_shard_failed(self):
         state = ShardState(1)
         state.apply(ProgressEvent(1, "start"))
@@ -133,13 +122,12 @@ class TestProgressPlane:
         p = self._plane()
         p.begin(3)
         p.apply(ProgressEvent(0, "start"))
-        p.apply(ProgressEvent(0, "retry"))
         p.apply(ProgressEvent(1, "start"))
         p.apply(ProgressEvent(1, "fail"))
         t = p.totals()
         assert t["shards_failed"] == 1
-        assert t["shard_retries"] == 1
-        assert "[1 failed, 1 retries]" in p.render_line()
+        assert "shard_retries" not in t
+        assert "[1 failed]" in p.render_line()
 
     def test_clean_run_has_no_trouble_banner(self):
         p = self._plane()
@@ -161,13 +149,12 @@ class TestProgressPlane:
     def test_prometheus_exports_supervision_metrics(self):
         p = self._plane()
         p.begin(2)
-        p.apply(ProgressEvent(0, "retry"))
+        p.apply(ProgressEvent(0, "start"))
         p.apply(ProgressEvent(1, "fail"))
         text = p.prometheus_text()
         assert "# TYPE repro_progress_shards_failed gauge" in text
         assert "repro_progress_shards_failed 1" in text
-        assert "# TYPE repro_progress_shard_retries_total counter" in text
-        assert "repro_progress_shard_retries_total 1" in text
+        assert "retries" not in text
 
     def test_export_writes_prom_and_jsonl(self, tmp_path):
         p = self._plane(out_dir=str(tmp_path))

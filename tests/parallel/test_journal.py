@@ -13,6 +13,7 @@ from repro.parallel import (
     fanout_map,
     fanout_stats,
     journaling,
+    pool,
     reset_fanout_stats,
 )
 
@@ -29,6 +30,10 @@ def _boom(x):
     if x == 2:
         raise ValueError("boom")
     return x
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("a replayed cell ran again")
 
 
 @pytest.fixture(autouse=True)
@@ -107,7 +112,7 @@ class TestResume:
 
         # First run: shard 2 is poison, quarantined; completed cells
         # (and only those) land in the journal.
-        policy = FanoutPolicy(max_attempts=1, quarantine=True)
+        policy = FanoutPolicy(quarantine=True)
         journal = CellJournal(str(tmp_path / "run"))
         first = fanout_map(_boom, [0, 1, 2, 3, 4, 5], jobs=2,
                            policy=policy, journal=journal)
@@ -127,20 +132,23 @@ class TestResume:
         assert resumed == baseline
         assert fanout_stats()["replayed"] == 4
 
-    def test_replay_skips_reruns_nothing_when_complete(self, tmp_path):
+    def test_replay_skips_reruns_nothing_when_complete(self, tmp_path,
+                                                       monkeypatch):
         journal = CellJournal(str(tmp_path / "run"))
         first = fanout_map(_square, [1, 2, 3], jobs=2, journal=journal)
         journal.close()
         reset_fanout_stats()
+        # Any cell that ran now, inline or in a (forked) worker, raises.
+        monkeypatch.setattr(pool, "_run_shard", _never_run)
         again = fanout_map(_square, [1, 2, 3], jobs=2,
                            journal=CellJournal(str(tmp_path / "run")))
         assert again == first == [1, 4, 9]
         stats = fanout_stats()
-        assert stats["replayed"] == 3
-        assert stats["attempts"] == 0
+        assert stats["replayed"] == stats["shards"] == 3
+        assert stats["pool_respawns"] == 0
 
     def test_quarantined_cells_never_journaled(self, tmp_path):
-        policy = FanoutPolicy(max_attempts=1, quarantine=True)
+        policy = FanoutPolicy(quarantine=True)
         journal = CellJournal(str(tmp_path / "run"))
         results = fanout_map(_boom, [0, 1, 2, 3], jobs=2,
                              policy=policy, journal=journal)

@@ -1,11 +1,12 @@
-"""Shard supervisor failure paths: crash, hang, retry, quarantine.
+"""Shard supervisor failure paths: crash, hang, exception, quarantine.
 
 Faults are injected with the deterministic ``repro.chaos.procfault``
 plans (worker kill -9, silent hang, raise) exactly as a ``--procfault``
 CLI run would, so these tests exercise the same recovery machinery end
 to end: replacing a dead worker and charging its shard,
-heartbeat-deadline reaping, deterministic retry budgets, structured
-ShardFailure quarantine, and the per-shard accounting of each.
+heartbeat-deadline reaping, structured ShardFailure quarantine, and the
+per-shard accounting of each.  Every cell runs once, so a faulted cell
+is charged once and either ends the run or is quarantined.
 """
 
 import time
@@ -59,12 +60,11 @@ KILL_DEADLINE = 20.0
 _run_shard = pool._run_shard
 
 
-def _silent_first_attempt(worker, index, item, attempt, post=None):
-    """``_run_shard`` whose shard 1 wedges before its start heartbeat on
-    the first attempt."""
-    if index == 1 and attempt == 0:
+def _silent_shard_one(worker, index, item, post=None):
+    """``_run_shard`` whose shard 1 wedges before its start heartbeat."""
+    if index == 1:
         time.sleep(60)
-    return _run_shard(worker, index, item, attempt, post)
+    return _run_shard(worker, index, item, post)
 
 
 def _pool_env(spec):
@@ -84,11 +84,12 @@ class TestLegacySemantics:
         with pytest.raises(ValueError):
             fanout_map(_boom, [1, 2, 3, 4], jobs=2)
 
-    def test_exhausted_retries_still_propagate(self):
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01)
-        with pytest.raises(ValueError):
-            fanout_map(_boom, [1, 2, 3, 4], jobs=2, policy=policy)
-        assert fanout_stats()["retries"] >= 1
+    def test_serial_injected_raise_propagates(self):
+        from repro.chaos import procfault
+
+        with procfault.activated(procfault.parse_procfault("raise@1")):
+            with pytest.raises(ProcFaultError, match="shard 1"):
+                fanout_map(_square, [0, 1, 2], jobs=1)
 
     def test_worker_exception_carries_the_remote_traceback(self):
         with pytest.raises(ValueError, match="boom") as excinfo:
@@ -109,85 +110,36 @@ class TestLegacySemantics:
             fanout_map(_missing, [1, 2, 3], jobs=2)
 
 
-class TestRetryThenSucceed:
-    def test_pool_injected_raise_retries_and_succeeds(self):
-        # raise@1 fires on shard 1's first attempt only; the retry runs
-        # with attempt=1 and proceeds — deterministic recovery.
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01)
-        with _pool_env("raise@1"):
-            results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
-                                 policy=policy)
-        assert results == [0, 1, 4, 9]
-        stats = fanout_stats()
-        assert stats["retries"] == 1
-        assert stats["attempts"] == 5
-        assert stats["quarantined"] == []
-
-    def test_serial_injected_raise_retries_and_succeeds(self):
-        from repro.chaos import procfault
-
-        policy = FanoutPolicy(max_attempts=3, backoff_base=0.01)
-        plan = procfault.parse_procfault("raise@2,raise@2.1")
-        with procfault.activated(plan):
-            results = fanout_map(_square, [0, 1, 2], jobs=1, policy=policy)
-        assert results == [0, 1, 4]
-        assert fanout_stats()["retries"] == 2
-
-    def test_serial_exhausted_budget_raises(self):
-        from repro.chaos import procfault
-
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01)
-        plan = procfault.parse_procfault("raise@0,raise@0.1")
-        with procfault.activated(plan):
-            with pytest.raises(ProcFaultError):
-                fanout_map(_square, [0, 1], jobs=1, policy=policy)
-
-
 class TestWorkerKill:
     def test_sigkill_breaks_pool_and_run_recovers(self):
-        # kill@1 SIGKILLs the worker running shard 1 (attempt 0): the
-        # supervisor replaces that worker and charges shard 1 a crash;
-        # the re-run (attempt 1) passes the fault.
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                              heartbeat_timeout=KILL_DEADLINE)
-        with _pool_env("kill@1"):
-            results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
-                                 policy=policy)
-        assert results == [0, 1, 4, 9]
-        assert fanout_stats()["pool_respawns"] >= 1
-
-    def test_one_kill_costs_one_retry(self):
-        # Only the dead worker's shard re-runs: six cells, one kill,
-        # seven attempts and one replaced worker.
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                              heartbeat_timeout=KILL_DEADLINE)
+        # kill@1 SIGKILLs the worker running shard 1: the supervisor
+        # replaces that worker, charges shard 1 one crash, and the
+        # replacement finishes every other cell.
+        policy = FanoutPolicy(heartbeat_timeout=KILL_DEADLINE,
+                              quarantine=True)
         with _pool_env("kill@1"):
             results = fanout_map(_square, list(range(6)), jobs=2,
                                  policy=policy)
-        assert results == [x * x for x in range(6)]
+        assert [results[i] for i in (0, 2, 3, 4, 5)] == [0, 4, 9, 16, 25]
+        assert isinstance(results[1], ShardFailure)
         stats = fanout_stats()
-        assert stats["attempts"] == 7
-        assert stats["retries"] == 1
+        assert [q["index"] for q in stats["quarantined"]] == [1]
         assert stats["pool_respawns"] == 1
+        assert stats["shards"] == 6
 
-    def test_repeated_kills_exhaust_budget(self):
-        # Shard 1's worker dies on every attempt; each death is charged
-        # to shard 1, and the supervisor gives up with a structured
-        # crash error.
-        policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
-                              heartbeat_timeout=KILL_DEADLINE)
-        spec = ",".join(f"kill@1.{a}" if a else "kill@1" for a in range(6))
-        with _pool_env(spec):
-            with pytest.raises(WorkerCrashError) as excinfo:
+    def test_kill_ends_the_run_with_a_crash_error(self):
+        policy = FanoutPolicy(heartbeat_timeout=KILL_DEADLINE)
+        with _pool_env("kill@1"):
+            with pytest.raises(WorkerCrashError,
+                               match="shard 1 ") as excinfo:
                 fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
-        assert 1 in excinfo.value.shards
+        assert excinfo.value.shards == [1]
+        assert fanout_stats()["pool_respawns"] == 1
 
     def test_kill_quarantines_instead_of_raising(self):
-        policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
-                              heartbeat_timeout=KILL_DEADLINE,
+        policy = FanoutPolicy(heartbeat_timeout=KILL_DEADLINE,
                               quarantine=True)
-        spec = ",".join(f"kill@1.{a}" if a else "kill@1" for a in range(6))
-        with _pool_env(spec):
+        with _pool_env("kill@1"):
             results = fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
         assert results[0] == 0 and results[2] == 4
         failure = results[1]
@@ -197,36 +149,35 @@ class TestWorkerKill:
 
 
 class TestHeartbeatReaping:
-    def test_silent_hang_is_reaped_and_retried(self):
+    def test_silent_hang_is_reaped_and_ends_the_run(self):
         # hang@1/60 sends shard 1 heartbeat-silent for a minute; the
-        # 1s deadline reaps its worker long before that and the retry
-        # (attempt 1) passes the fault.
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                              heartbeat_timeout=1.0)
+        # 1s deadline reaps its worker long before that, and the one
+        # charge ends the run.
+        policy = FanoutPolicy(heartbeat_timeout=1.0)
         with _pool_env("hang@1/60"):
-            results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
-                                 policy=policy)
-        assert results == [0, 1, 4, 9]
-        assert fanout_stats()["reaped"] >= 1
+            with pytest.raises(ShardHungError) as excinfo:
+                fanout_map(_square, [0, 1, 2, 3], jobs=2, policy=policy)
+        assert excinfo.value.shards == [1]
+        assert fanout_stats()["reaped"] == 1
 
     def test_kill_and_hang_are_each_charged_once(self):
         # The kill must not take the hanging shard's worker down with
-        # it: shard 2 hangs, is reaped, and retries like shard 1 does.
-        policy = FanoutPolicy(max_attempts=3, backoff_base=0.01,
-                              heartbeat_timeout=2.0)
+        # it: shard 1 crashes, shard 2 hangs and is reaped, and those
+        # two cells alone are quarantined.
+        policy = FanoutPolicy(heartbeat_timeout=2.0, quarantine=True)
         with _pool_env("kill@1,hang@2/30"):
             results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
                                  policy=policy)
-        assert results == [0, 1, 4, 9]
+        assert results[0] == 0 and results[3] == 9
         stats = fanout_stats()
+        assert [(q["index"], q["kind"]) for q in stats["quarantined"]] \
+            == [(1, "crash"), (2, "hang")]
         assert stats["reaped"] == 1
-        assert stats["retries"] == 2
-        assert stats["attempts"] == 6
         assert stats["pool_respawns"] == 2
+        assert "retries" not in stats and "attempts" not in stats
 
     def test_hang_quarantines_with_hang_kind(self):
-        policy = FanoutPolicy(max_attempts=1, backoff_base=0.01,
-                              heartbeat_timeout=1.0, quarantine=True)
+        policy = FanoutPolicy(heartbeat_timeout=1.0, quarantine=True)
         with _pool_env("hang@1/60"):
             results = fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
         failure = results[1]
@@ -239,18 +190,19 @@ class TestStartSilence:
     """A worker that never posts its start heartbeat is silent since the
     hand-off; the deadline must still reap it and charge its shard."""
 
-    def test_start_silent_shard_is_recycled_and_retried(self, monkeypatch):
-        monkeypatch.setattr(pool, "_run_shard", _silent_first_attempt)
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                              heartbeat_timeout=1.0)
+    def test_start_silent_shard_is_reaped_and_quarantined(self, monkeypatch):
+        monkeypatch.setattr(pool, "_run_shard", _silent_shard_one)
+        policy = FanoutPolicy(heartbeat_timeout=1.0, quarantine=True)
         results = fanout_map(_square, [0, 1, 2, 3], jobs=2, policy=policy)
-        assert results == [0, 1, 4, 9]
+        assert [results[0], results[2], results[3]] == [0, 4, 9]
+        assert results[1].kind == "hang"
+        assert "never started" in results[1].error
         stats = fanout_stats()
-        assert stats["reaped"] >= 1 and stats["pool_respawns"] >= 1
+        assert stats["reaped"] == 1 and stats["pool_respawns"] == 1
 
-    def test_start_silent_shard_exhausts_budget_as_a_hang(self, monkeypatch):
-        monkeypatch.setattr(pool, "_run_shard", _silent_first_attempt)
-        policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
+    def test_start_silent_shard_ends_the_run_as_a_hang(self, monkeypatch):
+        monkeypatch.setattr(pool, "_run_shard", _silent_shard_one)
+        policy = FanoutPolicy(heartbeat_timeout=1.0)
         with pytest.raises(ShardHungError, match="never started") as excinfo:
             fanout_map(_square, [0, 1, 2], jobs=2, policy=policy)
         assert excinfo.value.shards == [1]
@@ -258,7 +210,7 @@ class TestStartSilence:
     def test_queued_shards_are_not_start_silent(self):
         # Six 0.7s cells on two workers: the queued ones wait well past
         # the 1s deadline, but the deadline runs from each hand-off.
-        policy = FanoutPolicy(max_attempts=1, heartbeat_timeout=1.0)
+        policy = FanoutPolicy(heartbeat_timeout=1.0)
         assert fanout_map(_nap, [0.7] * 6, jobs=2, policy=policy) \
             == [0.7] * 6
         assert fanout_stats()["reaped"] == 0
@@ -266,20 +218,18 @@ class TestStartSilence:
 
 class TestQuarantine:
     def test_poison_cell_leaves_structured_failure(self):
-        policy = FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                              quarantine=True)
-        with _pool_env("raise@1,raise@1.1"):
+        policy = FanoutPolicy(quarantine=True)
+        with _pool_env("raise@1"):
             results = fanout_map(_square, [0, 1, 2, 3], jobs=2,
                                  policy=policy)
         failure = results[1]
         assert isinstance(failure, ShardFailure)
         assert failure.kind == "exception"
-        assert failure.attempts == 2
         assert "injected fault" in failure.error
         assert [results[0], results[2], results[3]] == [0, 4, 9]
 
     def test_serial_quarantine_matches_pool_shape(self):
-        policy = FanoutPolicy(max_attempts=1, quarantine=True)
+        policy = FanoutPolicy(quarantine=True)
         results = fanout_map(_boom, [1, 2, 3, 4], jobs=1, policy=policy)
         assert results[:2] == [1, 2] and results[3] == 4
         assert isinstance(results[2], ShardFailure)
@@ -289,10 +239,9 @@ class TestQuarantine:
 
 class TestAmbientSupervision:
     def test_supervision_context_applies_policy(self):
-        with supervision(FanoutPolicy(max_attempts=2, backoff_base=0.01,
-                                      quarantine=True)):
+        with supervision(FanoutPolicy(quarantine=True)):
             results = fanout_map(_boom, [1, 2, 3, 4], jobs=2)
         assert isinstance(results[2], ShardFailure)
         stats = fanout_stats()
-        assert stats["retries"] == 1
+        assert [q["index"] for q in stats["quarantined"]] == [2]
         assert stats["shards"] == 4
