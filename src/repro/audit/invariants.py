@@ -663,9 +663,6 @@ def default_checkers() -> List[Checker]:
     the time any dependent checker judges a record the sender-knowledge
     view already reflects it.
     """
-    # Deferred import: repro.hb.detect imports this module's Checker
-    # base, so importing it at module scope would be circular.
-    from repro.hb.detect import SchedulerNondeterminismChecker
     knowledge = AckKnowledge()
     checkers: List[Checker] = [
         knowledge,
@@ -677,6 +674,5 @@ def default_checkers() -> List[Checker]:
         FrontierMeetChecker(knowledge),
         RtoSanityChecker(),
         FctConservationChecker(),
-        SchedulerNondeterminismChecker(),
     ]
     return checkers

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.telemetry.export import record_to_dict
 from repro.telemetry.schema import SCHEMA_VERSION
@@ -55,17 +55,9 @@ class FlightRecorder:
         self.records_seen += 1
 
     def dump(self, out_dir: Optional[str], violations, tracer=None,
-             reason: str = "violation",
-             instant_group: Optional[List[str]] = None) -> None:
+             reason: str = "violation") -> None:
         """Freeze the post-mortem bundle, and write it into ``out_dir``
-        when given; no-op after the first dump.
-
-        ``instant_group`` is the rendered same-timestamp event group the
-        auditor was inside when the dump fired (entity + callback per
-        executed event, from the v5 provenance stamps); it is appended
-        to the post-mortem so tie-break context around the failure is
-        on disk even when the ring has already wrapped past it.
-        """
+        when given; no-op after the first dump."""
         if self.bundle is not None:
             return
         doc = {"schema_version": SCHEMA_VERSION, "reason": reason,
@@ -77,8 +69,7 @@ class FlightRecorder:
                 json.dumps(record_to_dict(record), sort_keys=True,
                            separators=(",", ":"), default=str) + "\n"
                 for record in self._ring),
-            "postmortem.txt": self._report(violations, tracer, reason,
-                                           instant_group),
+            "postmortem.txt": self._report(violations, tracer, reason),
         }, out_dir)
 
     def adopt(self, bundle: Optional[Dict[str, str]],
@@ -91,8 +82,7 @@ class FlightRecorder:
                 write_bundle(out_dir, bundle)
                 self.dumped, self.bundle_dir = True, out_dir
 
-    def _report(self, violations, tracer, reason: str,
-                instant_group: Optional[List[str]] = None) -> str:
+    def _report(self, violations, tracer, reason: str) -> str:
         lines = [
             "repro.audit post-mortem bundle",
             f"reason: {reason}",
@@ -110,11 +100,6 @@ class FlightRecorder:
         flow = next((v.flow for v in violations if v.flow is not None), None)
         if tracer is not None and flow is not None:
             lines.append(tracer.render_flow(flow))
-            lines.append("")
-        if instant_group:
-            lines.append("same-timestamp event group at the dump instant "
-                         "(execution order):")
-            lines.extend(f"  {line}" for line in instant_group)
             lines.append("")
         return "\n".join(lines)
 

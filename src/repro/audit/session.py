@@ -9,8 +9,8 @@ record triggers the bundle too, violations or not, so a crashed run
 leaves its last moments on disk.
 
 :class:`AuditSession` is the wiring: as a context manager it subscribes
-the auditor (declaring :data:`AUDIT_KINDS`, so lineage and tie-only
-provenance events flow for the duration) to the run's trace stream through
+the auditor (declaring the packet-lineage kinds, so ``pkt.*`` events
+flow for the duration) to the run's trace stream through
 :func:`repro.telemetry.context.attached` — the ambient hub's recorder
 (composing with ``--telemetry``), or a ring-bounded one of its own.
 Sessions nest like breakdown sessions: :func:`repro.parallel.fanout_map`
@@ -25,23 +25,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.audit.invariants import Checker, Violation, default_checkers
 from repro.audit.lineage import LineageTracer
 from repro.audit.recorder import FlightRecorder
-from repro.sim.trace import SCHED_EXEC_TIES, TraceRecord, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.telemetry import context
 from repro.telemetry.hub import ring_recorder
-from repro.telemetry.schema import (EV_SCHED_EXEC, EV_SIM_CRASH,
-                                    LINEAGE_EVENT_KINDS)
+from repro.telemetry.schema import EV_SIM_CRASH, LINEAGE_EVENT_KINDS
 
-__all__ = ["AUDIT_KINDS", "Auditor", "AuditSession"]
-
-#: Post-mortems render at most this many events of the same-timestamp
-#: group the run was inside when the bundle was written.
-MAX_INSTANT_GROUP = 200
-
-#: What an audit declares it consumes: packet lineage and tie-only
-#: provenance.  A race needs two events at one instant, so the
-#: nondeterminism checker loses nothing, and the post-mortem's instant
-#: group reads a lone event from ``TraceRecorder.parked``.
-AUDIT_KINDS = LINEAGE_EVENT_KINDS | {SCHED_EXEC_TIES}
+__all__ = ["Auditor", "AuditSession"]
 
 
 class Auditor:
@@ -69,22 +58,12 @@ class Auditor:
         self.tracer = LineageTracer(max_spans=max_spans)
         self.recorder = FlightRecorder(ring_size=ring_size)
         self.violations: List[Violation] = []
-        #: The recorder observed (set by :class:`AuditSession`); the
-        #: event it parks is the current instant when there is one.
-        self.stream: Optional[TraceRecorder] = None
         self.events_audited = 0
         #: Packet spans retained by absorbed fan-out cells' tracers.
         self.spans_absorbed = 0
         self._finalized = False
         # kind -> the ``observe`` of each observer subscribed to it.
         self._routes: Dict[str, Tuple[Callable, ...]] = {}
-        # The v5 ``sched.exec`` records of the same-timestamp event
-        # group currently executing, rendered only when a post-mortem is
-        # written.  Bounded (one record past the cap marks truncation):
-        # a post-mortem wants the local tie-break context, not an
-        # unbounded same-instant burst.
-        self._instant: List[TraceRecord] = []
-        self._instant_time: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Stream intake
@@ -98,8 +77,6 @@ class Auditor:
         handlers = self._routes.get(kind)
         if handlers is None:
             handlers = self._route(kind)
-        if kind == EV_SCHED_EXEC:
-            self._track_instant(record)
         for handler in handlers:
             found = handler(record)
             if found:
@@ -149,37 +126,10 @@ class Auditor:
         self.violations.append(violation)
         self._dump("violation")
 
-    def _track_instant(self, record) -> None:
-        """Maintain the group of events at the current instant."""
-        if record.time != self._instant_time:
-            self._instant_time = record.time
-            self._instant = []
-        if len(self._instant) <= MAX_INSTANT_GROUP:
-            self._instant.append(record)
-
-    def _render_instant(self) -> List[str]:
-        """The current group as "entity callback (seq N, parent M)".
-
-        A lone event of a tie-only stream has no record: the stream
-        parks it exactly while it is the last event executed, so it is
-        the whole group then."""
-        parked = self.stream.parked() if self.stream is not None else None
-        group = [parked] if parked is not None else self._instant
-        lines = [
-            f"t={record.time:.9f} {record.source} "
-            f"{record.detail.get('callback', '?')} "
-            f"(seq {record.detail.get('seq')}, "
-            f"parent {record.detail.get('parent')})"
-            for record in group[:MAX_INSTANT_GROUP]]
-        if len(group) > MAX_INSTANT_GROUP:
-            lines.append("  ... group truncated")
-        return lines
-
     def _dump(self, reason: str) -> None:
         if self.recorder.bundle is None:
             self.recorder.dump(self.out_dir, self.violations,
-                               tracer=self.tracer, reason=reason,
-                               instant_group=self._render_instant())
+                               tracer=self.tracer, reason=reason)
 
     # ------------------------------------------------------------------
     # Results
@@ -236,11 +186,11 @@ class AuditSession:
 
     def __enter__(self) -> "AuditSession":
         # The auditor counts and rings every record it is handed; what
-        # it declares only switches lineage and tie-only provenance on.
+        # it declares only switches lineage on.
         self._attachment = context.attached(
-            "audit", self.auditor.observe, AUDIT_KINDS, ring_recorder,
-            session=self)
-        self.trace = self.auditor.stream = self._attachment.__enter__()
+            "audit", self.auditor.observe, LINEAGE_EVENT_KINDS,
+            ring_recorder, session=self)
+        self.trace = self._attachment.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:

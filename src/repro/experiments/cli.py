@@ -155,7 +155,7 @@ def main(argv=None) -> int:
 
         return explain_main(raw_argv[1:])
     if raw_argv and raw_argv[0] == "hb":
-        # Happens-before graph, race check, and perturbation harness.
+        # The schedule-perturbation harness.
         from repro.hb.cli import hb_main
 
         return hb_main(raw_argv[1:])
@@ -175,8 +175,8 @@ def main(argv=None) -> int:
                              "'explain' "
                              "(per-flow FCT attribution from a trace) or "
                              "'manifest' (run-manifest validation) or 'hb' "
-                             "(happens-before analysis over scheduler "
-                             "provenance); for the subcommands the "
+                             "(schedule perturbation over tie-breaks); "
+                             "for the subcommands the "
                              "remaining arguments are forwarded")
     parser.add_argument("--scale", type=positive_finite, default=1.0,
                         help="workload scale factor (1.0 = default laptop "

@@ -1,9 +1,8 @@
 """The schedule-perturbation harness.
 
-The static side of the happens-before story (the race check in
-:mod:`repro.hb.detect`) claims that same-timestamp scheduler events
-commute; this module is the dynamic validation.  A scenario is run once
-with the canonical FIFO tie-break, then re-run under
+Every fingerprint guarantee rests on same-timestamp scheduler events
+commuting; this module checks that claim on outcomes.  A scenario is
+run once with the canonical FIFO tie-break, then re-run under
 :func:`repro.sim.scheduler.tiebreak_permutation` with each requested
 salt — every simulator built during the re-run resolves
 same-``(time, priority)`` ties in a salted, bijectively scrambled order
@@ -11,8 +10,9 @@ instead of FIFO.  Any permutation of a tie group is a valid causal
 execution (an event cannot be in the heap before the event that
 scheduled it has fired), so if the commutation claim holds, every
 re-run must produce a **bit-identical report fingerprint**.  A mismatch
-is a concrete, reproducible witness of execution-order sensitivity —
-the exact failure the nondeterminism checker exists to catch.
+is a concrete, reproducible witness of execution-order sensitivity,
+wherever the dependence lives: one owner's state, or a buffer two
+owners share.
 
 Scenarios are the named experiments from
 :data:`repro.experiments.cli.EXPERIMENTS`, run in-process at a quick

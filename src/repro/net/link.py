@@ -57,11 +57,10 @@ link?" is answered by one cached boolean, ``self._fast``, recomputed by
 :meth:`Link.refresh_fast_path` whenever the answer can change;
 :meth:`Link.send` picks a path for an offered packet by it, and so do
 the two hot callers that skip that frame (``Host.send`` and the fused
-forward step, :meth:`Link._deliver_forward`).  Any of tracing
-(lineage/provenance), an attached impairment, a non-drop-tail queue
-discipline, a sampling monitor on the link or its queue, a tie-break
-salt, or the :func:`set_batching` reference switch (tests and probes
-only) forces the per-packet path, which is the pre-batching code and
+forward step, :meth:`Link._deliver_forward`).  Any of tracing, an
+attached impairment, a non-drop-tail queue discipline, a sampling
+monitor on the link or its queue, a tie-break salt, or the
+:func:`set_batching` reference switch (tests and probes only) forces the per-packet path, which is the pre-batching code and
 the reference the equivalence suite compares against.  Bernoulli loss
 *is* batchable: draws come from the link's private RNG stream in
 serialization order either way.  A flip while the other path still
@@ -172,14 +171,6 @@ class Link:
         Probability each serialized packet is lost in flight.
     """
 
-    #: Happens-before partition (``Simulator._event_entity``): the
-    #: propagation pipe is independent of the serializer.  ``_deliver``
-    #: touches only the delivery counters and ``dst.receive``; it never
-    #: reads the egress queue, ``_busy``, or the loss RNG, so a delivery
-    #: commutes with a same-instant ``_finish_transmission`` of a later
-    #: packet and must not share an entity with the serializer side.
-    HB_PARTITIONS = {"_deliver": "pipe"}
-
     def __init__(
         self,
         sim,
@@ -215,8 +206,7 @@ class Link:
         #: logically occupying the queue — mirrored into
         #: ``queue.pending_bytes``.  ``dq_push`` is the push time of the
         #: unbatched dequeue event (the previous packet's serialization
-        #: start; the planning event's own ``lpush`` for the train head),
-        #: used by :meth:`_prune_pending` to resolve same-instant
+        #: start), used by :meth:`_prune_pending` to resolve same-instant
         #: dequeue-vs-observer ties exactly as the per-packet run would.
         self._pending = deque()
         #: Serialization start of the last train-planned packet — the
@@ -515,10 +505,7 @@ class Link:
         # +8.8..11.1 % wall_s (EXPERIMENTS.md).
         qstats.dequeued += 1
         # Inline train-of-one plan: the same arithmetic and the same
-        # counter/RNG order as _start_train, minus its loop setup and
-        # the head's pending entry — the unbatched run dequeues this
-        # packet inside the admitting event, so every later observer
-        # (same instant, lpush at least this event's) prunes it anyway.
+        # counter/RNG order as _start_train, minus its loop setup.
         finish = now + size / self.rate
         stats = self.stats
         stats.packets_sent += 1
@@ -587,17 +574,20 @@ class Link:
         absorbed = 0
         t = now
         # Push time of the unbatched event that dequeues the *next*
-        # packet: the planning event itself for the train head, then
-        # each packet's serialization start for its successor.
-        dq_push = sim.exec_lpush
+        # packet: each packet's serialization start for its successor.
+        dq_push = now
         for p in queue.drain():
             size = p.size
             finish = t + size / rate
-            # Every planned packet (head included) logically occupies
-            # the queue until its dequeue event would have run; same-
-            # instant observers resolve against dq_push in the prune.
-            pending.append((t, size, dq_push))
-            pend_bytes += size
+            # Every planned packet but the head logically occupies the
+            # queue until its dequeue event would have run; same-instant
+            # observers resolve against dq_push in the prune.  The
+            # unbatched run dequeues the head inside this very event,
+            # so every later observer (same instant, lpush at least
+            # this event's) would prune it: it gets no entry.
+            if count:
+                pending.append((t, size, dq_push))
+                pend_bytes += size
             dq_push = t
             count += 1
             sent_bytes += size

@@ -50,7 +50,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-MANIFEST_SCHEMA_ID = "repro.obs.manifest/3"
+MANIFEST_SCHEMA_ID = "repro.obs.manifest/4"
 
 #: JSON-schema-style description of the manifest document.  Kept a
 #: plain dict (usable by ``jsonschema`` where installed) while
@@ -141,7 +141,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
                 },
                 "audit": {"type": "boolean"},
                 "breakdown": {"type": "boolean"},
-                "provenance": {"type": "boolean"},
                 "chaos": {"type": "string"},
                 "procfault": {"type": "string"},
                 "progress": {"type": ["string", "boolean"]},
@@ -361,7 +360,8 @@ class RunManifest:
                          max_tie_group: int) -> None:
         """Record the run's tie-break exposure: how many same-timestamp
         event groups the scheduler resolved (and the largest one) — the
-        surface the happens-before analysis (:mod:`repro.hb`) audits."""
+        surface schedule perturbation (:mod:`repro.hb.perturb`)
+        permutes."""
         self.scheduler = {
             "tie_break_groups": int(tie_break_groups),
             "max_tie_group": int(max_tie_group),

@@ -131,14 +131,14 @@ def run_serial(
     items: Sequence[Any],
     policy: FanoutPolicy,
     plane: Optional[ProgressPlane] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
+    on_result: Optional[Callable[[int, Any, dict], None]] = None,
     results: Optional[Dict[int, Any]] = None,
     stats: Optional[SupervisorStats] = None,
 ) -> List[Any]:
     """The in-process twin of :class:`ShardSupervisor`: same quarantine
     semantics, no pool (so no reaping — a hang here hangs the caller,
     which is what serial means)."""
-    from repro.parallel.pool import _item_label, _run_shard
+    from repro.parallel.pool import _cell_ties, _item_label, _run_shard
 
     if plane is not None:
         from repro.obs.progress import ProgressEvent
@@ -152,7 +152,7 @@ def run_serial(
         if index in results:
             continue
         try:
-            value = _run_shard(worker, index, item, post)
+            value, ties = _cell_ties(_run_shard, worker, index, item, post)
         except Exception as exc:
             if not policy.quarantine:
                 raise
@@ -165,7 +165,7 @@ def run_serial(
             continue
         results[index] = value
         if on_result is not None:
-            on_result(index, value)
+            on_result(index, value, ties)
     return [results[i] for i in range(len(items))]
 
 
@@ -232,6 +232,7 @@ def fanout_map(
     digests: List[str] = []
     if journal is not None:
         from repro.parallel.journal import cell_digest
+        from repro.sim.simulator import fold_tie_break_stats
 
         recorded = journal.replay()
         for index, item in enumerate(items):
@@ -243,12 +244,14 @@ def fanout_map(
                                  else (key, "audit"))
             digests.append(digest)
             if digest in recorded:
-                value = recorded[digest]
+                value, ties = recorded[digest]
                 # A journal only ever holds real results, but heal a
                 # hand-edited one: a failure tombstone re-runs its cell.
                 if isinstance(value, ShardFailure):
                     continue
                 replayed[index] = value
+                # Counted as if the cell had run, in cell order.
+                fold_tie_break_stats(ties)
         if replayed and plane is not None:
             from repro.obs.progress import ProgressEvent
 
@@ -256,10 +259,10 @@ def fanout_map(
                 plane.apply(ProgressEvent(
                     index, "done", label=_pool._item_label(items[index])))
 
-    def on_result(index: int, value: _Result) -> None:
+    def on_result(index: int, value: _Result, ties: dict) -> None:
         if journal is not None and index not in replayed:
             journal.append(digests[index], _pool._item_label(items[index]),
-                           value)
+                           value, ties)
 
     if observe:
         # Each cell is observed in its own nested sessions, inline or in

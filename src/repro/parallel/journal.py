@@ -2,9 +2,12 @@
 
 Every completed cell is appended to ``cells.jsonl`` *in the parent* the
 moment its result arrives — one JSON line per cell, flushed and fsynced,
-keyed by a content digest of ``(worker, item)``.  Kill the run at any
-point and the journal holds exactly the finished cells; ``--resume DIR``
-replays them by digest and re-runs only the remainder.  Because cells
+keyed by a content digest of ``(worker, item)`` and carrying the cell's
+scheduler tie-break counts beside its value, so a replayed cell counts
+in the run's ``[scheduler tie-breaks: …]`` line as a computed one does.
+Kill the run at any point and the journal holds exactly the finished
+cells; ``--resume DIR`` replays them by digest and re-runs only the
+remainder.  Because cells
 are deterministic and results merge in item order, a resumed run's
 report and fingerprint are byte-identical to an uninterrupted one.
 
@@ -28,13 +31,15 @@ import json
 import os
 import pickle
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import JournalError
 
 __all__ = ["CellJournal", "cell_digest"]
 
-JOURNAL_SCHEMA = "repro.parallel.journal/1"
+#: ``/2`` added each cell's tie-break counts; a ``/1`` line has none, so
+#: it does not decode and its cell runs again.
+JOURNAL_SCHEMA = "repro.parallel.journal/2"
 JOURNAL_FILENAME = "cells.jsonl"
 
 
@@ -96,14 +101,15 @@ class CellJournal:
         """Lines dropped by the last :meth:`replay` (torn/corrupt)."""
         return self._skipped
 
-    def replay(self) -> Dict[str, Any]:
-        """Load every decodable journal entry, keyed by cell digest.
+    def replay(self) -> Dict[str, Tuple[Any, Dict[str, int]]]:
+        """Load every decodable journal entry, keyed by cell digest:
+        ``(value, tie-break counts)``.
 
         A torn final line (the run died mid-append) or a corrupt entry
         is skipped and counted, never fatal: the worst case is a cell
         that re-runs.
         """
-        entries: Dict[str, Any] = {}
+        entries: Dict[str, Tuple[Any, Dict[str, int]]] = {}
         self._skipped = 0
         if not self.exists:
             return entries
@@ -118,7 +124,8 @@ class CellJournal:
                         digest = record["digest"]
                         payload = base64.b64decode(
                             record["payload"].encode("ascii"))
-                        entries[digest] = pickle.loads(payload)
+                        entries[digest] = (pickle.loads(payload),
+                                           record["ties"])
                     except Exception:
                         self._skipped += 1
         except OSError as exc:
@@ -138,15 +145,18 @@ class CellJournal:
 
     # -- writing -------------------------------------------------------
 
-    def append(self, digest: str, label: str, value: Any) -> None:
-        """Durably record one completed cell (flush + fsync per line —
-        cells are whole simulations, the sync cost is noise)."""
+    def append(self, digest: str, label: str, value: Any,
+               ties: Dict[str, int]) -> None:
+        """Durably record one completed cell and its tie-break counts
+        (flush + fsync per line — cells are whole simulations, the sync
+        cost is noise)."""
         payload = base64.b64encode(pickle.dumps(value)).decode("ascii")
         line = json.dumps({
             "schema": JOURNAL_SCHEMA,
             "digest": digest,
             "label": label,
             "payload": payload,
+            "ties": ties,
         }, sort_keys=True)
         if self._handle is None:
             try:

@@ -109,6 +109,25 @@ def _item_label(item) -> str:
     return label[:48]
 
 
+def _cell_ties(run, *args):
+    """``(run(*args), the tie-break counts of the simulators it ran)``.
+    The process-wide counters end as they would have without the
+    split, so a serial run's totals still cover every cell."""
+    from repro.sim.simulator import (fold_tie_break_stats,
+                                     reset_tie_break_stats, tie_break_stats)
+
+    outer = tie_break_stats()
+    reset_tie_break_stats()
+    try:
+        value = run(*args)
+    finally:
+        cell = tie_break_stats()
+        reset_tie_break_stats()
+        fold_tie_break_stats(outer)
+        fold_tie_break_stats(cell)
+    return value, cell
+
+
 def _run_shard(worker, index: int, item, post: Optional[Callable] = None):
     """One shard — the per-item body of the serial fan-out and of every
     worker process.
@@ -177,18 +196,14 @@ def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
     text), None)``.  ``None`` dismisses it: its sessions close the
     normal way, which writes ``metrics-shard<shard>.json``.
     """
-    from repro.sim.simulator import reset_tie_break_stats, tie_break_stats
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns teardown
     with ExitStack() as stack:
         hub = None
         if env is not None and not env.empty:
             hub, _ = env.enter(stack, shard=shard)
         for task in iter(conn.recv, None):
-            reset_tie_break_stats()  # the reply carries this cell's alone
             try:
-                value = _run_shard(*task, post=conn.send)
-                reply = (True, value, tie_break_stats())
+                reply = (True, *_cell_ties(_run_shard, *task, conn.send))
             except Exception as exc:
                 reply = (False, (exc, traceback.format_exc()), None)
             if hub is not None:

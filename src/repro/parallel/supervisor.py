@@ -92,8 +92,8 @@ class ShardSupervisor:
     ``workers`` worker processes; see the module docstring for the
     failure model.
 
-    ``on_result(index, value)`` fires in the parent as each shard
-    completes (the journal's crash-safe append hook).  ``results`` may
+    ``on_result(index, value, tie-break counts)`` fires in the parent
+    as each shard completes (the journal's crash-safe append hook).  ``results`` may
     be pre-populated with journal-replayed values; those shards are
     never scheduled.
     """
@@ -106,7 +106,7 @@ class ShardSupervisor:
         policy: FanoutPolicy,
         env: Optional[WorkerEnv] = None,
         plane: Optional["_progress.ProgressPlane"] = None,
-        on_result: Optional[Callable[[int, Any], None]] = None,
+        on_result: Optional[Callable[[int, Any, dict], None]] = None,
         results: Optional[Dict[int, Any]] = None,
     ) -> None:
         self.worker = worker
@@ -225,7 +225,7 @@ class ShardSupervisor:
             fold_tie_break_stats(ties)
             self.results[index] = value
             if self.on_result is not None:
-                self.on_result(index, value)
+                self.on_result(index, value, ties)
             return
         error, remote_traceback = value
         error.__cause__ = _RemoteTraceback(remote_traceback)

@@ -40,7 +40,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "lpush", "seq", "callback", "args",
-                 "cancelled", "parent")
+                 "cancelled")
 
     def __init__(
         self,
@@ -58,12 +58,6 @@ class Event:
         self.callback: Optional[Callable[..., Any]] = callback
         self.args = args
         self.cancelled = False
-        #: Sequence number of the event whose callback scheduled this one
-        #: (the happens-before *scheduling parent*).  Stamped by the
-        #: simulator only while provenance instrumentation is on; None
-        #: means "scheduled outside any event" (setup code) or
-        #: provenance off.
-        self.parent: Optional[int] = None
 
     def cancel(self) -> None:
         """Mark this event dead; the scheduler will skip it."""

@@ -12,17 +12,17 @@ similar patterns where the same logical timer is re-armed many times.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SimulationError, StallError
 from repro.sim.event import Event, EventHandle
 from repro.sim.scheduler import (EventScheduler, PermutedEventScheduler,
                                  current_tiebreak_salt)
 from repro.sim.randomness import RandomStreams
-from repro.sim.trace import AFTER_TIE, LONE_RECORDED, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.telemetry.context import current_hub
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.schema import EV_SCHED_EXEC, EV_SIM_CRASH
+from repro.telemetry.schema import EV_SIM_CRASH
 
 __all__ = ["Simulator", "Timer", "DEFAULT_STALL_EVENT_LIMIT",
            "fold_tie_break_stats", "reset_tie_break_stats", "tie_break_stats"]
@@ -68,20 +68,10 @@ def tie_break_stats() -> Dict[str, int]:
     fired at one simulated instant within one :meth:`Simulator.run`
     pass); ``max_group`` is the largest such group seen.  Every group is
     a point where the scheduler's FIFO tie-break chose an order — the
-    exposure surface the happens-before analysis (:mod:`repro.hb`)
-    audits for commutativity.
+    exposure surface the schedule-perturbation harness
+    (:mod:`repro.hb.perturb`) permutes.
     """
     return dict(_TIE_BREAK_STATS)
-
-
-def _callback_label(callback: Callable[..., Any]) -> str:
-    """A callback's qualified name; its ``repr`` only when it has none
-    (``functools.partial``) — ``repr`` of a bound method renders the
-    whole owner, far too slow to build per executed event."""
-    try:
-        return callback.__qualname__
-    except AttributeError:
-        return repr(callback)
 
 
 class Simulator:
@@ -166,23 +156,12 @@ class Simulator:
         self.tie_break_groups = 0
         self.tie_break_max = 0
         self._tb_published_groups = 0
-        # Happens-before provenance plane (repro.hb).  ``_prov`` caches
-        # ``trace.enabled and trace.provenance`` so the hot loop pays a
-        # single local check; ``_exec_seq`` is the seq of the event whose
-        # callback is currently running (the scheduling parent stamped
-        # onto children).  The entity registry pins owners alive so
-        # ``id()`` reuse cannot misattribute events.
-        self._prov = self._trace.enabled and self._trace.provenance
-        self._exec_seq: Optional[int] = None
         #: Logical push time of the event whose callback is currently
         #: running (see :mod:`repro.sim.event`).  The batched link
         #: datapath compares it against planned dequeue instants to
         #: decide whether a same-timestamp occupancy release has
         #: logically happened yet.
         self.exec_lpush = 0.0
-        self._entity_names: Dict[int, Any] = {}
-        self._entity_counts: Dict[str, int] = {}
-        self._stamps: Dict[Tuple[int, Any], Tuple[str, str]] = {}
         #: Number of events executed so far (diagnostic).
         self.events_run = 0
         #: Scheduler events the batched datapath *eliminated*: heap
@@ -229,19 +208,8 @@ class Simulator:
     @trace.setter
     def trace(self, recorder: TraceRecorder) -> None:
         self._trace = recorder
-        self._refresh_provenance()
         for rebind in self._trace_watchers:
             rebind(recorder)
-
-    def _refresh_provenance(self) -> bool:
-        """Re-cache the provenance-on flag from the active recorder.
-
-        Called when the recorder is replaced and on every :meth:`run`
-        entry, so a subscription that turns ``trace.provenance`` on (the
-        audit/hb sessions') takes effect at the next run.
-        """
-        self._prov = self._trace.enabled and self._trace.provenance
-        return self._prov
 
     def watch_trace(self, rebind: Callable[[TraceRecorder], None]) -> None:
         """Register ``rebind``; it is called immediately with the current
@@ -288,8 +256,6 @@ class Simulator:
             )
         event = Event(time, callback, args, priority=priority)
         event.lpush = self._now
-        if self._prov:
-            event.parent = self._exec_seq
         self._queue.push(event)
         return _TrackedHandle(event, self._queue)
 
@@ -314,105 +280,7 @@ class Simulator:
         """
         event = Event(time, callback, args)
         event.lpush = self._now if lpush is None else lpush
-        if self._prov:
-            event.parent = self._exec_seq
         self._queue.push(event)
-
-    # ------------------------------------------------------------------
-    # Happens-before provenance
-    # ------------------------------------------------------------------
-
-    def _event_entity(self, callback: Callable[..., Any]) -> str:
-        """Stable entity name for the state ``callback`` runs against.
-
-        The entity is the callback's owner: the bound-method receiver
-        (link, host, queue, timer, pacer, ...) or the function object
-        itself for free functions and closures.  Distinct owner
-        *instances* get distinct names — entity identity is the shared-
-        mutable-state proxy the nondeterminism checker keys on.
-
-        An owner holding genuinely independent halves can refine the
-        proxy with a class-level ``HB_PARTITIONS`` map (callback name ->
-        partition label): listed callbacks run against a ``owner/label``
-        sub-entity instead of the owner itself.  Declaring a partition
-        asserts the listed callbacks share no mutable state with the
-        owner's other callbacks — see :class:`repro.net.link.Link`.
-        """
-        owner = getattr(callback, "__self__", callback)
-        key = id(owner)
-        cached = self._entity_names.get(key)
-        if cached is not None:
-            return self._partitioned(owner, callback, cached[1])
-        name = getattr(owner, "name", None)
-        if isinstance(name, str) and name:
-            # A .name can be a *class* attribute shared by every
-            # instance (chaos impairments); suffix repeats so distinct
-            # owners never collapse into one entity.
-            index = self._entity_counts.get(name, 0)
-            self._entity_counts[name] = index + 1
-            if index:
-                name = f"{name}#{index}"
-        else:
-            flow_id = getattr(owner, "flow_id", None)
-            if flow_id is not None:
-                name = f"flow:{flow_id}"
-            else:
-                if owner is callback:
-                    base = _callback_label(callback)
-                else:
-                    base = type(owner).__name__
-                index = self._entity_counts.get(base, 0)
-                self._entity_counts[base] = index + 1
-                name = f"{base}#{index}"
-        # Pin the owner: if it were collected, a recycled id() could
-        # alias a new object onto this entity.
-        self._entity_names[key] = (owner, name)
-        return self._partitioned(owner, callback, name)
-
-    def _stamp(self, callback: Callable[..., Any]) -> Tuple[str, str]:
-        """``(entity, callback label)`` for a ``sched.exec`` record.
-
-        Cached per ``(id(owner), function)`` for bound methods: the
-        owner is pinned by :meth:`_event_entity`, so its id cannot
-        alias.  Free functions, closures and partials are named anew.
-        """
-        func = getattr(callback, "__func__", None)
-        if func is None:
-            return self._event_entity(callback), _callback_label(callback)
-        key = (id(callback.__self__), func)
-        stamp = self._stamps.get(key)
-        if stamp is None:
-            stamp = self._stamps[key] = (self._event_entity(callback),
-                                         _callback_label(callback))
-        return stamp
-
-    def _settle_lone(self, time: float) -> None:
-        """Tie-only provenance, before a tied event's record: empty the
-        :attr:`TraceRecorder.lone_exec` slot, recording what it holds
-        first when that is this instant's first event.
-
-        An event that shares its instant with the event before it is
-        always recorded, so only an instant's first event can go
-        unrecorded, and only when nothing else was due at its pop: a
-        zero-delay child of it, or an event scheduled from outside
-        :meth:`run`, joined the instant afterwards.  Recording it late,
-        ahead of the second, keeps every tie group whole.
-        """
-        trace = self._trace
-        parked = trace.parked() if self._stall_count == 2 else None
-        trace.lone_exec = AFTER_TIE
-        if parked is not None and parked.time == time:
-            trace.record(time, EV_SCHED_EXEC, parked.source, **parked.detail)
-
-    @staticmethod
-    def _partitioned(owner: Any, callback: Callable[..., Any],
-                     name: str) -> str:
-        partitions = getattr(owner, "HB_PARTITIONS", None)
-        if partitions:
-            label = partitions.get(getattr(callback, "__name__", ""))
-            if label:
-                return f"{name}/{label}"
-        return name
 
     # ------------------------------------------------------------------
     # Running
@@ -429,14 +297,6 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue drains earlier, so back-to-back ``run`` calls
         compose predictably.
-
-        With provenance on, every executed event is stamped; under
-        tie-only provenance (``trace.ties_only``) an event gets a
-        ``sched.exec`` record when it shares its instant with the event
-        before it or with the heap's head, or when it is the first lone
-        event after a tie group (that record ends the group where a full
-        stream's would); any other is parked in ``trace.lone_exec``
-        instead (see :meth:`_settle_lone`).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -445,14 +305,6 @@ class Simulator:
         fired = 0
         profiler = self.profiler
         stall_limit = self.stall_event_limit
-        prov = self._refresh_provenance()
-        full = not self._trace.ties_only
-        if prov and (full or not self.events_run):
-            # A full stream keeps no slot, and a simulator's first run
-            # starts as if after a tie group: what it records must not
-            # depend on what ran on the recorder before it (a fan-out
-            # cell runs on the run's recorder or on a worker's).
-            self._trace.lone_exec = AFTER_TIE
         queue = self._queue
         if profiler is not None:
             profiler.begin_run()
@@ -494,31 +346,6 @@ class Simulator:
                     self._stall_time = time
                     self._stall_count = 1
                 callback = event.callback
-                if prov:
-                    self._exec_seq = event.seq
-                    # Stamped even when not recorded: entity names are
-                    # handed out in first-execution order.
-                    stamp = self._stamp(callback)
-                    trace = self._trace
-                    emit = True
-                    if (full or self._stall_count > 1
-                            or queue.head_time() == time):
-                        if not full:
-                            self._settle_lone(time)
-                    elif trace.lone_exec is AFTER_TIE:
-                        # The first lone event after a tie group: its
-                        # record ends the group where a full stream's
-                        # would, ahead of anything it records itself.
-                        trace.lone_exec = LONE_RECORDED
-                    else:
-                        trace.lone_exec = event
-                        trace.lone_stamp = stamp
-                        emit = False
-                    if emit:
-                        trace.record(
-                            time, EV_SCHED_EXEC, stamp[0],
-                            seq=event.seq, parent=event.parent,
-                            callback=stamp[1], prio=event.priority)
                 if profiler is None:
                     callback(*event.args)
                 else:
@@ -537,7 +364,6 @@ class Simulator:
             raise
         finally:
             self._running = False
-            self._exec_seq = None
             self._publish_tie_breaks()
             if profiler is not None:
                 profiler.end_run()
@@ -632,8 +458,6 @@ class Timer:
         # What ``Simulator.schedule`` would build, minus the handle.
         event = self._event = Event(now + delay, self._fire)
         event.lpush = now
-        if sim._prov:
-            event.parent = sim._exec_seq
         sim._queue.push(event)
 
     def restart(self, delay: float) -> None:

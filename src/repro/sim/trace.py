@@ -17,22 +17,16 @@ Two additions keep large workloads honest:
   ``keep_records=False`` to stream only.
 
 Two extension points serve the observation planes (:mod:`repro.audit`,
-:mod:`repro.obs`, :mod:`repro.hb`):
+:mod:`repro.obs`):
 
 * observers attached via :meth:`TraceRecorder.subscribe` see every
   record *before* kind filtering, so a runtime invariant auditor can
   watch the full event stream while the in-memory/sink view stays
   filtered to what the user asked for;
-* ``lineage`` (per-packet ``pkt.*`` hop events) and ``provenance``
-  (``sched.exec`` scheduler stamps) are emitted only when the
-  recorder's owner asked for them or a live subscription consumes
-  them; emission sites guard on the two plain attributes, so the
-  default tracing cost is unchanged when nobody is watching;
-* provenance comes in two forms: *full* (a stamp per executed event)
-  and *tie-only* (:data:`SCHED_EXEC_TIES`: stamps for events that
-  share their instant with another, plus the first lone event after
-  each tie group), which is all a race check needs.  Tie-only is used only while nothing persists or replays the
-  stream (no sink, no owner wish, no full consumer).
+* ``lineage`` (per-packet ``pkt.*`` hop events) is emitted only when
+  the recorder's owner asked for it or a live subscription consumes
+  it; emission sites guard on the plain attribute, so the default
+  tracing cost is unchanged when nobody is watching.
 
 The documented event-kind/detail-key contract lives in
 :mod:`repro.telemetry.schema`.
@@ -41,27 +35,11 @@ The documented event-kind/detail-key contract lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
-from repro.telemetry.schema import EV_SCHED_EXEC, LINEAGE_EVENT_KINDS
+from repro.telemetry.schema import LINEAGE_EVENT_KINDS
 
-__all__ = ["AFTER_TIE", "LONE_RECORDED", "SCHED_EXEC_TIES", "TraceRecord",
-           "TraceRecorder"]
-
-#: The pseudo-kind a subscription declares to consume ``sched.exec``
-#: records only around ties: for events that share their timestamp with
-#: another executed event (the only ones a race can involve), and for
-#: the first lone event after each tie group; see
-#: :meth:`repro.sim.simulator.Simulator.run`.
-SCHED_EXEC_TIES = "sched.exec@ties"
-
-#: ``TraceRecorder.lone_exec`` when nothing is parked: the last executed
-#: event was recorded in a tie group (or none has run) ...
-AFTER_TIE = None
-#: ... or it was lone and recorded all the same.  Both are falsy; a
-#: parked event is not.
-LONE_RECORDED = False
+__all__ = ["TraceRecord", "TraceRecorder"]
 
 
 class TraceRecord:
@@ -130,54 +108,33 @@ class TraceRecorder:
         When True, packet-level lineage emission sites (``pkt.*`` hop
         events in links/hosts/receivers) fire; they stay silent
         otherwise so per-packet tracing remains opt-in.
-    provenance:
-        When True, the simulator stamps every scheduled event with its
-        scheduling parent and emits ``sched.exec`` records for each
-        executed event (the happens-before provenance plane consumed by
-        :mod:`repro.hb`).  Off by default — the simulator hot loop pays
-        nothing when this is False.
 
-    ``lineage`` and ``provenance`` are plain attributes: the owner's
-    wish (constructor argument or assignment) while nothing is
-    subscribed, that wish *or* what a subscription consumes while one
-    is — recomputed by :meth:`subscribe` / :meth:`unsubscribe`, and back
-    to the owner's wish when the last subscriber leaves.
-    :attr:`ties_only` is derived the same way: True when the only
-    provenance consumers declared :data:`SCHED_EXEC_TIES` and there is
-    no sink.  In that mode the simulator parks the last executed event
-    it did not record in :attr:`lone_exec`; :meth:`parked` is its
-    record.
+    ``lineage`` is a plain attribute: the owner's wish (constructor
+    argument or assignment) while nothing is subscribed, that wish *or*
+    what a subscription consumes while one is — recomputed by
+    :meth:`subscribe` / :meth:`unsubscribe`, and back to the owner's
+    wish when the last subscriber leaves.
     """
 
     def __init__(self, enabled: bool = True, kinds: Optional[List[str]] = None,
                  max_records: Optional[int] = None, sink=None,
-                 keep_records: bool = True, lineage: bool = False,
-                 provenance: bool = False) -> None:
+                 keep_records: bool = True, lineage: bool = False) -> None:
         if max_records is not None and max_records <= 0:
             raise ValueError("max_records must be positive (or None)")
         self.enabled = enabled
         self.lineage = lineage
-        self.provenance = provenance
-        self.ties_only = False
-        #: Tie-only mode: the last executed ``Event`` when it went
-        #: unrecorded (:meth:`parked` renders it), else
-        #: :data:`AFTER_TIE` or :data:`LONE_RECORDED`.
-        self.lone_exec: Any = AFTER_TIE
-        #: ``(entity, callback label)`` of the parked event, as the
-        #: simulator stamped it.
-        self.lone_stamp: Tuple[str, str] = ("", "")
         self._kinds = tuple(kinds) if kinds else None
         self._max_records = max_records
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         self.sink = sink
         self._keep = keep_records
-        # observer -> the kinds it declared; the owner's own
-        # (lineage, provenance) wish is parked while any are live.
+        # observer -> the kinds it declared; the owner's own lineage
+        # wish is parked while any are live.
         self._subscriptions: Dict[Callable, Any] = {}
         # What :meth:`record` iterates: the subscribers, rebuilt by
         # subscribe / unsubscribe.
         self._observers: tuple = ()
-        self._asked = (lineage, provenance)
+        self._asked = lineage
         self._appended = 0
 
     @property
@@ -198,14 +155,11 @@ class TraceRecorder:
         audit subsystem) see events the user's filter would discard.
         ``kinds`` declares the exact kinds the observer consumes (None =
         every record): consuming a ``pkt.*`` lineage kind turns
-        :attr:`lineage` on, consuming ``sched.exec`` :attr:`provenance`
-        (:data:`SCHED_EXEC_TIES`: tie-only provenance, unless another
-        declaration or a sink wants every stamp).  It is a declaration,
-        not a filter — the observer still sees every record and routes
-        for itself.
+        :attr:`lineage` on.  It is a declaration, not a filter — the
+        observer still sees every record and routes for itself.
         """
         if not self._subscriptions:
-            self._asked = (self.lineage, self.provenance)
+            self._asked = self.lineage
         self._subscriptions[observer] = kinds
         self._derive_flags()
 
@@ -217,19 +171,9 @@ class TraceRecorder:
 
     def _derive_flags(self) -> None:
         self._observers = tuple(self._subscriptions)
-        lineage, full = self._asked
-        ties = False
-        for kinds in self._subscriptions.values():
-            if kinds is None:
-                lineage = full = True
-                continue
-            lineage = lineage or not LINEAGE_EVENT_KINDS.isdisjoint(kinds)
-            full = full or EV_SCHED_EXEC in kinds
-            ties = ties or SCHED_EXEC_TIES in kinds
-        self.lineage = lineage
-        self.provenance = full or ties
-        # A sink persists the stream, so it gets every stamp.
-        self.ties_only = ties and not full and self.sink is None
+        self.lineage = self._asked or any(
+            kinds is None or not LINEAGE_EVENT_KINDS.isdisjoint(kinds)
+            for kinds in self._subscriptions.values())
 
     def record(self, time: float, kind: str, source: str, **detail: Any) -> None:
         """Record one event (no-op when disabled or filtered out)."""
@@ -245,17 +189,6 @@ class TraceRecorder:
         if self._keep:
             self._appended += 1
             self._records.append(rec)
-
-    def parked(self) -> Optional[TraceRecord]:
-        """The ``sched.exec`` record a full stream would carry for the
-        parked event (None when :attr:`lone_exec` holds none)."""
-        event = self.lone_exec
-        if not event:
-            return None
-        entity, callback = self.lone_stamp
-        return TraceRecord(event.time, EV_SCHED_EXEC, entity,
-                           {"seq": event.seq, "parent": event.parent,
-                            "callback": callback, "prio": event.priority})
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         """All in-memory records, optionally restricted to a kind prefix."""

@@ -14,8 +14,8 @@ as one-line reads of, or ``scope(...)`` over, this object; DESIGN.md
 ("Ambient state") has the slot table.
 
 :func:`attached` is the one way an observer reaches a run's trace
-stream; the audit, breakdown and provenance sessions are payload plus a
-call to it.
+stream; the audit and breakdown sessions are payload plus a call to
+it.
 
 This module is import-light on purpose (no repro imports; every slot is
 held duck-typed) — the simulator imports it, and the telemetry package

@@ -35,18 +35,12 @@ Schema versions
   (:mod:`repro.obs.spans`) needs the split point inside the
   ``pkt.tx`` → ``pkt.deliver`` span: ``[tx, tx+ser)`` is wire
   serialization, ``[tx+ser, deliver)`` is propagation.
-* **v5** — adds the scheduler-provenance family (``sched.exec``),
-  emitted only when a trace recorder's ``provenance`` flag is on.  One
-  record per executed simulator event: ``source`` is the *entity* the
-  callback runs against (link, host, queue, timer, flow closure — the
-  shared-mutable-state proxy), ``seq`` the event's logical sequence
-  number, ``parent`` the seq of the event whose callback scheduled it
-  (None for events scheduled by setup code), ``callback`` the callback
-  qualname, and ``prio`` the scheduling priority.  The happens-before
-  graph builder (:mod:`repro.hb`) consumes this family together with
-  the v2 ``pkt.*`` lineage events to construct the causal DAG behind
-  the nondeterminism audit checker and the schedule-perturbation
-  harness.
+* **v5** — added the scheduler-provenance family (``sched.exec``: one
+  record per executed simulator event, with its owner entity and
+  scheduling parent) for a happens-before race checker.
+* **v6** — removes the ``sched.exec`` family with that checker.
+  Schedule perturbation (:mod:`repro.hb.perturb`) checks the same
+  claim on outcomes and reads no trace.
 """
 
 from __future__ import annotations
@@ -71,12 +65,10 @@ __all__ = [
     # Event-name constants (v3: chaos engine).
     "EV_CHAOS_CORRUPT", "EV_CHAOS_FLAP", "EV_CHAOS_RATE",
     "EV_CHAOS_CLONE",
-    # Event-name constants (v5: scheduler provenance).
-    "EV_SCHED_EXEC", "SCHED_EVENT_KINDS",
 ]
 
 #: Version of the event contract documented here (see module docstring).
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # -- Experiment harness (flow lifecycle). ------------------------------
 EV_FLOW_START = "flow.start"
@@ -128,13 +120,6 @@ EV_CHAOS_RATE = "chaos.rate"
 #: original would have, and the lineage tracer gives the clone a proper
 #: span instead of an orphan.
 EV_CHAOS_CLONE = "chaos.clone"
-# -- Scheduler provenance (v5; emitted only when ``trace.provenance``
-# -- is on).  ----------------------------------------------------------
-#: The simulator executed one scheduled event.  ``source`` is the
-#: entity whose state the callback mutates; ``parent`` is the seq of
-#: the event whose callback scheduled this one (the happens-before
-#: scheduling edge), or None for setup-scheduled roots.
-EV_SCHED_EXEC = "sched.exec"
 
 #: kind -> detail keys every emission must carry.
 EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
@@ -164,8 +149,6 @@ EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     EV_CHAOS_FLAP: frozenset({"link", "up"}),
     EV_CHAOS_RATE: frozenset({"link", "rate"}),
     EV_CHAOS_CLONE: frozenset({"uid", "clone_of", "flow"}),
-    # Scheduler provenance (v5).
-    EV_SCHED_EXEC: frozenset({"seq", "parent", "callback", "prio"}),
 }
 
 #: Kinds that carry a ``flow`` key and belong on per-flow timelines.
@@ -185,10 +168,6 @@ LINEAGE_EVENT_KINDS = frozenset({
     EV_PKT_SEND, EV_PKT_ENQUEUE, EV_PKT_TX, EV_PKT_DELIVER, EV_PKT_ACK_GEN,
     EV_CHAOS_CLONE,
 })
-
-#: The scheduler-provenance family (v5; emitted only when
-#: ``trace.provenance`` is on).
-SCHED_EVENT_KINDS = frozenset({EV_SCHED_EXEC})
 
 
 def required_keys(kind: str) -> FrozenSet[str]:

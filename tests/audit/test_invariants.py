@@ -286,5 +286,4 @@ class TestRegistry:
             "ack-knowledge", "seq-ack-monotonicity", "packet-conservation",
             "pacing-evenness", "ropr-order", "ropr-never-acked",
             "frontier-meet", "rto-sanity", "fct-conservation",
-            "scheduler-nondeterminism",
         }

@@ -58,22 +58,6 @@ class TestSessionWiring:
         run = run_one_flow("halfback", size=30_000)
         assert run.sim.trace.lineage is False
 
-    def test_provenance_flipped_on_and_restored(self):
-        with AuditSession() as session:
-            assert session.trace.provenance is True
-        with Telemetry(profile=False) as hub:
-            assert hub.trace.provenance is False
-            with AuditSession():
-                assert hub.trace.provenance is True
-            assert hub.trace.provenance is False
-
-    def test_audited_run_streams_sched_provenance(self):
-        with AuditSession() as session:
-            run_one_flow("halfback", size=30_000)
-        # The nondeterminism checker had real provenance to chew on.
-        assert session.auditor.events_audited > 0
-        assert session.clean
-
     def test_clean_run_reports_clean(self):
         run = run_audited_flow(segments=20)
         assert run.clean
@@ -185,38 +169,6 @@ class TestFlightRecorder:
         doc = json.loads(
             (tmp_path / "crash-bundle" / "violations.json").read_text())
         assert doc["reason"].startswith("crash: RuntimeError")
-
-    def test_postmortem_names_the_instant_group(self, tmp_path):
-        out = str(tmp_path / "bundle")
-        run = run_audited_flow(
-            segments=60, out_dir=out,
-            fault=lambda sender, **kw: seed_ropr_misorder(sender))
-        assert not run.clean
-        text = (tmp_path / "bundle" / "postmortem.txt").read_text()
-        # Provenance stamps give the dump its tie-break context: the
-        # same-timestamp event group being executed when it fired.
-        assert "same-timestamp event group at the dump instant" in text
-        assert "seq" in text
-
-    def test_instant_group_is_capped_and_rendered_at_dump(self, tmp_path):
-        from repro.audit.session import MAX_INSTANT_GROUP, Auditor
-
-        auditor = Auditor(checkers=[], out_dir=str(tmp_path / "bundle"))
-        for seq in range(MAX_INSTANT_GROUP + 5):
-            auditor.observe(TraceRecord(
-                1.5, "sched.exec", "link-a",
-                {"callback": "Link._deliver", "seq": seq, "parent": 7}))
-        # Nothing is formatted per record; the dump renders the group.
-        assert all(isinstance(r, TraceRecord) for r in auditor._instant)
-        auditor.observe(TraceRecord(1.5, "sim.crash", "simulator",
-                                    {"error": "boom"}))
-        lines = (tmp_path / "bundle" / "postmortem.txt").read_text() \
-            .splitlines()
-        group = [line for line in lines if "Link._deliver" in line]
-        assert len(group) == MAX_INSTANT_GROUP
-        assert group[0] == \
-            "  t=1.500000000 link-a Link._deliver (seq 0, parent 7)"
-        assert lines[lines.index(group[-1]) + 1] == "    ... group truncated"
 
     def test_no_out_dir_means_no_dump(self):
         run = run_audited_flow(

@@ -264,6 +264,29 @@ class TestBreakdownResume:
         assert lines == plain and doc == plain_doc
 
 
+class TestResumedTieBreaks:
+    def test_resumed_line_equals_an_uninterrupted_one(self, tmp_path):
+        # A sweep with same-instant groups (SWEEP's cells have none).
+        sweep = ["sweep", "--protocols", "halfback,tcp",
+                 "--profiles", "wifi-bursty,blackhole", "--flows", "2",
+                 "--size", "30000", "--seed", "42", "--no-manifest"]
+
+        def tie_line(*extra):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert chaos_main(sweep + list(extra)) == 0
+            (line,) = [line for line in out.getvalue().splitlines()
+                       if line.startswith("[scheduler tie-breaks:")]
+            return line
+
+        whole = tie_line()
+        assert not whole.startswith("[scheduler tie-breaks: 0 ")
+        state = str(tmp_path / "state")
+        assert tie_line("--resume", state) == whole
+        # Every cell replays from the journal now, its counts with it.
+        assert tie_line("--resume", state) == whole
+
+
 class TestAuditedSweep:
     def test_audit_composes_with_jobs(self, tmp_path):
         code, serial, serial_doc, _ = _sweep(tmp_path, "serial", "--audit",

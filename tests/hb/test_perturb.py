@@ -1,10 +1,12 @@
 """Schedule-perturbation harness: commuting tie groups can't change
 reports.
 
-The property tests are the dynamic half of the happens-before claim:
-if the nondeterminism checker is right that same-timestamp events
-commute, then ANY salted permutation of the tie-break order must
-reproduce the canonical report bit-for-bit.
+If same-timestamp events commute, ANY salted permutation of the
+tie-break order must reproduce the canonical report bit-for-bit.  The
+hand-built simulators below are the plane's seeded faults: an
+order-sensitive pair must diverge under some salt, a causally chained
+or commuting pair must not, and a dependence through state two owners
+share must be caught as surely as one inside a single owner.
 """
 
 import pytest
@@ -13,8 +15,13 @@ from hypothesis import given, settings, strategies as st
 from repro.hb.perturb import (DEFAULT_SALTS, PerturbationResult,
                               PerturbedRun, fingerprint, perturb,
                               run_scenario)
+from repro.sim.scheduler import tiebreak_permutation
+from repro.sim.simulator import Simulator
 
 QUICK = dict(scale=0.02, seed=17)
+
+#: The salts every hand-built fault is run under.
+SALTS = range(1, 9)
 
 
 class TestFingerprint:
@@ -65,3 +72,116 @@ class TestHarness:
         fig. 3 report, whatever the salt."""
         result = perturb("fig3", salts=[salt], **QUICK)
         assert result.identical, result.report()
+
+
+# ----------------------------------------------------------------------
+# Hand-built seeded faults
+# ----------------------------------------------------------------------
+
+
+def outcome(build, salt=None):
+    """Run the simulator ``build(sim)`` sets up, canonically or under
+    ``salt``, and return what its ``build`` reports afterwards."""
+    if salt is None:
+        sim = Simulator()
+    else:
+        with tiebreak_permutation(salt):
+            sim = Simulator()
+    report = build(sim)
+    sim.run()
+    return report()
+
+
+def diverging_salts(build):
+    baseline = outcome(build)
+    return [salt for salt in SALTS if outcome(build, salt) != baseline]
+
+
+class Register:
+    """One owner whose last write wins."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, value):
+        self.writes.append(value)
+
+
+class Buffer:
+    """A bounded FIFO two owners share, counting what it turns away."""
+
+    def __init__(self, capacity, items=()):
+        self.capacity = capacity
+        self.items = list(items)
+        self.drops = 0
+
+
+class Filler:
+    def __init__(self, buffer):
+        self.buffer = buffer
+
+    def fill(self, item):
+        if len(self.buffer.items) >= self.buffer.capacity:
+            self.buffer.drops += 1
+        else:
+            self.buffer.items.append(item)
+
+
+class Drainer:
+    def __init__(self, buffer):
+        self.buffer = buffer
+        self.taken = []
+
+    def drain(self):
+        if self.buffer.items:
+            self.taken.append(self.buffer.items.pop(0))
+
+
+class TestHandBuiltFaults:
+    def test_order_sensitive_pair_diverges(self):
+        def build(sim):
+            register = Register()
+            sim.schedule(1.0, register.write, "a")
+            sim.schedule(1.0, register.write, "b")
+            return lambda: register.writes[-1]
+        assert diverging_salts(build)
+
+    def test_causally_chained_pair_stays_identical(self):
+        def build(sim):
+            register = Register()
+
+            def first():
+                register.write("a")
+                # Same instant, same owner, but scheduled by the first:
+                # no permutation can run it before its parent.
+                sim.schedule(0.0, register.write, "b")
+            sim.schedule(1.0, first)
+            return lambda: tuple(register.writes)
+        assert diverging_salts(build) == []
+
+    def test_commuting_pair_stays_identical(self):
+        def build(sim):
+            counter = {"n": 0}
+
+            def bump():
+                counter["n"] += 1
+            sim.schedule(1.0, bump)
+            sim.schedule(1.0, bump)
+            return lambda: counter["n"]
+        assert diverging_salts(build) == []
+
+    def test_cross_owner_dependence_diverges(self):
+        """The shape of the fig16 witness (DESIGN.md §6): one owner
+        fills a full bounded buffer while another drains it at the same
+        instant; whether the fill is dropped depends on who runs first,
+        though the two callbacks belong to different owners."""
+        def build(sim):
+            buffer = Buffer(capacity=1, items=["queued"])
+            filler, drainer = Filler(buffer), Drainer(buffer)
+            sim.schedule(1.0, drainer.drain)
+            sim.schedule(1.0, filler.fill, "arrival")
+            return lambda: (buffer.drops, tuple(buffer.items))
+        assert outcome(build) == (0, ("arrival",))
+        salts = diverging_salts(build)
+        assert salts
+        assert {outcome(build, salt) for salt in salts} == {(1, ())}

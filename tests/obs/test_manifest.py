@@ -194,8 +194,9 @@ class TestRunManifest:
 
     def test_previous_schema_version_is_refused(self):
         doc = RunManifest("x").to_dict()
-        assert doc["schema"] == "repro.obs.manifest/3"
-        for previous in ("repro.obs.manifest/1", "repro.obs.manifest/2"):
+        assert doc["schema"] == "repro.obs.manifest/4"
+        for previous in ("repro.obs.manifest/1", "repro.obs.manifest/2",
+                         "repro.obs.manifest/3"):
             doc["schema"] = previous
             assert validate_manifest(doc) != []
 

@@ -16,6 +16,8 @@ from repro.parallel import (
     pool,
     reset_fanout_stats,
 )
+from repro.sim.simulator import (Simulator, reset_tie_break_stats,
+                                 tie_break_stats)
 
 
 def _square(x):
@@ -34,6 +36,20 @@ def _boom(x):
 
 def _never_run(*args, **kwargs):
     raise AssertionError("a replayed cell ran again")
+
+
+def _tied(n):
+    """One simulator firing ``n`` events at each of two instants: two
+    tie-break groups of size ``n``."""
+    sim = Simulator()
+    for time in (1.0, 2.0):
+        for _ in range(n):
+            sim.schedule(time, lambda: None)
+    sim.run()
+    return n
+
+
+NO_TIES = {"groups": 0, "max_group": 0}
 
 
 @pytest.fixture(autouse=True)
@@ -63,38 +79,55 @@ class TestCellDigest:
 class TestCellJournal:
     def test_append_then_replay_roundtrips(self, tmp_path):
         journal = CellJournal(str(tmp_path / "run"))
-        journal.append("d1", "cell-1", {"value": 41})
-        journal.append("d2", "cell-2", [1, 2, 3])
+        ties = {"groups": 3, "max_group": 2}
+        journal.append("d1", "cell-1", {"value": 41}, ties)
+        journal.append("d2", "cell-2", [1, 2, 3], NO_TIES)
         journal.close()
         replayed = CellJournal(str(tmp_path / "run")).replay()
-        assert replayed == {"d1": {"value": 41}, "d2": [1, 2, 3]}
+        assert replayed == {"d1": ({"value": 41}, ties),
+                            "d2": ([1, 2, 3], NO_TIES)}
 
     def test_torn_tail_is_skipped_not_fatal(self, tmp_path):
         journal = CellJournal(str(tmp_path / "run"))
-        journal.append("d1", "cell-1", 41)
-        journal.append("d2", "cell-2", 42)
+        journal.append("d1", "cell-1", 41, NO_TIES)
+        journal.append("d2", "cell-2", 42, NO_TIES)
         journal.close()
         with open(journal.path, "a", encoding="utf-8") as fh:
-            fh.write('{"schema": "repro.parallel.journal/1", "digest": "d3')
+            fh.write('{"schema": "repro.parallel.journal/2", "digest": "d3')
         fresh = CellJournal(str(tmp_path / "run"))
-        assert fresh.replay() == {"d1": 41, "d2": 42}
+        assert fresh.replay() == {"d1": (41, NO_TIES), "d2": (42, NO_TIES)}
+        assert fresh.skipped_lines == 1
+
+    def test_line_without_tie_break_counts_reruns_its_cell(self, tmp_path):
+        journal = CellJournal(str(tmp_path / "run"))
+        journal.append("d1", "cell-1", 41, NO_TIES)
+        journal.close()
+        with open(journal.path, encoding="utf-8") as fh:
+            record = json.loads(fh.readline())
+        del record["ties"]
+        record["digest"] = "d2"
+        with open(journal.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        fresh = CellJournal(str(tmp_path / "run"))
+        assert fresh.replay() == {"d1": (41, NO_TIES)}
         assert fresh.skipped_lines == 1
 
     def test_entries_carry_schema_and_label(self, tmp_path):
         journal = CellJournal(str(tmp_path / "run"))
-        journal.append("d1", "tcp:wifi", 41)
+        journal.append("d1", "tcp:wifi", 41, NO_TIES)
         journal.close()
         with open(journal.path, encoding="utf-8") as fh:
             record = json.loads(fh.readline())
-        assert record["schema"] == "repro.parallel.journal/1"
+        assert record["schema"] == "repro.parallel.journal/2"
         assert record["label"] == "tcp:wifi"
+        assert record["ties"] == NO_TIES
 
     def test_file_digest_changes_with_content(self, tmp_path):
         journal = CellJournal(str(tmp_path / "run"))
         assert journal.file_digest() is None
-        journal.append("d1", "cell", 1)
+        journal.append("d1", "cell", 1, NO_TIES)
         first = journal.file_digest()
-        journal.append("d2", "cell", 2)
+        journal.append("d2", "cell", 2, NO_TIES)
         assert first is not None and journal.file_digest() != first
 
     def test_ambient_journaling_context(self, tmp_path):
@@ -158,9 +191,30 @@ class TestResume:
         assert cell_digest(_boom, 2) not in replayed
         assert len(replayed) == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replayed_cells_keep_their_tie_break_counts(self, tmp_path,
+                                                         jobs):
+        items = [2, 3, 4]
+        reset_tie_break_stats()
+        fanout_map(_tied, items, jobs=jobs)
+        uninterrupted = tie_break_stats()
+        assert uninterrupted == {"groups": 6, "max_group": 4}
+
+        # Two of three cells journaled, then a resume that runs the
+        # third: the totals must read as if nothing was interrupted.
+        journal = CellJournal(str(tmp_path / "run"))
+        fanout_map(_tied, items[:2], jobs=jobs, journal=journal)
+        journal.close()
+        reset_tie_break_stats()
+        fanout_map(_tied, items, jobs=jobs,
+                   journal=CellJournal(str(tmp_path / "run")))
+        assert tie_break_stats() == uninterrupted
+        assert fanout_stats()["replayed"] == 2
+        reset_tie_break_stats()
+
     def test_serial_run_journals_too(self, tmp_path):
         journal = CellJournal(str(tmp_path / "run"))
         fanout_map(_square, [1, 2], jobs=1, journal=journal)
         journal.close()
         replayed = CellJournal(str(tmp_path / "run")).replay()
-        assert set(replayed.values()) == {1, 4}
+        assert {value for value, _ in replayed.values()} == {1, 4}

@@ -1,282 +1,10 @@
-"""Scheduler provenance instrumentation (schema v5 ``sched.exec``)."""
-
-import pytest
+"""Scheduler tie-breaks: the exposure counters and the salted
+permutation the schedule-perturbation harness runs under."""
 
 from repro.sim.scheduler import (EventScheduler, PermutedEventScheduler,
                                  current_tiebreak_salt, tiebreak_permutation)
 from repro.sim.simulator import (Simulator, reset_tie_break_stats,
                                  tie_break_stats)
-from repro.sim.trace import TraceRecorder
-from repro.telemetry.schema import EV_SCHED_EXEC, validate_records
-
-
-def provenance_sim():
-    trace = TraceRecorder(enabled=True, provenance=True)
-    return Simulator(trace=trace), trace
-
-
-class TestProvenanceOff:
-    def test_no_sched_records_by_default(self):
-        trace = TraceRecorder(enabled=True)
-        sim = Simulator(trace=trace)
-        sim.schedule(1.0, lambda: sim.schedule(0.5, lambda: None))
-        sim.run()
-        assert trace.records(EV_SCHED_EXEC) == []
-
-    def test_no_parent_stamping_when_off(self):
-        sim = Simulator()
-        seen = []
-
-        def outer():
-            handle = sim.schedule(1.0, lambda: None)
-            seen.append(handle._event.parent)
-
-        sim.schedule(1.0, outer)
-        sim.run()
-        assert seen == [None]
-
-
-class TestProvenanceOn:
-    def test_one_record_per_executed_event(self):
-        sim, trace = provenance_sim()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        records = trace.records(EV_SCHED_EXEC)
-        assert len(records) == 2 == sim.events_run
-        assert validate_records(records) == []
-
-    def test_parent_is_the_scheduling_event(self):
-        sim, trace = provenance_sim()
-
-        def parent():
-            sim.schedule(0.5, child)
-
-        def child():
-            pass
-
-        sim.schedule(1.0, parent)
-        sim.run()
-        first, second = trace.records(EV_SCHED_EXEC)
-        assert first.detail["parent"] is None
-        assert second.detail["parent"] == first.detail["seq"]
-        assert second.detail["callback"].endswith("child")
-
-    def test_callback_label_reprs_only_what_has_no_qualname(self):
-        import functools
-
-        class Owner:
-            name = "owner"
-            reprs = 0
-
-            def __repr__(self):
-                Owner.reprs += 1
-                return "<owner>"
-
-            def tick(self):
-                pass
-
-        sim, trace = provenance_sim()
-        owner = Owner()
-        sim.schedule(1.0, owner.tick)
-        sim.run()
-        # A bound method's repr renders its owner; it must not be built
-        # for a callback that can name itself.
-        assert Owner.reprs == 0
-        sim.schedule(1.0, functools.partial(owner.tick))
-        sim.run()
-        method, partial = trace.records(EV_SCHED_EXEC)
-        assert method.detail["callback"].endswith("Owner.tick")
-        assert partial.detail["callback"].startswith("functools.partial(")
-        assert Owner.reprs > 0
-
-    def test_setup_scheduled_events_are_roots(self):
-        sim, trace = provenance_sim()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        (record,) = trace.records(EV_SCHED_EXEC)
-        assert record.detail["parent"] is None
-
-    def test_flag_flip_takes_effect_on_next_run(self):
-        trace = TraceRecorder(enabled=True)
-        sim = Simulator(trace=trace)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert trace.records(EV_SCHED_EXEC) == []
-        trace.provenance = True
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(trace.records(EV_SCHED_EXEC)) == 1
-
-
-class TestEntityNaming:
-    def test_named_component_uses_its_name(self):
-        sim, trace = provenance_sim()
-        timer = sim.timer(lambda: None, name="rto:7")
-        timer.start(1.0)
-        sim.run()
-        (record,) = trace.records(EV_SCHED_EXEC)
-        assert record.source == "rto:7"
-        assert record.detail["callback"] == "Timer._fire"
-
-    def test_distinct_instances_get_distinct_entities(self):
-        sim, trace = provenance_sim()
-
-        class Thing:
-            def poke(self):
-                pass
-
-        first, second = Thing(), Thing()
-        sim.schedule(1.0, first.poke)
-        sim.schedule(2.0, second.poke)
-        sim.run()
-        sources = [r.source for r in trace.records(EV_SCHED_EXEC)]
-        assert sources == ["Thing#0", "Thing#1"]
-
-    def test_same_function_is_one_entity(self):
-        sim, trace = provenance_sim()
-
-        def tick():
-            pass
-
-        sim.schedule(1.0, tick)
-        sim.schedule(2.0, tick)
-        sim.run()
-        sources = {r.source for r in trace.records(EV_SCHED_EXEC)}
-        assert len(sources) == 1
-
-    def test_flow_id_fallback(self):
-        sim, trace = provenance_sim()
-
-        class FlowLike:
-            flow_id = 42
-
-            def go(self):
-                pass
-
-        sim.schedule(1.0, FlowLike().go)
-        sim.run()
-        (record,) = trace.records(EV_SCHED_EXEC)
-        assert record.source == "flow:42"
-
-    def test_hb_partitions_split_declared_callbacks(self):
-        sim, trace = provenance_sim()
-
-        class Duplex:
-            name = "duplex"
-            HB_PARTITIONS = {"deliver": "pipe"}
-
-            def serialize(self):
-                pass
-
-            def deliver(self):
-                pass
-
-        box = Duplex()
-        sim.schedule(1.0, box.serialize)
-        sim.schedule(2.0, box.deliver)
-        sim.run()
-        sources = [r.source for r in trace.records(EV_SCHED_EXEC)]
-        assert sources == ["duplex", "duplex/pipe"]
-
-    def test_link_deliver_runs_on_the_pipe_entity(self):
-        from repro.net.link import Link
-        from repro.net.packet import Packet, PacketType
-
-        class Sink:
-            name = "sink"
-
-            def receive(self, packet):
-                pass
-
-        sim, trace = provenance_sim()
-        link = Link(sim, "a->b", Sink(), rate=1e6, delay=0.001)
-        link.send(Packet("a", "b", flow_id=1, kind=PacketType.DATA,
-                         size=1000, seq=0))
-        sim.run()
-        sources = {r.detail["callback"]: r.source
-                   for r in trace.records(EV_SCHED_EXEC)}
-        assert sources["Link._finish_transmission"] == "a->b"
-        assert sources["Link._deliver"] == "a->b/pipe"
-
-
-class TestStampCache:
-    """Bound-method stamps are cached per (owner, function); the cache
-    must not change a single ``sched.exec`` source or callback."""
-
-    @staticmethod
-    def impaired_flow_stamps(monkeypatch):
-        import dataclasses
-        import itertools
-
-        from repro import chaos
-        from repro.experiments.scenarios import run_single_path_flow
-        from repro.hb.session import ProvenanceSession
-        from repro.planetlab.paths import PathPopulation
-
-        spec = dataclasses.replace(PathPopulation(n_pairs=1, seed=4).paths[0],
-                                   loss_rate=0.03)
-        # Fresh flow ids, so the two runs name their flows alike.
-        monkeypatch.setattr("repro.transport.flow._flow_ids",
-                            itertools.count(1))
-        with ProvenanceSession() as session, \
-                chaos.session("flaky-uplink:1"):
-            record = run_single_path_flow(spec, "halfback", size=100_000,
-                                          seed=4)
-        assert record.extra["drops"] > 0
-        return [(r.source, r.detail["callback"])
-                for r in session.records() if r.kind == EV_SCHED_EXEC]
-
-    def test_impaired_lossy_flow_stamps_as_uncached(self, monkeypatch):
-        from repro.sim.simulator import _callback_label
-
-        cached = self.impaired_flow_stamps(monkeypatch)
-
-        def every_event(sim, callback):
-            return sim._event_entity(callback), _callback_label(callback)
-
-        monkeypatch.setattr(Simulator, "_stamp", every_event)
-        assert cached == self.impaired_flow_stamps(monkeypatch)
-        assert {"LinkFlap._toggle", "Link._deliver"} <= {
-            callback for _, callback in cached}
-
-    def test_link_partitions_stay_distinct(self):
-        from repro.net.link import Link
-        from repro.net.packet import Packet, PacketType
-
-        class Sink:
-            name = "sink"
-
-            def receive(self, packet):
-                pass
-
-        sim, trace = provenance_sim()
-        link = Link(sim, "a->b", Sink(), rate=1e6, delay=0.001)
-        for seq in range(3):
-            link.send(Packet("a", "b", flow_id=1, kind=PacketType.DATA,
-                             size=1000, seq=seq))
-        sim.run()
-        stamps = [(r.detail["callback"], r.source)
-                  for r in trace.records(EV_SCHED_EXEC)]
-        assert len(stamps) == 6
-        assert set(stamps) == {("Link._finish_transmission", "a->b"),
-                               ("Link._deliver", "a->b/pipe")}
-
-    def test_class_attribute_names_suffix_in_first_seen_order(self):
-        class Shared:
-            name = "shared"
-
-            def tick(self):
-                pass
-
-        sim, trace = provenance_sim()
-        a, b, c = Shared(), Shared(), Shared()
-        for at, owner in enumerate([b, a, c, a, b, c], start=1):
-            sim.schedule(float(at), owner.tick)
-        sim.run()
-        assert [r.source for r in trace.records(EV_SCHED_EXEC)] == [
-            "shared", "shared#1", "shared#2", "shared#1", "shared",
-            "shared#2"]
 
 
 class TestTieBreakCounters:
@@ -363,22 +91,3 @@ class TestTiebreakPermutation:
             handle.cancel()
             sim.run()
         assert keep == ["kept"]
-
-
-class TestProvenanceDeterminism:
-    def test_instrumentation_does_not_change_execution(self):
-        def run(provenance):
-            trace = TraceRecorder(enabled=True, provenance=provenance)
-            sim = Simulator(seed=11, trace=trace)
-            out = []
-
-            def chain(n):
-                out.append(n)
-                if n:
-                    sim.schedule(0.25, chain, n - 1)
-
-            sim.schedule(1.0, chain, 5)
-            sim.run()
-            return out, sim.events_run
-
-        assert run(False) == run(True)

@@ -3,16 +3,14 @@
 The timer builds and cancels its :class:`Event` itself instead of going
 through ``Simulator.schedule`` and a handle; everything an observer can
 see — guards, ``armed`` / ``expiry_time``, live counts, the cancelled
-backlog, sequence numbers, provenance stamps, the scheduled callback's
-name — must read exactly as the handle-based timer's did.
+backlog, sequence numbers, the scheduled callback's name — must read
+exactly as the handle-based timer's did.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceRecorder
-from repro.telemetry.schema import EV_SCHED_EXEC
 
 
 def test_start_when_armed_raises_and_keeps_the_pending_expiry():
@@ -147,10 +145,9 @@ def test_one_sequence_number_per_arm_none_per_cancel():
 
 
 def test_expiry_is_the_bound_fire_method_with_schedule_stamps():
-    # hb/ties.py and the benchmark ledger key on the ``Timer._fire``
-    # qualname; the stamps are what ``Simulator.schedule_at`` writes.
-    trace = TraceRecorder(enabled=True, provenance=True)
-    sim = Simulator(trace=trace)
+    # The benchmark ledger keys on the ``Timer._fire`` qualname; the
+    # stamps are what ``Simulator.schedule_at`` writes.
+    sim = Simulator()
     timer = sim.timer(lambda: None, name="rto")
 
     def arm():
@@ -158,24 +155,9 @@ def test_expiry_is_the_bound_fire_method_with_schedule_stamps():
         armed.append(timer._event)
 
     armed = []
-    parent = sim.schedule(1.0, arm)
+    sim.schedule(1.0, arm)
     sim.run()
     (event,) = armed
     assert event.callback == timer._fire
+    assert event.callback.__qualname__ == "Timer._fire"
     assert (event.time, event.lpush, event.priority) == (1.5, 1.0, 0)
-    assert event.parent == parent._event.seq
-    first, second = trace.records(EV_SCHED_EXEC)
-    assert second.source == "rto"
-    assert second.detail["callback"] == "Timer._fire"
-    assert second.detail["parent"] == first.detail["seq"]
-
-
-def test_timer_armed_at_setup_is_a_provenance_root():
-    trace = TraceRecorder(enabled=True, provenance=True)
-    sim = Simulator(trace=trace)
-    timer = sim.timer(lambda: None)
-    timer.start(1.0)
-    assert timer._event.parent is None
-    sim.run()
-    (record,) = trace.records(EV_SCHED_EXEC)
-    assert record.detail["parent"] is None

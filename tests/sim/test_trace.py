@@ -140,18 +140,17 @@ class TestSubscriptions:
         trace.record(1.0, "pkt.tx", "l")
         assert [r.kind for r in seen] == ["pkt.tx"] and len(trace) == 0
 
-    @pytest.mark.parametrize("kinds,flags", [
-        (None, (True, True)),
-        (frozenset({"pkt.tx", "flow.start"}), (True, False)),
-        (frozenset({"sched.exec"}), (False, True)),
-        (frozenset({"flow.start"}), (False, False)),
+    @pytest.mark.parametrize("kinds,lineage", [
+        (None, True),
+        (frozenset({"pkt.tx", "flow.start"}), True),
+        (frozenset({"flow.start"}), False),
     ])
-    def test_flags_follow_what_subscriptions_consume(self, kinds, flags):
+    def test_flags_follow_what_subscriptions_consume(self, kinds, lineage):
         trace = TraceRecorder()
         trace.subscribe(print, kinds)
-        assert (trace.lineage, trace.provenance) == flags
+        assert trace.lineage == lineage
         trace.unsubscribe(print)
-        assert (trace.lineage, trace.provenance) == (False, False)
+        assert trace.lineage is False
 
     def test_unsubscribing_a_stranger_leaves_the_owners_wish(self):
         trace = TraceRecorder()

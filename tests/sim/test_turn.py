@@ -16,8 +16,6 @@ from repro.errors import StallError
 from repro.sim.scheduler import (DEFAULT_COMPACT_MIN, _mix,
                                  tiebreak_permutation)
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceRecorder
-from repro.telemetry.schema import EV_SCHED_EXEC
 
 
 def make_sim(salt, **kwargs):
@@ -106,58 +104,41 @@ def test_timer_storm_compacts_mid_run_without_losing_or_repeating(salt):
 # ----------------------------------------------------------------------
 
 
-def _provenance_program(sim):
-    def child():
-        pass
+def _logged_sim():
+    """A simulator whose callbacks log ``(now, name, arg)`` as they run:
+    zero-delay children, a priority, a restarted timer and ties."""
+    sim = Simulator()
+    log = []
 
-    timer = sim.timer(child, name="probe")
+    def child(tag):
+        log.append((sim.now, "child", tag))
 
-    def parent():
-        sim.schedule(0.0, child)
-        sim.schedule(0.5, child, priority=2)
+    timer = sim.timer(lambda: log.append((sim.now, "timer", None)),
+                      name="probe")
+
+    def parent(tag):
+        log.append((sim.now, "parent", tag))
+        sim.schedule(0.0, child, f"{tag}.0")
+        sim.schedule(0.5, child, f"{tag}.prio", priority=2)
         timer.restart(0.25)
 
-    sim.schedule(1.0, parent)
-    sim.schedule(1.0, child)
-    sim.schedule(2.0, parent)
+    sim.schedule(1.0, parent, "a")
+    sim.schedule(1.0, child, "b")
+    sim.schedule(2.0, parent, "c")
+    return sim, log
 
 
-def _exec_records(observed):
-    base = observed[0].detail["seq"]
-
-    def rel(seq):
-        return None if seq is None else seq - base
-
-    return [(r.time, r.source, r.detail["callback"], r.detail["prio"],
-             rel(r.detail["seq"]), rel(r.detail["parent"]))
-            for r in observed]
-
-
-def _subscribed_sim():
-    observed = []
-
-    def observer(record):
-        if record.kind == EV_SCHED_EXEC:
-            observed.append(record)
-
-    trace = TraceRecorder(enabled=True)
-    sim = Simulator(trace=trace)
-    trace.subscribe(observer, (EV_SCHED_EXEC,))
-    _provenance_program(sim)
-    return sim, observed
-
-
-def test_stepped_simulator_emits_the_same_sched_exec_records_as_run():
-    ran, ran_records = _subscribed_sim()
+def test_stepped_simulator_executes_the_same_events_as_run():
+    ran, ran_log = _logged_sim()
     ran.run()
-    stepped, stepped_records = _subscribed_sim()
+    stepped, stepped_log = _logged_sim()
     steps = 0
     while stepped.step():
         steps += 1
     assert not stepped.step()
     assert steps == ran.events_run == stepped.events_run == 9
-    assert len(ran_records) == 9
-    assert _exec_records(stepped_records) == _exec_records(ran_records)
+    assert len(ran_log) == 9
+    assert stepped_log == ran_log
     assert stepped.now == ran.now
     assert (stepped.tie_break_groups, stepped.tie_break_max) == \
         (ran.tie_break_groups, ran.tie_break_max) == (2, 3)

@@ -94,16 +94,15 @@ def test_audited_trace_carries_lineage_events(two_audited_runs):
 
 
 def test_audit_only_adds_events_never_reorders(two_runs, two_audited_runs):
-    """The audited trace is the plain trace plus lineage and scheduler
-    provenance events: the subsequence without those must be identical,
-    so auditing cannot have perturbed the simulation itself."""
+    """The audited trace is the plain trace plus lineage events: the
+    subsequence without those must be identical, so auditing cannot have
+    perturbed the simulation itself."""
     plain, __ = two_runs
     audited, __ = two_audited_runs
 
     def non_audit(path: Path):
         return [line for line in path.read_text().splitlines()
-                if not json.loads(line)["kind"].startswith(("pkt.",
-                                                            "sched."))]
+                if not json.loads(line)["kind"].startswith("pkt.")]
 
     assert non_audit(audited / "trace.jsonl") == \
         non_audit(plain / "trace.jsonl")

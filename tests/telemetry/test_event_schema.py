@@ -38,7 +38,7 @@ def assert_schema_clean(records):
 
 class TestSchemaHelpers:
     def test_schema_version_is_current(self):
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
 
     def test_required_keys_known_and_unknown(self):
         assert required_keys("halfback.frontier") == {"flow", "ack", "pointer"}
@@ -239,9 +239,7 @@ class TestEverySchemaKindIsExercised:
         # reactive.probe and sim.crash are covered by direct-firing
         # tests above; the chaos.* family needs an impaired link and is
         # schema-asserted in tests/chaos/test_impairments.py.
-        # sched.exec needs trace.provenance on and is schema-asserted
-        # in tests/sim/test_provenance.py.
         assert uncovered <= {"flow.start", "flow.complete", "sender.failed",
                              "reactive.probe", "sender.rto", "sim.crash",
                              "chaos.corrupt", "chaos.flap", "chaos.rate",
-                             "chaos.clone", "sched.exec"}
+                             "chaos.clone"}

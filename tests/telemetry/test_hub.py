@@ -7,7 +7,6 @@ import pytest
 from repro import telemetry
 from repro.audit import AuditSession
 from repro.experiments import fig03_example
-from repro.hb.session import ProvenanceSession
 from repro.obs.critical import BreakdownSession
 from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
@@ -45,7 +44,7 @@ class HostHub:
         self.profiler = SimProfiler()
 
 
-SESSIONS = [AuditSession, BreakdownSession, ProvenanceSession]
+SESSIONS = [AuditSession, BreakdownSession]
 
 
 @pytest.mark.parametrize("session_factory", SESSIONS)
@@ -70,22 +69,19 @@ class TestSessionsUnderAHostHub:
                 fig03_example.run()
                 if session_factory is AuditSession:
                     assert session.auditor.events_audited > 0
-                elif session_factory is BreakdownSession:
+                else:
                     (breakdown,) = session.pending.values()
                     assert breakdown.conserved
-                else:
-                    assert session.records()
             assert current_hub() is host
         assert len(host.trace) == 0 and not host.trace.lineage
 
-    @pytest.mark.parametrize("asked", [(False, False), (True, False),
-                                       (False, True)])
+    @pytest.mark.parametrize("asked", [False, True])
     def test_host_flags_are_what_they_were(self, session_factory, asked):
         with Telemetry(profile=False) as hub:
-            hub.trace.lineage, hub.trace.provenance = asked
+            hub.trace.lineage = asked
             with session_factory():
                 assert hub.trace.lineage
-            assert (hub.trace.lineage, hub.trace.provenance) == asked
+            assert hub.trace.lineage == asked
 
     @pytest.mark.parametrize("other_factory", SESSIONS)
     @pytest.mark.parametrize("first_out", ["inner", "outer"])
@@ -104,10 +100,8 @@ class TestSessionsUnderAHostHub:
             first.__exit__(None, None, None)
             # The one still attached keeps what it consumes switched on.
             assert hub.trace.lineage
-            assert hub.trace.provenance == (
-                type(second) is not BreakdownSession)
             second.__exit__(None, None, None)
-            assert (hub.trace.lineage, hub.trace.provenance) == (True, False)
+            assert hub.trace.lineage
 
 
 class TestNestedTelemetry:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.audit.session import AuditSession
 from repro.experiments import scenarios
-from repro.hb.session import ProvenanceSession
 from repro.obs.critical import BreakdownSession
 from repro.obs.progress import ProgressPlane, ShardReporter, reporting
 from repro.planetlab.paths import PathSpec
@@ -61,7 +60,7 @@ def bare():
 
 
 @pytest.mark.parametrize("observer", [
-    AuditSession, BreakdownSession, ProvenanceSession, progress_plane,
-], ids=["audit", "breakdown", "provenance", "progress"])
+    AuditSession, BreakdownSession, progress_plane,
+], ids=["audit", "breakdown", "progress"])
 def test_observed_run_equals_bare_run(bare, observer):
     assert run_flow(observer) == bare
