@@ -4,9 +4,9 @@
 protocol x profile survival matrix and exits non-zero when the liveness
 contract breaks (a stalled simulator, a flow neither DONE nor FAILED,
 or — with ``--audit`` — any invariant violation).  The run lifecycle
-(supervision, ``--resume`` journal, progress plane, ``--procfault``,
-manifest, ending table) is :class:`repro.obs.manifest.RunSession`, the
-same one the figure targets use.
+(supervision, ``--resume`` journal, ``--procfault``, manifest, ending
+table) is :class:`repro.obs.manifest.RunSession`, the same one the
+figure targets use.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ fails: the run ends, or the shard is quarantined and a later
 terms derive per-shard coin flips from ``sha256(seed:kind:shard)`` —
 the same schedule in every process that parses the same spec.
 
-Faults fire *inside the worker*, between the shard's start heartbeat
+Faults fire *inside the worker*, between the shard's start message
 and its cell body (see :func:`repro.parallel.pool._run_shard`), so a
 ``hang`` is a started-then-silent shard and a ``kill`` breaks the pool
 mid-cell: the two failure shapes the supervisor must survive.

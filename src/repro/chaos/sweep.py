@@ -35,13 +35,12 @@ from repro.chaos.profiles import ChaosProfile, available_profiles, get_profile
 from repro.errors import StallError
 from repro.experiments.runner import launch_flow
 from repro.net.topology import access_network
-from repro.obs import progress as _progress
 from repro.obs.sketch import QuantileSketch
 from repro.parallel import ShardFailure, fanout_map
 from repro.protocols.registry import ProtocolContext, available_protocols
 from repro.sim.randomness import derive_seed
 from repro.sim.simulator import Simulator
-from repro.telemetry.context import ambient
+from repro.telemetry.context import alive, ambient
 from repro.transport.config import TransportConfig
 
 __all__ = ["CellResult", "SweepReport", "run_cell", "run_sweep",
@@ -289,7 +288,7 @@ def run_cell(
     # fingerprint matches runs where tracing/auditing forces the
     # per-packet path.
     result.events = sim.events_run + sim.events_absorbed
-    _progress.heartbeat(events=result.events)
+    alive()
     fct_sum = 0.0
     for record in records:
         if record.completed:

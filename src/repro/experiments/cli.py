@@ -25,7 +25,7 @@ in its own sessions and merges those into the run-level ones in cell
 order, so the ``== audit ==`` and ``== breakdown ==`` sections and the
 trace-viewer export are the same for any ``--jobs``.
 
-The run lifecycle — ``--progress``, ``--manifest`` / ``--no-manifest``,
+The run lifecycle — ``--manifest`` / ``--no-manifest``,
 ``--heartbeat-timeout``, ``--procfault``, ``--resume``,
 the schema-validated ``run_manifest.json`` and how each ending maps to
 an exit code — is :class:`repro.obs.manifest.RunSession`, shared with

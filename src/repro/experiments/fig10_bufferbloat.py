@@ -16,7 +16,7 @@ sizes from tens of KB to 600 KB, two observables per scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.fct import FctCollector
 from repro.sim.randomness import derive_seed
@@ -38,11 +38,13 @@ DEFAULT_PROTOCOLS = ("tcp", "tcp-10", "tcp-cache", "reactive", "proactive",
 
 @dataclass
 class Fig10Result:
-    """Mean FCT and retransmissions per (scheme, buffer size)."""
+    """Mean FCT and retransmissions per (scheme, buffer size); None for
+    a cell that drew no short flow (a short run's Poisson arrivals can
+    leave a buffer size empty)."""
 
     buffers: List[int]
-    mean_fct: Dict[str, List[float]]              # seconds, same order
-    mean_retransmissions: Dict[str, List[float]]
+    mean_fct: Dict[str, List[Optional[float]]]    # seconds, same order
+    mean_retransmissions: Dict[str, List[Optional[float]]]
 
     def fct_increase(self, protocol: str) -> float:
         """FCT growth from the smallest to the largest buffer (seconds)."""
@@ -89,27 +91,30 @@ def run(
     laptop-friendly tenth with a denser arrival process for sample
     count.
     """
-    mean_fct: Dict[str, List[float]] = {p: [] for p in protocols}
-    mean_rtx: Dict[str, List[float]] = {p: [] for p in protocols}
+    mean_fct: Dict[str, List[Optional[float]]] = {p: [] for p in protocols}
+    mean_rtx: Dict[str, List[Optional[float]]] = {p: [] for p in protocols}
     for protocol in protocols:
         for buffer_bytes in buffers:
             collector = _one_cell(protocol, buffer_bytes, duration,
                                   mean_interval, seed)
-            mean_fct[protocol].append(collector.mean_fct(penalty=60.0))
-            mean_rtx[protocol].append(collector.mean_normal_retransmissions())
+            empty = not collector.records
+            mean_fct[protocol].append(
+                None if empty else collector.mean_fct(penalty=60.0))
+            mean_rtx[protocol].append(
+                None if empty else collector.mean_normal_retransmissions())
     return Fig10Result(buffers=list(buffers), mean_fct=mean_fct,
                        mean_retransmissions=mean_rtx)
 
 
 def format_report(result: Fig10Result) -> str:
-    """Both panels as tables."""
+    """Both panels as tables (``-`` marks a cell with no short flow)."""
     headers = ["scheme"] + [f"{b // 1000}KB" for b in result.buffers]
     fct_rows = [
-        [p] + [f"{v * 1000:.0f}" for v in curve]
+        [p] + [f"{v * 1000:.0f}" if v is not None else "-" for v in curve]
         for p, curve in result.mean_fct.items()
     ]
     rtx_rows = [
-        [p] + [f"{v:.1f}" for v in curve]
+        [p] + [f"{v:.1f}" if v is not None else "-" for v in curve]
         for p, curve in result.mean_retransmissions.items()
     ]
     return "\n\n".join([

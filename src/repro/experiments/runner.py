@@ -20,7 +20,7 @@ from repro.errors import ExperimentError
 from repro.net.topology import AccessNetwork
 from repro.protocols.registry import ProtocolContext, create_sender
 from repro.sim.simulator import Simulator
-from repro.telemetry.context import flow_completed, take_breakdown
+from repro.telemetry.context import alive, take_breakdown
 from repro.telemetry.schema import EV_FLOW_COMPLETE, EV_FLOW_START
 from repro.transport.config import TransportConfig
 from repro.transport.flow import FlowRecord, FlowSpec, next_flow_id
@@ -79,10 +79,9 @@ def launch_flow(
         breakdown = take_breakdown(spec.flow_id)
         if breakdown is not None:
             record.extra["breakdown"] = breakdown
-        # Advisory heartbeat for the live progress plane (no-op without
-        # one); logical event counts (fired + batching-absorbed) ride
-        # along for throughput/ETA.
-        flow_completed(events=sim.events_run + sim.events_absorbed)
+        # A fan-out worker tells its supervisor it is still alive
+        # (throttled; one attribute check anywhere else).
+        alive()
         if on_complete is not None:
             on_complete(record)
 

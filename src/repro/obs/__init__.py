@@ -1,4 +1,4 @@
-"""Run observatory: sketches, aggregation, progress, manifests.
+"""Run observatory: sketches, aggregation, manifests.
 
 What a run reports about itself beyond its figure (see the module
 docstrings for detail):
@@ -12,9 +12,6 @@ docstrings for detail):
   statistics instead of record lists, and
   :class:`StreamingFlowAggregator`, Fig. 12's per-protocol merge of
   them;
-* :mod:`~repro.obs.progress` — the live multi-shard progress plane
-  (heartbeats over each worker's pipe, refreshing status table,
-  Prometheus-text + JSONL snapshot export);
 * :mod:`~repro.obs.manifest` — schema-validated ``run_manifest.json``
   writers tracing every figure to exactly how it was produced.
 """
@@ -31,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MANIFEST_SCHEMA", "MANIFEST_SCHEMA_ID", "RunManifest",
         "config_digest", "validate_manifest",
     ),
-    "progress": ("ProgressPlane", "ShardReporter"),
     "sketch": (
         "CountHistogram", "DEFAULT_RELATIVE_ACCURACY", "QuantileSketch",
         "canonical_json",
@@ -39,4 +35,3 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "spans": ("COMPONENTS", "FlowBreakdown", "FlowSpanBuilder"),
     "traceviewer": ("trace_viewer_doc", "write_trace_viewer"),
 })
-__all__.append("progress")  # the submodule itself is public surface

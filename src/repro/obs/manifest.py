@@ -29,7 +29,7 @@ import platform
 import subprocess
 import sys
 import time
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import StallError
@@ -50,7 +50,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-MANIFEST_SCHEMA_ID = "repro.obs.manifest/4"
+MANIFEST_SCHEMA_ID = "repro.obs.manifest/5"
 
 #: JSON-schema-style description of the manifest document.  Kept a
 #: plain dict (usable by ``jsonschema`` where installed) while
@@ -143,7 +143,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
                 "breakdown": {"type": "boolean"},
                 "chaos": {"type": "string"},
                 "procfault": {"type": "string"},
-                "progress": {"type": ["string", "boolean"]},
                 "tiebreak_salt": {"type": "integer"},
             },
         },
@@ -464,15 +463,28 @@ class RunManifest:
         problems = validate_manifest(doc)
         if problems:  # pragma: no cover - internal invariant
             raise ValueError("invalid manifest: " + "; ".join(problems))
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        from repro.obs.atomicio import atomic_write_text
-
         # Atomic publication: an interrupted-run manifest may be written
         # from an except handler while a resume tool is already polling
-        # the path; it must never observe half a document.
-        return atomic_write_text(
-            path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # the path; it must never observe half a document.  The payload
+        # goes to a synced temporary file in the same directory (so the
+        # rename cannot degrade to copy+delete), then replaces ``path``.
+        import tempfile
+
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+        return path
 
     def fingerprintable(self) -> str:
         """Canonical JSON of the *deterministic* manifest subset (no
@@ -578,12 +590,6 @@ def procfault_spec(text: str) -> str:
 
 def add_run_flags(parser) -> None:
     """Add the flags :class:`RunSession` reads to an argparse parser."""
-    parser.add_argument("--progress", nargs="?", const="-", default=None,
-                        metavar="DIR",
-                        help="live multi-shard progress plane (refreshing "
-                             "status on stderr); with DIR also exports "
-                             "progress.prom (Prometheus text) and "
-                             "progress.jsonl snapshots there")
     parser.add_argument("--manifest", default="run_manifest.json",
                         metavar="PATH",
                         help="where to write the run manifest "
@@ -626,9 +632,9 @@ class RunSession:
     ``args.no_manifest``) and digests ``config``.  Entry declares, through
     the ambient run context, the supervision policy
     (``args.heartbeat_timeout`` and ``quarantine``, which only ``chaos
-    sweep`` sets), the ``--resume`` cell journal, the ``--progress``
-    plane and the ``WorkerEnv`` (``args.procfault`` plus the ``env`` fields), then
-    zeroes the tie-break and supervision accumulators.  Exit leaves those
+    sweep`` sets), the ``--resume`` cell journal and the ``WorkerEnv``
+    (``args.procfault`` plus the ``env`` fields), then zeroes the
+    tie-break and supervision accumulators.  Exit leaves those
     scopes (closing the journal), applies :data:`ENDINGS`, prints the
     tie-break and supervisor lines, and writes the manifest with every
     section recorded; the exception is then swallowed and
@@ -672,11 +678,6 @@ class RunSession:
                 self._lineage = {"journal": self._journal.path,
                                  "journal_digest": self._journal.file_digest()}
                 stack.enter_context(journaling(self._journal))
-            if args.progress is not None:
-                from repro.obs import progress
-
-                stack.enter_context(progress.plane(
-                    out_dir=None if args.progress == "-" else args.progress))
             if any(self._env.get(key) is not None for key in
                    ("telemetry_dir", "chaos_spec", "procfault_spec")):
                 from repro.parallel import WorkerEnv

@@ -16,14 +16,9 @@ cells on worker processes it starts and watches itself.  Workers must
 be module-level functions and the items/results picklable; all sweep
 cells here satisfy that (plain dataclasses end to end).
 
-Four ambient integrations make runs observable and resilient instead
+Three ambient integrations make runs observable and resilient instead
 of opaque and brittle:
 
-* **progress** — when a :class:`repro.obs.progress.ProgressPlane` is
-  active in the parent, every item becomes a *shard*: workers post
-  start/heartbeat/done events that the parent renders as the live
-  status table / Prometheus / JSONL exports.  Serial runs report
-  inline through the same plane.
 * **worker environment** — ``--telemetry``, ``--chaos`` and
   ``--procfault`` sessions live in parent-process context variables a
   worker process would silently miss.  :func:`worker_env` declares a
@@ -39,6 +34,8 @@ of opaque and brittle:
   The observation is part of each cell's journal digest.
 * **supervision & journaling** — :func:`supervision` declares a
   :class:`FanoutPolicy` (heartbeat-deadline reaping of hung workers,
+  which post a liveness message as each shard starts and, throttled,
+  whenever the cell calls :func:`repro.telemetry.context.alive`;
   failed-cell quarantine) and :func:`journaling` a
   :class:`CellJournal` that records each completed cell durably so an
   interrupted or degraded sweep resumes instead of restarting.  Each
@@ -69,10 +66,9 @@ from repro.parallel.policy import (
     journaling,
     supervision,
 )
-from repro.telemetry.context import ambient, current_plane, enter
+from repro.telemetry.context import ambient, enter
 
 if TYPE_CHECKING:
-    from repro.obs.progress import ProgressPlane
     from repro.parallel.journal import CellJournal
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
@@ -130,7 +126,6 @@ def run_serial(
     worker: Callable[[Any], Any],
     items: Sequence[Any],
     policy: FanoutPolicy,
-    plane: Optional[ProgressPlane] = None,
     on_result: Optional[Callable[[int, Any, dict], None]] = None,
     results: Optional[Dict[int, Any]] = None,
     stats: Optional[SupervisorStats] = None,
@@ -140,10 +135,6 @@ def run_serial(
     which is what serial means)."""
     from repro.parallel.pool import _cell_ties, _item_label, _run_shard
 
-    if plane is not None:
-        from repro.obs.progress import ProgressEvent
-    post = None if plane is None else plane.apply
-
     items = list(items)
     results = dict(results or {})
     if stats is None:
@@ -152,16 +143,14 @@ def run_serial(
         if index in results:
             continue
         try:
-            value, ties = _cell_ties(_run_shard, worker, index, item, post)
+            value, ties = _cell_ties(_run_shard, worker, index, item)
         except Exception as exc:
             if not policy.quarantine:
                 raise
-            label = _item_label(item)
-            failure = ShardFailure(index, label, "exception", str(exc))
+            failure = ShardFailure(index, _item_label(item), "exception",
+                                   str(exc))
             stats.quarantined.append(failure.to_dict())
             results[index] = failure
-            if plane is not None:
-                plane.apply(ProgressEvent(index, "fail", label=label))
             continue
         results[index] = value
         if on_result is not None:
@@ -202,12 +191,11 @@ def fanout_map(
     resumable: completed cells are replayed by digest, the rest are
     recorded as they finish.
 
-    When a progress plane (:mod:`repro.obs.progress`) is active, every
-    item reports as one shard; when a :class:`WorkerEnv` is declared
-    (see :func:`worker_env`), workers re-activate the parent's
-    telemetry/chaos/procfault sessions before their first item; when an
-    audit or breakdown session is active, each item is observed in its
-    own and merged into it in item order.
+    When a :class:`WorkerEnv` is declared (see :func:`worker_env`),
+    workers re-activate the parent's telemetry/chaos/procfault sessions
+    before their first item; when an audit or breakdown session is
+    active, each item is observed in its own and merged into it in item
+    order.
     """
     from repro.parallel import pool as _pool
 
@@ -217,9 +205,6 @@ def fanout_map(
     if journal is None:
         journal = current_journal()
     workers = _pool.resolve_jobs(jobs, len(items))
-    plane = current_plane()
-    if plane is not None:
-        plane.begin(len(items))
     audit, breakdown = ambient.audit, ambient.breakdown
     observe = {}
     if audit is not None:
@@ -252,12 +237,6 @@ def fanout_map(
                 replayed[index] = value
                 # Counted as if the cell had run, in cell order.
                 fold_tie_break_stats(ties)
-        if replayed and plane is not None:
-            from repro.obs.progress import ProgressEvent
-
-            for index in sorted(replayed):
-                plane.apply(ProgressEvent(
-                    index, "done", label=_pool._item_label(items[index])))
 
     def on_result(index: int, value: _Result, ties: dict) -> None:
         if journal is not None and index not in replayed:
@@ -276,9 +255,8 @@ def fanout_map(
     if workers <= 1:
         stats = SupervisorStats(shards=len(items), replayed=len(replayed))
         try:
-            results = run_serial(worker, items, policy, plane=plane,
-                                 on_result=on_result, results=replayed,
-                                 stats=stats)
+            results = run_serial(worker, items, policy, on_result=on_result,
+                                 results=replayed, stats=stats)
         finally:
             _account(stats)
     else:
@@ -286,14 +264,12 @@ def fanout_map(
 
         supervisor = ShardSupervisor(
             worker, items, workers, policy, env=_pool.current_worker_env(),
-            plane=plane, on_result=on_result, results=replayed)
+            on_result=on_result, results=replayed)
         supervisor.stats.replayed = len(replayed)
         try:
             results = supervisor.run()
         finally:
             _account(supervisor.stats)
-    if plane is not None:
-        plane.tick(force=True)
     if observe:
         # Serial cell order, replayed cells included: ``(value, audit's
         # shipped, breakdown's shipped)``, each when on.

@@ -37,9 +37,9 @@ class FanoutPolicy:
     """
 
     #: Reap a started shard after this many seconds of heartbeat
-    #: silence (None = never reap).  Measured from the last heartbeat,
-    #: not the submission — a shard that keeps completing flows keeps
-    #: itself alive.
+    #: silence (None = never reap).  Measured from the worker's last
+    #: liveness message, not the submission — a shard that keeps
+    #: completing flows keeps itself alive.
     heartbeat_timeout: Optional[float] = None
     #: Convert a failed shard into a :class:`ShardFailure` result
     #: instead of raising.

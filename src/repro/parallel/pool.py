@@ -3,9 +3,9 @@
 Everything in this module crosses (or prepares to cross) the process
 boundary: the picklable :class:`WorkerEnv` that workers mirror,
 :func:`_worker_main`, the body of every supervised worker process,
-:func:`_run_shard`, the per-item body (shard heartbeats, the ambient
-process-fault injector, the worker call) that workers and the serial
-fan-out share and run once per shard, and :func:`_observed`, the
+:func:`_run_shard`, the per-item body (a worker's liveness messages,
+the ambient process-fault injector, the worker call) that workers and
+the serial fan-out share and run once per shard, and :func:`_observed`, the
 worker wrapper that gives each cell its own audit and breakdown
 sessions.
 
@@ -16,14 +16,19 @@ this module owns what runs *inside* a worker.
 from __future__ import annotations
 
 import signal
+import time
 import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.telemetry.context import ambient, reporting, scope
+from repro.telemetry.context import ambient, scope
 
 __all__ = ["WorkerEnv", "current_worker_env", "resolve_jobs", "worker_env"]
+
+#: Minimum wall-clock seconds between a shard's mid-run liveness
+#: messages (:func:`repro.telemetry.context.alive`).
+ALIVE_INTERVAL = 0.25
 
 
 def resolve_jobs(jobs: int, n_items: int) -> int:
@@ -100,7 +105,8 @@ def worker_env(env: Optional[WorkerEnv]):
 
 
 def _item_label(item) -> str:
-    """A short human label for the shard table (best effort)."""
+    """A short human label for a shard's failure record and journal
+    line (best effort)."""
     if isinstance(item, tuple):
         parts = [str(part) for part in item if isinstance(part, (str, int))]
         label = ":".join(parts[:3])
@@ -128,31 +134,41 @@ def _cell_ties(run, *args):
     return value, cell
 
 
+def _pinger(post: Callable, index: int) -> Callable[[], None]:
+    """A no-argument callable that posts ``index`` at most once per
+    :data:`ALIVE_INTERVAL` of wall clock."""
+    last = time.perf_counter()
+
+    def ping() -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if now - last >= ALIVE_INTERVAL:
+            last = now
+            post(index)
+    return ping
+
+
 def _run_shard(worker, index: int, item, post: Optional[Callable] = None):
     """One shard — the per-item body of the serial fan-out and of every
     worker process.
 
-    With a progress channel (``post``: the plane's ``apply`` in-process,
-    the worker pipe's ``send`` in a worker) the shard's ``start``
-    heartbeat is posted *before* the ambient process-fault plan fires,
-    so a hang fault is a started-then-silent shard, exactly the failure
-    the heartbeat deadline exists to catch.
+    In a worker, ``post`` is the pipe's ``send``: the shard index is
+    posted *before* the ambient process-fault plan fires, so a hang
+    fault is a started-then-silent shard, exactly the failure the
+    heartbeat deadline exists to catch, and
+    :func:`~repro.telemetry.context.alive` calls inside
+    the cell post it again, throttled.  A serial run passes no ``post``
+    and posts nothing: nothing reaps there.
     """
-    reporter = None
     if post is not None:
-        from repro.obs.progress import ShardReporter
-
-        reporter = ShardReporter(index, post)
-        reporter.started(label=_item_label(item))
+        post(index)
     plan = ambient.procfault
     if plan is not None:
         plan.inject(index)
-    if reporter is None:
+    if post is None:
         return worker(item)
-    with reporting(reporter):
-        result = worker(item)
-    reporter.done()
-    return result
+    with scope(reporter=_pinger(post, index)):
+        return worker(item)
 
 
 def _observed(observe: dict, worker, item):
@@ -191,7 +207,7 @@ def _worker_main(conn, env: Optional[WorkerEnv], shard: int) -> None:
 
     Mirrors ``env`` (telemetry files suffixed ``-shard<shard>``), then
     runs each ``(worker, index, item)`` the parent sends through
-    :func:`_run_shard`, posting heartbeats on the same pipe, and replies
+    :func:`_run_shard`, posting liveness messages on the same pipe, and replies
     ``(True, value, tie-break counts)`` or ``(False, (error, traceback
     text), None)``.  ``None`` dismisses it: its sessions close the
     normal way, which writes ``metrics-shard<shard>.json``.

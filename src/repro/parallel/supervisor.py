@@ -39,7 +39,6 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ShardHungError, WorkerCrashError
-from repro.obs import progress as _progress
 from repro.parallel.policy import FanoutPolicy, ShardFailure, SupervisorStats
 from repro.parallel.pool import WorkerEnv, _item_label, _worker_main
 from repro.sim.simulator import fold_tie_break_stats
@@ -71,7 +70,7 @@ class _Worker:
         self.process.start()
         child.close()
         self.held: Optional[int] = None  # the index of the shard it holds
-        self.started = False   # a heartbeat arrived for the held shard
+        self.started = False   # its held shard posted its start message
         self.heard_at = 0.0    # last message, or the hand-off
 
 
@@ -105,7 +104,6 @@ class ShardSupervisor:
         workers: int,
         policy: FanoutPolicy,
         env: Optional[WorkerEnv] = None,
-        plane: Optional["_progress.ProgressPlane"] = None,
         on_result: Optional[Callable[[int, Any, dict], None]] = None,
         results: Optional[Dict[int, Any]] = None,
     ) -> None:
@@ -114,7 +112,6 @@ class ShardSupervisor:
         self.workers = workers
         self.policy = policy
         self.env = env
-        self.plane = plane
         self.on_result = on_result
         self.results: Dict[int, Any] = dict(results or {})
         self.stats = SupervisorStats(shards=len(self.items))
@@ -214,10 +211,8 @@ class ShardSupervisor:
 
     def _on_message(self, worker: _Worker, message: Any) -> None:
         worker.heard_at = time.perf_counter()
-        if not isinstance(message, tuple):  # a heartbeat
+        if not isinstance(message, tuple):  # a liveness message
             worker.started = True
-            if self.plane is not None:
-                self.plane.apply(message)
             return
         ok, value, ties = message
         index, worker.held = worker.held, None
@@ -247,8 +242,8 @@ class ShardSupervisor:
     def _failed(self, index: int, kind: str, error: Any) -> None:
         """Charge shard ``index`` its one failure: quarantine it, or
         raise."""
-        label = _item_label(self.items[index])
-        failure = ShardFailure(index, label, kind, str(error))
+        failure = ShardFailure(index, _item_label(self.items[index]), kind,
+                               str(error))
         if self.policy.quarantine:
             self.stats.quarantined.append(failure.to_dict())
             # Deliberately NOT routed through on_result: the journal
@@ -256,9 +251,6 @@ class ShardSupervisor:
             # runs quarantined cells again instead of replaying their
             # tombstones.
             self.results[index] = failure
-            if self.plane is not None:
-                self.plane.apply(_progress.ProgressEvent(
-                    index, "fail", label=label))
             return
         if kind == "crash":
             raise WorkerCrashError(str(failure), shards=[index])

@@ -8,7 +8,7 @@ would couple all 17 experiment modules to every plane.  Instead a CLI
 :func:`scope`, and the code that needs the value reads the slot.  The
 owning modules (``chaos.context``, ``chaos.procfault``,
 ``parallel.policy``, ``parallel.pool``, ``sim.scheduler``,
-``obs.progress``, ``obs.critical``) expose their slot under the names
+``obs.critical``) expose their slot under the names
 they always had — ``current_profile()``, ``supervision(policy)`` ... —
 as one-line reads of, or ``scope(...)`` over, this object; DESIGN.md
 ("Ambient state") has the slot table.
@@ -26,20 +26,19 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator
 
 __all__ = ["RunContext", "ambient", "scope", "enter", "attached", "describe",
            "current_hub", "activated", "active_session", "take_breakdown",
-           "current_plane", "current_reporter", "reporting", "heartbeat",
-           "flow_completed"]
+           "alive"]
 
 
 class RunContext:
     """The ambient slots of a run (None / empty = off)."""
 
-    __slots__ = ("hub", "attached", "audit", "breakdown", "plane",
-                 "reporter", "chaos", "procfault", "worker_env", "policy",
-                 "journal", "fanout", "tiebreak_salt")
+    __slots__ = ("hub", "attached", "audit", "breakdown", "reporter", "chaos",
+                 "procfault", "worker_env", "policy", "journal", "fanout",
+                 "tiebreak_salt")
 
     def __init__(self) -> None:
         #: Telemetry hub (``trace`` / ``metrics`` / ``profiler``) every
@@ -52,8 +51,8 @@ class RunContext:
         #: the events and flows of the run now.
         self.audit = None
         self.breakdown = None
-        #: Progress plane (parent process) / shard reporter (worker side).
-        self.plane = None
+        #: A fan-out worker's throttled liveness ping while it runs a
+        #: shard (see :func:`alive`); None in the parent and serially.
         self.reporter = None
         #: Chaos profile applied to every access network built now.
         self.chaos = None
@@ -176,8 +175,6 @@ def describe() -> Dict[str, Any]:
         doc["chaos"] = ambient.chaos.spec
     if ambient.procfault is not None:
         doc["procfault"] = ambient.procfault.spec
-    if ambient.plane is not None:
-        doc["progress"] = ambient.plane.out_dir or True
     if ambient.tiebreak_salt is not None:
         doc["tiebreak_salt"] = ambient.tiebreak_salt
     return doc
@@ -208,40 +205,18 @@ def take_breakdown(flow_id: int):
 
 
 # ----------------------------------------------------------------------
-# Progress plane (parent process) and shard reporter (worker side)
+# Shard liveness (the ``reporter`` slot, set by repro.parallel.pool)
 # ----------------------------------------------------------------------
 
 
-def current_plane():
-    """The ambient progress plane, or None."""
-    return ambient.plane
+def alive() -> None:
+    """Tell the shard supervisor this worker is still running its shard.
 
-
-def current_reporter():
-    """The shard reporter of the currently-executing shard, or None."""
-    return ambient.reporter
-
-
-def reporting(reporter):
-    """Make ``reporter`` ambient while one shard executes."""
-    return scope(reporter=reporter)
-
-
-def heartbeat(flows_done: Optional[int] = None,
-              events: Optional[int] = None) -> None:
-    """Post a throttled heartbeat from anywhere inside a shard.
-
-    No-op (one attribute check) when no progress plane is active, so
-    runners can call it unconditionally.
+    The slot's callable posts at most one message per
+    ``repro.parallel.pool.ALIVE_INTERVAL``; with no reporter (the
+    parent, a serial run) this is one attribute check, so runners call
+    it unconditionally.
     """
-    reporter = ambient.reporter
-    if reporter is not None:
-        reporter.update(flows_done=flows_done, events=events)
-
-
-def flow_completed(events: Optional[int] = None) -> None:
-    """Count one finished flow on the ambient shard reporter (no-op
-    without one); the hook experiment runners call per completion."""
-    reporter = ambient.reporter
-    if reporter is not None:
-        reporter.flow_completed(events=events)
+    ping = ambient.reporter
+    if ping is not None:
+        ping()

@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: What an un-instrumented run must never pay for.
 PLANES = (
     "repro.audit", "repro.hb", "repro.obs.spans", "repro.obs.critical",
-    "repro.obs.traceviewer", "repro.obs.progress", "repro.obs.sketch",
+    "repro.obs.traceviewer", "repro.obs.sketch",
     "repro.telemetry.hub", "repro.telemetry.export",
     "repro.telemetry.profiling", "repro.telemetry.timeline",
     "repro.chaos.impairments", "repro.parallel.supervisor",

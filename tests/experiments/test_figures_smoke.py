@@ -105,6 +105,28 @@ def test_fig10_tiny():
     fig10_bufferbloat.format_report(result)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 17, 42])
+def test_fig10_short_run_reports_empty_cells(seed):
+    # ``fig10 --scale 0.05`` runs ``run(duration=20.0, seed=seed)``
+    # (test_report_cli pins the forwarding).  A cell's short flows come
+    # from a stream keyed by seed and buffer only, so one scheme meets
+    # every empty cell: at seed 17 the 50 KB cell draws no short flow,
+    # and that run used to raise ``no completed flows to average``.
+    result = fig10_bufferbloat.run(protocols=("halfback",), duration=20.0,
+                                   seed=seed)
+    empty = [result.buffers[i]
+             for i, v in enumerate(result.mean_fct["halfback"]) if v is None]
+    assert empty == ([50_000] if seed == 17 else [])
+    assert [v is None for v in result.mean_retransmissions["halfback"]] \
+        == [v is None for v in result.mean_fct["halfback"]]
+    fct_panel, rtx_panel = fig10_bufferbloat.format_report(result).split(
+        "\n\n")
+    for panel in (fct_panel, rtx_panel):
+        cells = panel.splitlines()[-1].split("|")[1:]
+        assert [cell.strip() == "-" for cell in cells] \
+            == [v is None for v in result.mean_fct["halfback"]]
+
+
 def test_fig11_tiny():
     result = fig11_flowsize.run(
         environments=("internet",), protocols=("tcp", "halfback"),

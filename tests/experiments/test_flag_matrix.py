@@ -20,7 +20,6 @@ FLAGS = {
     "chaos": lambda tmp: ["--chaos", "wifi-bursty"],
     "breakdown": lambda tmp: ["--breakdown"],
     "trace_viewer": lambda tmp: ["--trace-viewer", str(tmp / "spans.json")],
-    "progress": lambda tmp: ["--progress"],
     "resume": lambda tmp: ["--resume", str(tmp / "state")],
     # A fault aimed past the last cell: the plan is parsed, entered and
     # consulted by every shard, and fires on none of them.
@@ -32,7 +31,7 @@ FLAGS = {
 #: (``--resume`` and ``--jobs`` shape the fan-out, they observe nothing).
 OBSERVER_KEY = {"telemetry": "telemetry", "audit": "audit", "chaos": "chaos",
                 "breakdown": "breakdown", "trace_viewer": "breakdown",
-                "progress": "progress", "procfault": "procfault"}
+                "procfault": "procfault"}
 
 
 @pytest.mark.parametrize(

@@ -200,20 +200,19 @@ def test_a_killed_worker_ends_a_figure_once(tmp_path, capsys):
 OPTIONS = {
     "experiments": (experiments_main, [], {
         "--audit", "--breakdown", "--chaos", "--heartbeat-timeout", "--help",
-        "--jobs", "--manifest", "--no-manifest", "--procfault", "--progress",
-        "--resume", "--scale", "--seed", "--telemetry",
-        "--telemetry-format", "--telemetry-kinds", "--timeline-flows",
-        "--trace-viewer", "--trace-viewer-max"}),
+        "--jobs", "--manifest", "--no-manifest", "--procfault", "--resume",
+        "--scale", "--seed", "--telemetry", "--telemetry-format",
+        "--telemetry-kinds", "--timeline-flows", "--trace-viewer",
+        "--trace-viewer-max"}),
     "chaos": (chaos_main, ["sweep"], {
         "--audit", "--breakdown", "--flows", "--heartbeat-timeout",
         "--help", "--jobs", "--json", "--manifest",
-        "--no-manifest", "--procfault", "--profiles", "--progress",
-        "--protocols", "--quarantine", "--resume", "--seed",
-        "--size"}),
+        "--no-manifest", "--procfault", "--profiles", "--protocols",
+        "--quarantine", "--resume", "--seed", "--size"}),
 }
 
-SHARED = {"--progress", "--manifest", "--no-manifest",
-          "--heartbeat-timeout", "--procfault", "--resume"}
+SHARED = {"--manifest", "--no-manifest", "--heartbeat-timeout",
+          "--procfault", "--resume"}
 
 
 @pytest.mark.parametrize("cli", list(OPTIONS))
@@ -225,3 +224,14 @@ def test_help_lists_the_same_options(cli, capsys):
                             capsys.readouterr().out))
     assert listed == expected
     assert SHARED <= listed
+
+
+@pytest.mark.parametrize("cli", list(CLIS))
+def test_progress_is_not_an_option(cli, capsys):
+    # The live progress plane is gone; a worker's liveness messages
+    # reach the supervisor with no flag.
+    main, argv = CLIS[cli]
+    with pytest.raises(SystemExit) as ended:
+        main(argv + ["--progress", "--no-manifest"])
+    assert ended.value.code == 2
+    assert "unrecognized arguments: --progress" in capsys.readouterr().err

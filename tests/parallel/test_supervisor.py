@@ -25,6 +25,7 @@ from repro.parallel import (
     supervision,
     worker_env,
 )
+from repro.telemetry.context import alive, ambient
 
 
 def _square(x):
@@ -34,6 +35,20 @@ def _square(x):
 def _nap(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _busy(seconds):
+    """A cell that runs for ``seconds`` of wall clock, saying it is
+    alive along the way (as a runner does at each flow completion)."""
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        time.sleep(0.05)
+        alive()
+    return seconds
+
+
+def _listened(_):
+    return ambient.reporter is not None
 
 
 def _boom(x):
@@ -184,6 +199,23 @@ class TestHeartbeatReaping:
         assert isinstance(failure, ShardFailure)
         assert failure.kind == "hang"
         assert results[0] == 0 and results[2] == 4
+
+
+class TestLiveness:
+    def test_a_shard_that_says_it_is_alive_is_not_reaped(self):
+        # Each ~3 s cell outlives the 1 s deadline three times over; its
+        # throttled alive() messages are all that keep it from a reaping.
+        policy = FanoutPolicy(heartbeat_timeout=1.0)
+        assert fanout_map(_busy, [3.0, 3.0], jobs=2, policy=policy) \
+            == [3.0, 3.0]
+        assert fanout_stats()["reaped"] == 0
+
+    def test_only_a_worker_listens(self):
+        # Nothing reaps in-process, so a serial cell's alive() posts
+        # nothing; a worker's cell has its pinger.
+        assert fanout_map(_listened, [0, 1], jobs=1) == [False, False]
+        assert fanout_map(_listened, [0, 1], jobs=2) == [True, True]
+        assert ambient.reporter is None
 
 
 class TestStartSilence:

@@ -14,20 +14,12 @@ import pytest
 from repro.audit.session import AuditSession
 from repro.experiments import scenarios
 from repro.obs.critical import BreakdownSession
-from repro.obs.progress import ProgressPlane, ShardReporter, reporting
 from repro.planetlab.paths import PathSpec
 from repro.sim.simulator import Simulator
 from repro.units import kb, mbps, ms
 
 LOSSY_PATH = PathSpec(pair_id=3, rtt=ms(80), bottleneck_rate=mbps(10),
                       buffer_bytes=kb(64), loss_rate=0.05)
-
-
-@contextlib.contextmanager
-def progress_plane():
-    with ProgressPlane(stream=None) as plane, \
-            reporting(ShardReporter(0, plane.apply)):
-        yield
 
 
 def run_flow(observer):
@@ -60,7 +52,7 @@ def bare():
 
 
 @pytest.mark.parametrize("observer", [
-    AuditSession, BreakdownSession, progress_plane,
-], ids=["audit", "breakdown", "progress"])
+    AuditSession, BreakdownSession,
+], ids=["audit", "breakdown"])
 def test_observed_run_equals_bare_run(bare, observer):
     assert run_flow(observer) == bare
